@@ -11,6 +11,7 @@ the right by elementary matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .f2 import BitMatrix
@@ -41,17 +42,21 @@ class Gate:
 
     @property
     def token(self) -> str:
-        return f"{'d' if self.is_downward else 'u'}{self.position}"
+        return f"d{self.source}" if self.target > self.source else f"u{self.target}"
 
     def __str__(self) -> str:
         return self.token
 
 
+# Gates are immutable, so up and down hand out one shared Gate per
+# position instead of validating a fresh one for every gate emitted.
+@lru_cache(maxsize=4096)
 def up(position: int) -> Gate:
     """Gate (position <- position + 1)."""
     return Gate(position, position + 1)
 
 
+@lru_cache(maxsize=4096)
 def down(position: int) -> Gate:
     """Gate (position + 1 <- position)."""
     return Gate(position + 1, position)
@@ -79,7 +84,8 @@ class TimeSlice:
 
     @property
     def sorted_gates(self) -> tuple[Gate, ...]:
-        return tuple(sorted(self.gates, key=lambda g: g.position))
+        # target + source = 2 * position + 1 orders gates as position does
+        return tuple(sorted(self.gates, key=lambda g: g.target + g.source))
 
     def wires(self) -> set[int]:
         return {w for g in self.gates for w in (g.target, g.source)}
@@ -103,9 +109,10 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 wires, got {self.n}")
+        n = self.n
         for sl in self.slices:
             for g in sl.gates:
-                if max(g.target, g.source) > self.n:
+                if g.target > n or g.source > n:
                     raise ValueError(f"gate {g} does not fit on {self.n} wires")
 
     @property
@@ -186,13 +193,15 @@ def schedule(n: int, gates: Iterable[Gate]) -> Circuit:
     last = [0] * (n + 2)
     packed: list[set[Gate]] = []
     for g in gates:
-        if g.position + 1 > n:
+        # g.position and max inlined: this loop runs once per gate
+        p = g.target if g.target < g.source else g.source
+        if p >= n:
             raise ValueError(f"gate {g} does not fit on {n} wires")
-        s = max(last[g.position], last[g.position + 1]) + 1
-        if s > len(packed):
+        s = last[p] if last[p] > last[p + 1] else last[p + 1]
+        if s == len(packed):
             packed.append(set())
-        packed[s - 1].add(g)
-        last[g.position] = last[g.position + 1] = s
+        packed[s].add(g)
+        last[p] = last[p + 1] = s + 1
     return Circuit(n, tuple(TimeSlice(frozenset(s)) for s in packed))
 
 

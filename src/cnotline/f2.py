@@ -115,20 +115,31 @@ class BitBlock:
         return (self.rows[i - 1] >> (j - 1)) & 1
 
 
-def _row_space_rank(rows: Iterable[int]) -> int:
-    # Incremental elimination keyed on the highest set bit of each pivot.
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """Echelon basis of the span of rows, keyed on each pivot's top set bit."""
     pivot_by_top: dict[int, int] = {}
-    rank = 0
     for r in rows:
         while r:
             top = r.bit_length()
             p = pivot_by_top.get(top)
             if p is None:
                 pivot_by_top[top] = r
-                rank += 1
                 break
             r ^= p
-    return rank
+    return pivot_by_top
+
+
+def _coset_min(x: int, pivot_by_top: dict[int, int]) -> int:
+    """Least element of x + span(pivots), pivots keyed as _echelon keys them.
+
+    Clears the pivot tops of x greedily from the highest down.  Greedy is
+    optimal because flipping a higher coordinate to zero always beats any
+    configuration of lower coordinates.
+    """
+    for top in sorted(pivot_by_top, reverse=True):
+        if (x >> (top - 1)) & 1:
+            x ^= pivot_by_top[top]
+    return x
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,7 @@ class BitMatrix:
 
     @cached_property
     def is_invertible(self) -> bool:
-        return _row_space_rank(self.cols) == self.n
+        return len(_echelon(self.cols)) == self.n
 
 
 def transpose(m: BitMatrix) -> BitMatrix:
@@ -247,41 +258,32 @@ def matvec(m: BitMatrix, v: BitVector) -> BitVector:
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse via Gauss-Jordan elimination on the rows.
+    """Inverse via Gauss-Jordan elimination on the columns.
 
     Raises:
         SingularMatrixError: if the matrix has rank below n.
     """
     n = m.n
-    rows = list(m.packed_rows())
+    cols = list(m.cols)
     aug = [1 << i for i in range(n)]
-    pivot = 0
     for c in range(n):
-        hit = next((k for k in range(pivot, n) if (rows[k] >> c) & 1), None)
+        bit = 1 << c
+        hit = next((k for k in range(c, n) if cols[k] & bit), None)
         if hit is None:
             raise SingularMatrixError(f"matrix of dimension {n} is singular")
-        rows[pivot], rows[hit] = rows[hit], rows[pivot]
-        aug[pivot], aug[hit] = aug[hit], aug[pivot]
+        cols[c], cols[hit] = cols[hit], cols[c]
+        aug[c], aug[hit] = aug[hit], aug[c]
         for k in range(n):
-            if k != pivot and (rows[k] >> c) & 1:
-                rows[k] ^= rows[pivot]
-                aug[k] ^= aug[pivot]
-        pivot += 1
-    # aug now holds the packed rows of the inverse
-    inv_cols = [0] * n
-    for i, r in enumerate(aug):
-        while r:
-            low = r & -r
-            inv_cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return BitMatrix(n, tuple(inv_cols))
+            if k != c and cols[k] & bit:
+                cols[k] ^= cols[c]
+                aug[k] ^= aug[c]
+    # the column operations took m to I, so they took I to the inverse
+    return BitMatrix(n, tuple(aug))
 
 
 def rank(m: "BitMatrix | BitBlock") -> int:
     """Rank of a square matrix or a rectangular block."""
-    if isinstance(m, BitMatrix):
-        return _row_space_rank(m.cols)
-    return _row_space_rank(m.rows)
+    return len(_echelon(m.cols if isinstance(m, BitMatrix) else m.rows))
 
 
 def is_northwest_triangular(m: BitMatrix) -> bool:
@@ -301,27 +303,14 @@ def lex_min_coset(a: BitVector, spanning: Iterable[BitVector]) -> BitVector:
     """Lexicographically least element of a + span(spanning).
 
     Reduces the spanning set to a basis in echelon form keyed on top set
-    coordinates, then clears the top coordinates of a greedily from the
-    highest down.  Greedy is optimal because flipping a higher coordinate
-    to zero always beats any configuration of lower coordinates.
+    coordinates, then clears the top coordinates of a greedily.
     """
-    pivot_by_top: dict[int, int] = {}
+    rows = []
     for v in spanning:
         if v.n != a.n:
             raise ValueError(f"dimension mismatch: {v.n} vs {a.n}")
-        r = v.bits
-        while r:
-            top = r.bit_length()
-            p = pivot_by_top.get(top)
-            if p is None:
-                pivot_by_top[top] = r
-                break
-            r ^= p
-    x = a.bits
-    for top in sorted(pivot_by_top, reverse=True):
-        if (x >> (top - 1)) & 1:
-            x ^= pivot_by_top[top]
-    return BitVector(a.n, x)
+        rows.append(v.bits)
+    return BitVector(a.n, _coset_min(a.bits, _echelon(rows)))
 
 
 def dual_functional(basis: Sequence[BitVector], k: int) -> BitVector:
@@ -365,13 +354,8 @@ class CutBlocks:
             rows.append(self.top_left.rows[i] | (self.top_right.rows[i] << k))
         for i in range(n - k):
             rows.append(self.bottom_left.rows[i] | (self.bottom_right.rows[i] << k))
-        cols = [0] * n
-        for i, r in enumerate(rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return BitMatrix(n, tuple(cols))
+        # packed rows read as columns give the transpose
+        return transpose(BitMatrix(n, tuple(rows)))
 
 
 def blocks(m: BitMatrix, k: int) -> CutBlocks:

@@ -11,6 +11,7 @@ computing the matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import circuit as circuit_mod
 from .circuit import Circuit, Gate, down, schedule, up
@@ -19,10 +20,10 @@ from .f2 import (
     BitMatrix,
     BitVector,
     SingularMatrixError,
-    dual_functional,
+    _coset_min,
     is_northwest_triangular,
-    lex_min_coset,
 )
+from .f2 import inverse as matrix_inverse
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,9 @@ def northwest_basis(m: BitMatrix) -> tuple[tuple[BitVector, ...], tuple[int, ...
     For each wire i, v_i is the lexicographically least vector reachable
     from column i by adding later columns; pi(i) positions v_i's top
     coordinate at n+1-pi(i).  Reindexing by pi gives the target basis:
-    w_j has top coordinate exactly n+1-j.
+    w_j has top coordinate exactly n+1-j.  One sweep from column n down
+    extends a single echelon basis of the later columns: each v_i has a
+    top coordinate no pivot has yet, so it is the next pivot.
 
     Returns:
         (w_basis, pi) with w_basis[j-1] = w_j and pi[i-1] = pi(i).
@@ -93,72 +96,79 @@ def northwest_basis(m: BitMatrix) -> tuple[tuple[BitVector, ...], tuple[int, ...
         SingularMatrixError: if the columns do not span the space.
     """
     n = m.n
-    cols = [m.column(j) for j in range(1, n + 1)]
     w = [BitVector(n)] * n
     pi = [0] * n
-    for i in range(n):
-        v = lex_min_coset(cols[i], cols[i + 1 :])
-        if v.is_zero():
+    pivot_by_top: dict[int, int] = {}
+    for i in range(n - 1, -1, -1):
+        v = _coset_min(m.cols[i], pivot_by_top)
+        if not v:
             raise SingularMatrixError(f"matrix of dimension {n} is singular")
-        label = n + 1 - v.top_coordinate()
-        pi[i] = label
-        w[label - 1] = v
-    if sorted(pi) != list(range(1, n + 1)):
-        raise SingularMatrixError(f"matrix of dimension {n} is singular")
+        pivot_by_top[v.bit_length()] = v
+        pi[i] = n + 1 - v.bit_length()
+        w[pi[i] - 1] = BitVector(n, v)
     return tuple(w), tuple(pi)
 
 
-def _snapshot(
+def _sorting_run(
+    net: ComparatorNetwork,
     values: list[int],
     labels: list[int],
-    w_basis: tuple[BitVector, ...],
-    duals: tuple[BitVector, ...],
-) -> LabeledWireState:
+    box_for: Callable[[int, int], list[Gate]],
+    states: "list[LabeledWireState] | None",
+    basis: tuple[tuple[BitVector, ...], tuple[BitVector, ...]],
+) -> list[Gate]:
+    """Sort the wire labels with the network, emitting a box per swap.
+
+    box_for(p, k) gives the gates for the swap at position p that moves
+    label k up onto wire p; they are applied to values as emitted.  When
+    states is a list, the state before the first layer and after each
+    layer is appended to it, with basis as its (w_basis, duals).
+    """
     n = len(values)
-    return LabeledWireState(
-        BitMatrix(n, tuple(values)), tuple(labels), w_basis, duals
-    )
-
-
-def _apply_gates(values: list[int], gates: list[Gate]) -> None:
-    for g in gates:
-        values[g.target - 1] ^= values[g.source - 1]
-
-
-def _clearing_run(
-    m: BitMatrix, net: ComparatorNetwork
-) -> tuple[list[Gate], list[LabeledWireState]]:
-    """Run the clearing stage; returns emitted gates and per-layer states."""
-    n = m.n
     if net.n != n:
         raise ValueError(f"network on {net.n} wires, matrix of dimension {n}")
-    w_basis, pi = northwest_basis(m)
-    duals = tuple(dual_functional(w_basis, k) for k in range(1, n + 1))
-    values = list(m.cols)
-    labels = list(pi)
     gates: list[Gate] = []
-    states = [_snapshot(values, labels, w_basis, duals)]
-    for layer in net.layers:
+    # the empty first layer records the initial state
+    for layer in ((),) + net.layers:
         for p in layer:
             j, k = labels[p - 1], labels[p]
             if j < k:
                 continue
             labels[p - 1], labels[p] = k, j
-            u, v = values[p - 1], values[p]
-            # write some member of span{w_l : l != k} to the lower wire,
-            # cheapest output first; u itself always qualifies because
-            # the span has codimension 1
-            dual_k = duals[k - 1].bits
-            if (dual_k & v).bit_count() & 1 == 0:
-                box: list[Gate] = []
-            elif (dual_k & (u ^ v)).bit_count() & 1 == 0:
-                box = [down(p)]
-            else:
-                box = [up(p), down(p)]
-            _apply_gates(values, box)
+            box = box_for(p, k)
+            for g in box:
+                values[g.target - 1] ^= values[g.source - 1]
             gates += box
-        states.append(_snapshot(values, labels, w_basis, duals))
-    return gates, states
+        if states is not None:
+            states.append(
+                LabeledWireState(BitMatrix(n, tuple(values)), tuple(labels), *basis)
+            )
+    return gates
+
+
+def _clearing_run(
+    m: BitMatrix, net: ComparatorNetwork, states: "list[LabeledWireState] | None" = None
+) -> list[Gate]:
+    """Run the clearing stage; states are recorded as _sorting_run says."""
+    w_basis, pi = northwest_basis(m)
+    # row k of the inverse of [w_1 ... w_n] is the dual functional of w_k
+    inv_rows = matrix_inverse(BitMatrix.from_columns(w_basis)).packed_rows()
+    duals = tuple(BitVector(m.n, r) for r in inv_rows)
+    values = list(m.cols)
+
+    def box_for(p: int, k: int) -> list[Gate]:
+        # write some member of span{w_l : l != k} to the lower wire,
+        # cheapest output first; u itself always qualifies because
+        # the span has codimension 1
+        u, v = values[p - 1], values[p]
+        dual_k = duals[k - 1].bits
+        if (dual_k & v).bit_count() & 1 == 0:
+            return []
+        if (dual_k & (u ^ v)).bit_count() & 1 == 0:
+            return [down(p)]
+        return [up(p), down(p)]
+
+    return _sorting_run(net, values, list(pi), box_for, states, (w_basis, duals))
 
 
 def clearing_circuit(m: BitMatrix, net: ComparatorNetwork) -> Circuit:
@@ -167,13 +177,13 @@ def clearing_circuit(m: BitMatrix, net: ComparatorNetwork) -> Circuit:
     Raises:
         SingularMatrixError: if m is singular.
     """
-    gates, _ = _clearing_run(m, net)
-    return schedule(m.n, gates)
+    return schedule(m.n, _clearing_run(m, net))
 
 
 def clearing_states(m: BitMatrix, net: ComparatorNetwork) -> list[LabeledWireState]:
     """Wire states after each clearing layer (index 0 = initial state)."""
-    _, states = _clearing_run(m, net)
+    states: list[LabeledWireState] = []
+    _clearing_run(m, net, states)
     return states
 
 
@@ -183,36 +193,24 @@ def reversal_layers(net: ComparatorNetwork) -> tuple[tuple[int, ...], ...]:
 
 
 def _reduction_run(
-    nw: BitMatrix, net: ComparatorNetwork
-) -> tuple[list[Gate], list[LabeledWireState]]:
+    nw: BitMatrix, net: ComparatorNetwork, states: "list[LabeledWireState] | None" = None
+) -> list[Gate]:
+    """Run the reduction stage; it swaps exactly at reversal_layers(net)."""
     n = nw.n
-    if net.n != n:
-        raise ValueError(f"network on {net.n} wires, matrix of dimension {n}")
     if not is_northwest_triangular(nw):
         raise ValueError("matrix is not northwest-triangular")
     if not nw.is_invertible:
         raise SingularMatrixError(f"matrix of dimension {n} is singular")
     std = tuple(BitVector.unit(n, k) for k in range(1, n + 1))
     values = list(nw.cols)
-    labels = list(range(n, 0, -1))
-    gates: list[Gate] = []
-    states = [_snapshot(values, labels, std, std)]
-    for layer in reversal_layers(net):
-        for p in layer:
-            k, j = labels[p - 1], labels[p]
-            # the reversal schedule only swaps out-of-order labels
-            assert k > j
-            labels[p - 1], labels[p] = j, k
-            u = values[p - 1]
-            if (u >> (j - 1)) & 1:
-                # replace u by u^v, then exchange: outputs (v, u^v)
-                box = [down(p), up(p)]
-            else:
-                box = [up(p), down(p), up(p)]
-            _apply_gates(values, box)
-            gates += box
-        states.append(_snapshot(values, labels, std, std))
-    return gates, states
+
+    def box_for(p: int, j: int) -> list[Gate]:
+        if (values[p - 1] >> (j - 1)) & 1:
+            # replace u by u^v, then exchange: outputs (v, u^v)
+            return [down(p), up(p)]
+        return [up(p), down(p), up(p)]
+
+    return _sorting_run(net, values, list(range(n, 0, -1)), box_for, states, (std, std))
 
 
 def triangular_reduction_circuit(nw: BitMatrix, net: ComparatorNetwork) -> Circuit:
@@ -224,13 +222,13 @@ def triangular_reduction_circuit(nw: BitMatrix, net: ComparatorNetwork) -> Circu
         ValueError: if nw is not northwest-triangular.
         SingularMatrixError: if nw is singular.
     """
-    gates, _ = _reduction_run(nw, net)
-    return schedule(nw.n, gates)
+    return schedule(nw.n, _reduction_run(nw, net))
 
 
 def reduction_states(nw: BitMatrix, net: ComparatorNetwork) -> list[LabeledWireState]:
     """Wire states after each reduction layer (index 0 = initial state)."""
-    _, states = _reduction_run(nw, net)
+    states: list[LabeledWireState] = []
+    _reduction_run(nw, net, states)
     return states
 
 

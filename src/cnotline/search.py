@@ -183,11 +183,12 @@ def _bfs_sparse(
     keep_levels: bool,
 ):
     """Set-based BFS for n above the dense limit; practical only with a limit."""
+    # levels are uint64 because at n = 8 entry (8, 8) packs to bit 63
     gens = _packed_generators(n)
     start = encode_state(BitMatrix.identity(n))
     visited = {start}
     frontier = {start}
-    levels = [np.array(sorted(frontier), dtype=np.int64)] if keep_levels else None
+    levels = [np.array(sorted(frontier), dtype=np.uint64)] if keep_levels else None
     level = 0
     if target_code == start:
         return 0, levels, 1, 0
@@ -206,7 +207,7 @@ def _bfs_sparse(
         frontier = nxt
         level += 1
         if keep_levels:
-            levels.append(np.array(sorted(frontier), dtype=np.int64))
+            levels.append(np.array(sorted(frontier), dtype=np.uint64))
         if target_code in visited:
             return level, levels, len(visited), level
     return None, levels, len(visited), level
@@ -236,6 +237,8 @@ def distance(
         raise ValueError(f"target dimension {target.n} does not match n={n}")
     if not target.is_invertible:
         raise ValueError("target matrix is singular; unreachable by CNOT circuits")
+    if depth_limit is not None and depth_limit < 0:
+        raise ValueError(f"depth limit must be nonnegative, got {depth_limit}")
     if n > DENSE_LIMIT and depth_limit is None:
         raise ResourceLimitError(
             f"an unlimited distance search at n={n} can visit up to "

@@ -6,6 +6,7 @@ from cnotline import (
     BitMatrix,
     add_circuit,
     circuit_to_text,
+    from_gate_tokens,
     matrix_of,
     matrix_to_text,
     parse_circuit_text,
@@ -186,6 +187,36 @@ def test_search_depth_limit_incomplete(capsys):
     )
     assert code == 0
     assert "distance > 5" in out
+
+
+def test_search_rejects_negative_depth_limit(capsys):
+    code, out, err = run(
+        capsys, "search", "--n", "4", "--reversal", "--depth-limit", "-3"
+    )
+    assert code == 2
+    assert "error:" in err and "distance" not in out
+
+
+def test_search_n8_witness(capsys, tmp_path):
+    # at n = 8 entry (8, 8) packs to bit 63 of the state code
+    witness = tmp_path / "w.circuit"
+    code, out, err = run(
+        capsys, "search", "--n", "8", "--reversal", "--depth-limit", "1",
+        "--witness", str(witness),
+    )
+    assert code == 0, err
+    assert "distance > 1" in out
+    target_circuit = from_gate_tokens(8, ["d7", "u1", "d3"])
+    target = write_matrix(tmp_path, "t.matrix", matrix_of(target_circuit))
+    code, out, err = run(
+        capsys, "search", "--n", "8", "--target", target, "--depth-limit", "1",
+        "--witness", str(witness),
+    )
+    assert code == 0, err
+    assert "distance = 1" in out
+    found = parse_circuit_text(witness.read_text(encoding="ascii"))
+    assert found.depth == 1
+    assert matrix_of(found) == matrix_of(target_circuit)
 
 
 def test_search_max_mode(capsys):

@@ -1,5 +1,6 @@
 """General linear synthesis: basis choice, clearing, reduction, pipeline."""
 
+import hashlib
 import itertools
 import random
 
@@ -9,12 +10,15 @@ from cnotline import (
     BitMatrix,
     SingularMatrixError,
     apply,
+    circuit_to_text,
     clearing_circuit,
     clearing_states,
+    dual_functional,
     is_northwest_triangular,
     matrix_of,
     northwest_basis,
     odd_even_network,
+    permutation_circuit,
     reduction_states,
     reversal_layers,
     synthesize,
@@ -62,6 +66,15 @@ def test_northwest_basis_identity():
 def test_northwest_basis_rejects_singular():
     with pytest.raises(SingularMatrixError):
         northwest_basis(BitMatrix(3, (0b011, 0b011, 0b100)))
+
+
+def test_clearing_duals_match_dual_functional(rng):
+    for n in [2, 3, 5, 8, 13] + [rng.randint(2, 24) for _ in range(20)]:
+        m = random_invertible(n, rng)
+        state = clearing_states(m, odd_even_network(n))[0]
+        assert state.duals == tuple(
+            dual_functional(state.w_basis, k) for k in range(1, n + 1)
+        )
 
 
 def test_clearing_reaches_northwest_form(rng):
@@ -153,3 +166,49 @@ def test_synthesize_anti_identity(rng):
         c = synthesize(BitMatrix.anti_identity(n))
         assert matrix_of(c) == BitMatrix.anti_identity(n)
         assert c.depth <= 5 * n
+
+
+def _text_sha256(circuit) -> str:
+    return hashlib.sha256(circuit_to_text(circuit).encode("ascii")).hexdigest()
+
+
+# SHA-256 of circuit_to_text(synthesize(m)) for the first matrices that
+# random_invertible draws from random.Random(n).  A changed hash means
+# synthesize now emits a different circuit for the same matrix.
+PINNED_SYNTHESIS = {
+    32: [
+        "d4953876bf3fa16b1abc91e844f430995a12c9f7364ae6b71fff8fbd7364ba26",
+        "380f4c7d67321348b99ccde3b67347d4834836d81ff51c49356247533350e740",
+        "4cf0e358942f39f57cc6f5126b0da21538252faabf856e63db070af277ca9eea",
+    ],
+    64: [
+        "af0c4c3e61f086aed5133870083535c7f24bb3c50285ba7dab55053e73b78251",
+        "06632f8771bacb415132d0302ef15eba9159c5b3aa5080f74a713e4dbb331ac9",
+    ],
+    128: [
+        "420eb96e2eac05b3e89123cce6b631d7f94a3810216bd7962372a9545fadb155",
+        "ed3e35a775baa59ddc94c6a7b18595630a83cf90771d0ce044db090336239faf",
+    ],
+    256: [
+        "c9db43a161b0858bdcb07ae9b9b037484e13d19037dc82a5b14366dd86a7e0b0",
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_SYNTHESIS))
+def test_synthesize_output_is_pinned(n):
+    rng = random.Random(n)
+    got = [
+        _text_sha256(synthesize(random_invertible(n, rng)))
+        for _ in PINNED_SYNTHESIS[n]
+    ]
+    assert got == PINNED_SYNTHESIS[n]
+
+
+def test_permutation_circuit_output_is_pinned():
+    rng = random.Random(256)
+    perm = list(range(1, 257))
+    rng.shuffle(perm)
+    assert _text_sha256(permutation_circuit(perm)) == (
+        "295ec6c9b5f75c25d25f4618c16a55b5959873b2a6c5de67fbddaf8e4824021a"
+    )

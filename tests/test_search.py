@@ -154,6 +154,8 @@ def test_distance_input_validation():
         distance(3, BitMatrix.identity(4))
     with pytest.raises(ValueError):
         distance(3, BitMatrix(3, (1, 1, 4)))
+    with pytest.raises(ValueError):
+        distance(3, BitMatrix.anti_identity(3), depth_limit=-1)
     with pytest.raises(ResourceLimitError):
         distance(6, BitMatrix.anti_identity(6))
 
