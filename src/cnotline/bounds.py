@@ -7,6 +7,21 @@ and a downward gate moves rank(X) and rank(Z) by at most one.  Walking
 the ranks from the identity's blocks to the target's blocks forces a
 minimum number of crossing gates per cut, which aggregates into size
 and depth bounds that hold for every circuit computing the target.
+
+For an invertible target the columns 1..k have rank k, so rank(Y) is
+at least k - rank(W) and the upward count is rank(Y); the columns
+k+1..n likewise make the downward count rank(X).  The bound at cut k
+is therefore rank(X) + rank(Y).
+
+Every cut is ranked in one pass.  Y is the columns 1..k cut down to
+rows k+1..n, and X is the rows 1..k cut down to columns k+1..n.  Take
+an echelon basis of vectors 1..k whose pivots have distinct top set
+bits.  Cutting it down to coordinates k+1..n zeroes exactly the pivots
+whose top bit is at most k and leaves the others with distinct top
+bits, so the rank is the number of pivots with their top above k.  One
+echelon basis of the columns and one of the rows, each grown by one
+vector as k rises, give all n-1 bounds in O(n^2) XORs of packed
+vectors, where ranking four fresh blocks per cut takes O(n^3).
 """
 
 from __future__ import annotations
@@ -15,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .constructions import inversion_count
-from .f2 import BitMatrix, blocks, rank
+from .f2 import BitMatrix, _echelon_add
 
 
 @dataclass(frozen=True)
@@ -28,14 +43,38 @@ class BoundReport:
     size_lb: int
 
 
-def cut_lower_bound(m: BitMatrix, k: int) -> int:
-    """Minimum gates between wires k and k+1 in any circuit computing m."""
-    if not m.is_invertible:
+def _ranks_past_cuts(vectors: Sequence[int]) -> list[int]:
+    """Entry k-1: rank of vectors 1..k cut down to coordinates k+1..n."""
+    pivot_by_top: dict[int, int] = {}
+    tops = 0
+    out = []
+    for k, v in enumerate(vectors[:-1], start=1):
+        top = _echelon_add(pivot_by_top, v)
+        if top:
+            tops |= 1 << (top - 1)
+        out.append((tops >> k).bit_count())
+    return out
+
+
+def _cut_bounds(m: BitMatrix) -> list[int]:
+    """Crossing bound of every cut, cut k at index k-1 (see module doc)."""
+    # a 1x1 matrix has no cut, so nothing is bounded or checked
+    if m.n > 1 and not m.is_invertible:
         raise ValueError(f"matrix of dimension {m.n} is singular")
-    b = blocks(m, k)
-    upward = max(k - rank(b.top_left), rank(b.bottom_left))
-    downward = max(rank(b.top_right), (m.n - k) - rank(b.bottom_right))
-    return upward + downward
+    rank_y = _ranks_past_cuts(m.cols)
+    rank_x = _ranks_past_cuts(m.packed_rows())
+    return [y + x for y, x in zip(rank_y, rank_x)]
+
+
+def cut_lower_bound(m: BitMatrix, k: int) -> int:
+    """Minimum gates between wires k and k+1 in any circuit computing m.
+
+    Raises:
+        ValueError: if m is singular or k is outside 1..n-1.
+    """
+    if not 1 <= k <= m.n - 1:
+        raise ValueError(f"cut position {k} out of range 1..{m.n - 1}")
+    return _cut_bounds(m)[k - 1]
 
 
 def matrix_lower_bounds(m: BitMatrix) -> BoundReport:
@@ -45,7 +84,7 @@ def matrix_lower_bounds(m: BitMatrix) -> BoundReport:
     depth bound is the best sum of two adjacent cut bounds.
     """
     n = m.n
-    per_cut = tuple((k, cut_lower_bound(m, k)) for k in range(1, n))
+    per_cut = tuple(enumerate(_cut_bounds(m), start=1))
     by_cut = dict(per_cut)
     by_cut[0] = by_cut[n] = 0
     depth_lb = max(by_cut[w - 1] + by_cut[w] for w in range(1, n + 1))

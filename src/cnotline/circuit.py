@@ -149,7 +149,9 @@ def validate(circuit: Circuit) -> list[Violation]:
             continue
         seen: dict[int, Gate] = {}
         for g in sl.sorted_gates:
-            for w in (g.position, g.position + 1):
+            # g.position inlined, as in schedule
+            p = g.target if g.target < g.source else g.source
+            for w in (p, p + 1):
                 if w in seen:
                     out.append(
                         Violation(idx, g, f"wire {w} already used by {seen[w]}")
@@ -178,7 +180,8 @@ def crossing_counts(circuit: Circuit) -> tuple[int, ...]:
     counts = [0] * (circuit.n - 1)
     for sl in circuit.slices:
         for g in sl.gates:
-            counts[g.position - 1] += 1
+            # g.position inlined, as in schedule
+            counts[(g.target if g.target < g.source else g.source) - 1] += 1
     return tuple(counts)
 
 
@@ -281,19 +284,27 @@ def parse_circuit_text(text: str) -> Circuit:
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
     slices = []
+    # token -> (gate, mask of its two wires); each distinct token is
+    # parsed and placed on the line once, however often it repeats
+    known: dict[str, tuple[Gate, int]] = {}
     for lineno, ln in enumerate(lines[1:], start=2):
         if not ln.strip():
             raise ValueError(f"line {lineno}: empty time slice")
-        gates = set()
-        used: set[int] = set()
+        gates = []
+        used = 0
         for tok in ln.split():
-            g = parse_gate_token(tok)
-            if g.position + 1 > n:
-                raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")
-            if used & {g.position, g.position + 1}:
+            hit = known.get(tok)
+            if hit is None:
+                g = parse_gate_token(tok)
+                pos = int(tok[1:])
+                if pos >= n:
+                    raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")
+                hit = known[tok] = (g, 3 << pos)
+            g, wires = hit
+            if used & wires:
                 raise ValueError(f"line {lineno}: wire collision at {tok}")
-            used.update((g.position, g.position + 1))
-            gates.add(g)
+            used |= wires
+            gates.append(g)
         slices.append(TimeSlice(frozenset(gates)))
     return Circuit(n, tuple(slices))
 

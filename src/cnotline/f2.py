@@ -115,17 +115,27 @@ class BitBlock:
         return (self.rows[i - 1] >> (j - 1)) & 1
 
 
+def _echelon_add(pivot_by_top: dict[int, int], r: int) -> int:
+    """Reduce r by the pivots and keep a nonzero remainder as a new pivot.
+
+    Returns the new pivot's top set bit as a coordinate, or 0 when r
+    already lay in the span.
+    """
+    while r:
+        top = r.bit_length()
+        p = pivot_by_top.get(top)
+        if p is None:
+            pivot_by_top[top] = r
+            return top
+        r ^= p
+    return 0
+
+
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
     """Echelon basis of the span of rows, keyed on each pivot's top set bit."""
     pivot_by_top: dict[int, int] = {}
     for r in rows:
-        while r:
-            top = r.bit_length()
-            p = pivot_by_top.get(top)
-            if p is None:
-                pivot_by_top[top] = r
-                break
-            r ^= p
+        _echelon_add(pivot_by_top, r)
     return pivot_by_top
 
 

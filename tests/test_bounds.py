@@ -8,6 +8,7 @@ import pytest
 from cnotline import (
     BitMatrix,
     add_circuit,
+    blocks,
     crossing_counts,
     cut_lower_bound,
     inversion_count,
@@ -22,7 +23,8 @@ from cnotline import (
     swap_circuit,
     synthesize,
 )
-from conftest import random_invertible
+from cnotline.search import _bfs_dense, decode_state
+from conftest import oracle_rank, random_invertible, random_northwest
 
 
 def test_reversal_example_n8():
@@ -47,6 +49,52 @@ def test_identity_has_zero_bounds():
 def test_cut_bound_rejects_singular():
     with pytest.raises(ValueError):
         cut_lower_bound(BitMatrix(3, (1, 1, 4)), 1)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_cut_bound_rejects_out_of_range_cut(n):
+    for m in (BitMatrix.identity(n), BitMatrix.anti_identity(n)):
+        for k in (0, n, -1, n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                cut_lower_bound(m, k)
+
+
+def _oracle_cut_bound(m, k):
+    """Cut bound from the four blocks, each ranked by the list oracle."""
+    b = blocks(m, k)
+
+    def block_rank(block):
+        return oracle_rank(
+            [[(row >> j) & 1 for j in range(block.ncols)] for row in block.rows]
+        )
+
+    upward = max(k - block_rank(b.top_left), block_rank(b.bottom_left))
+    downward = max(block_rank(b.top_right), (m.n - k) - block_rank(b.bottom_right))
+    return upward + downward
+
+
+def test_cut_bounds_match_block_oracle(rng):
+    sizes = [n for n in range(2, 17) for _ in range(3)] + [24, 32, 48, 64]
+    for n in sizes:
+        # northwest matrices give the rank-deficient blocks random ones rarely do
+        for m in (random_invertible(n, rng), random_northwest(n, rng)):
+            want = [(k, _oracle_cut_bound(m, k)) for k in range(1, n)]
+            assert list(matrix_lower_bounds(m).per_cut) == want
+            k = rng.randint(1, n - 1)
+            assert cut_lower_bound(m, k) == want[k - 1][1]
+
+
+def test_gl4_exhaustive_bounds_distance_synthesis():
+    """Over all of GL_4(2): rank-cut depth bound <= BFS distance <=
+    synthesized depth <= 5n, and every synthesized circuit is exact."""
+    _, levels, visited, _ = _bfs_dense(4, None, None, keep_levels=True)
+    assert visited == sum(len(level) for level in levels) == 20160
+    for dist, level in enumerate(levels):
+        for code in level.tolist():
+            m = decode_state(4, code)
+            c = synthesize(m)
+            assert matrix_lower_bounds(m).depth_lb <= dist <= c.depth <= 20
+            assert matrix_of(c) == m
 
 
 def test_reversal_cut_bound_formula():

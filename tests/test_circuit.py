@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnotline import (
     BitMatrix,
@@ -212,3 +215,143 @@ def test_circuit_rejects_out_of_range_gates():
         Circuit(3, (TimeSlice(frozenset({up(3)})),))
     with pytest.raises(ValueError):
         Circuit(1, ())
+
+
+# Property tests run a fixed example sequence, so a failure reproduces.
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def circuits(draw, min_depth=0):
+    """A valid circuit: up to 12 wires, nonempty wire-disjoint slices."""
+    n = draw(st.integers(2, 12))
+    slices = []
+    for _ in range(draw(st.integers(min_depth, 8))):
+        gates, p = [], 1
+        while p < n:
+            kind = draw(st.sampled_from((None, up, down)))
+            if kind is None:
+                p += 1
+            else:
+                gates.append(kind(p))
+                p += 2
+        if not gates:
+            gates.append(draw(st.sampled_from((up, down)))(draw(st.integers(1, n - 1))))
+        slices.append(TimeSlice(frozenset(gates)))
+    return Circuit(n, tuple(slices))
+
+
+def _rejects(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_circuit_text(text)
+
+
+def _with_token(draw, c, token_for):
+    """Text of c with one token inserted into a drawn slice line.
+
+    token_for(gates) gives the token and whether it must go last, after
+    every token the line already has.
+    """
+    lines = circuit_to_text(c).splitlines()
+    i = draw(st.integers(1, c.depth))
+    tokens = lines[i].split()
+    token, last = token_for(c.slices[i - 1].sorted_gates)
+    at = len(tokens) if last else draw(st.integers(0, len(tokens)))
+    tokens.insert(at, token)
+    lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n", i + 1, token
+
+
+@PROPERTY
+@given(circuits())
+def test_property_text_round_trip(c):
+    text = circuit_to_text(c)
+    assert parse_circuit_text(text) == c
+    assert circuit_to_text(parse_circuit_text(text)) == text
+
+
+@PROPERTY
+@given(circuits(min_depth=1), st.data())
+def test_property_rejects_wire_collision(c, data):
+    def colliding(gates):
+        g = data.draw(st.sampled_from(gates))
+        pos = data.draw(st.sampled_from([
+            p for p in (g.position - 1, g.position, g.position + 1) if 1 <= p < c.n
+        ]))
+        return data.draw(st.sampled_from("ud")) + str(pos), True
+
+    text, lineno, token = _with_token(data.draw, c, colliding)
+    _rejects(text, f"line {lineno}: wire collision at {token}")
+
+
+@PROPERTY
+@given(circuits(min_depth=1), st.data())
+def test_property_rejects_gate_off_the_line(c, data):
+    def off_line(gates):
+        pos = data.draw(st.integers(c.n, c.n + 40))
+        return data.draw(st.sampled_from("ud")) + str(pos), False
+
+    text, lineno, token = _with_token(data.draw, c, off_line)
+    _rejects(text, f"line {lineno}: gate {token} does not fit on {c.n} wires")
+
+
+def _is_gate_token(token):
+    return re.fullmatch(r"[ud][0-9]+", token) is not None and int(token[1:]) > 0
+
+
+@PROPERTY
+@given(
+    circuits(min_depth=1),
+    st.text(st.characters(min_codepoint=33, max_codepoint=126), min_size=1).filter(
+        lambda t: not _is_gate_token(t)
+    ),
+    st.data(),
+)
+def test_property_rejects_bad_token(c, bad, data):
+    text, _, _ = _with_token(data.draw, c, lambda gates: (bad, False))
+    _rejects(text, f"bad gate token {bad!r}")
+
+
+@PROPERTY
+@given(circuits(), st.sampled_from(["", " ", "\t", " \t  "]), st.data())
+def test_property_rejects_empty_slice_line(c, blank, data):
+    lines = circuit_to_text(c).splitlines()
+    at = data.draw(st.integers(1, len(lines)))
+    lines.insert(at, blank)
+    _rejects("\n".join(lines) + "\n", f"line {at + 1}: empty time slice")
+
+
+def _is_good_header(head):
+    parts = head.split()
+    return len(parts) == 2 and parts[0] == "n" and parts[1].isdigit()
+
+
+@PROPERTY
+@given(
+    circuits(),
+    st.text(st.sampled_from("n 0123456789xu\t-")).filter(lambda h: not _is_good_header(h)),
+)
+def test_property_rejects_bad_header(c, head):
+    body = circuit_to_text(c).split("\n", 1)[1]
+    _rejects(f"{head}\n{body}", f"bad header {head!r}, expected 'n <wires>'")
+
+
+@PROPERTY
+@given(circuits(), st.sampled_from(["0", "1", "00", "01"]))
+def test_property_rejects_too_few_wires(c, wires):
+    body = circuit_to_text(c).split("\n", 1)[1]
+    _rejects(f"n {wires}\n{body}", f"need at least 2 wires, got {int(wires)}")
+
+
+@PROPERTY
+@given(circuits())
+def test_property_flip_and_inverse_identities(c):
+    m = matrix_of(c)
+    j = BitMatrix.anti_identity(c.n)
+    assert flip(flip(c)) == c
+    assert inverse(inverse(c)) == c
+    assert flip(inverse(c)) == inverse(flip(c))
+    assert matrix_of(flip(c)) == multiply(j, multiply(m, j))
+    assert matrix_of(inverse(c)) == matrix_inverse(m)
+    assert crossing_counts(flip(c)) == crossing_counts(c)[::-1]
+    assert parse_circuit_text(circuit_to_text(flip(c))) == flip(c)

@@ -1,5 +1,8 @@
 """End-to-end command-line tests driven through main(argv)."""
 
+import hashlib
+import random
+
 import pytest
 
 from cnotline import (
@@ -10,9 +13,13 @@ from cnotline import (
     matrix_of,
     matrix_to_text,
     parse_circuit_text,
+    permutation_circuit,
+    reverse_circuit,
+    synthesize,
     validate,
 )
 from cnotline.cli import main
+from conftest import random_invertible
 
 
 def run(capsys, *argv):
@@ -160,6 +167,54 @@ def test_bounds_machine_output(capsys, tmp_path):
     ]
     assert pairs["reversal_depth_lb"] == "19"
     assert pairs["reversal_size_lb"] == "49"
+
+
+def _pinned_case(name):
+    """(circuit, target) for one of the cases in PINNED_REPORTS."""
+    if name == "random128":
+        m = random_invertible(128, random.Random(128))
+        return synthesize(m), m
+    if name == "perm256":
+        rng = random.Random(256)
+        perm = list(range(1, 257))
+        rng.shuffle(perm)
+        c = permutation_circuit(perm)
+        return c, matrix_of(c)
+    return reverse_circuit(9), BitMatrix.anti_identity(9)
+
+
+# SHA-256 of the stdout of `verify` and of `bounds --machine`.  A changed
+# hash means the printed crossings, cut bounds or aggregates moved.
+PINNED_REPORTS = {
+    "random128": (
+        "e0ea1fa841eecea12139edc6be8513e7366d4563acb0dd7624ce28b911727321",
+        "6688e5d931c10600480224096f62f9ddf01fa6efb30470ecc1116cddbc1c48b1",
+    ),
+    "perm256": (
+        "490421c12a022e9ba60c2f7ce04525e7f06c122a4036fe7a0b939a4467b15201",
+        "864d734149dc7a8e31eb78743cd2860ed4ddf9ea1b35e2bb46035e081d8dfd1f",
+    ),
+    "anti9": (
+        "2780e3d456abac8941032cb8c1f9723b57e85e1f3e77aaf28a6154f18318f50c",
+        "03e2756e391760d9906544548037ecc240fc4fc86500531d6631bcea8b225d98",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_verify_and_bounds_output_is_pinned(capsys, tmp_path, name):
+    c, m = _pinned_case(name)
+    circuit = write_circuit(tmp_path, "c.circuit", c)
+    target = write_matrix(tmp_path, "t.matrix", m)
+    got = []
+    for argv in (
+        ("verify", "--circuit", circuit, "--target", target),
+        ("bounds", "--target", target, "--machine"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        got.append(hashlib.sha256(out.encode("ascii")).hexdigest())
+    assert tuple(got) == PINNED_REPORTS[name]
 
 
 def test_search_reversal_distance(capsys):
