@@ -58,8 +58,7 @@ def _ranks_past_cuts(vectors: Sequence[int]) -> list[int]:
 
 def _cut_bounds(m: BitMatrix) -> list[int]:
     """Crossing bound of every cut, cut k at index k-1 (see module doc)."""
-    # a 1x1 matrix has no cut, so nothing is bounded or checked
-    if m.n > 1 and not m.is_invertible:
+    if not m.is_invertible:
         raise ValueError(f"matrix of dimension {m.n} is singular")
     rank_y = _ranks_past_cuts(m.cols)
     rank_x = _ranks_past_cuts(m.packed_rows())

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from cnotline import BitMatrix
+from cnotline.search import _packed_generators, encode_state
 
 
 def to_lists(m: BitMatrix) -> list[list[int]]:
@@ -83,6 +85,42 @@ def swap_target(n: int) -> BitMatrix:
     cols = [1 << (i - 1) for i in range(1, n + 1)]
     cols[0], cols[n - 1] = cols[n - 1], cols[0]
     return BitMatrix(n, tuple(cols))
+
+
+def oracle_set_bfs(n: int, target_code: int, depth_limit: "int | None"):
+    """Set-based BFS over packed states: the reference for the search engines.
+
+    It shares only the state packing and the generators with the
+    library, and keeps every visited state in one Python set.  Returns
+    (distance or None, levels as sorted uint64 arrays, level sizes),
+    the shape the engines return with keep_levels set.
+    """
+    gens = _packed_generators(n)
+    start = encode_state(BitMatrix.identity(n))
+    visited = {start}
+    frontier = {start}
+    levels = [np.array([start], dtype=np.uint64)]
+    sizes = [1]
+    if target_code == start:
+        return 0, levels, tuple(sizes)
+    while frontier:
+        if depth_limit is not None and len(sizes) - 1 >= depth_limit:
+            return None, levels, tuple(sizes)
+        nxt = set()
+        for code in frontier:
+            for up_mask, down_mask in gens:
+                nb = code ^ ((code & up_mask) >> 1) ^ ((code & down_mask) << 1)
+                if nb not in visited:
+                    visited.add(nb)
+                    nxt.add(nb)
+        if not nxt:
+            break
+        frontier = nxt
+        levels.append(np.array(sorted(frontier), dtype=np.uint64))
+        sizes.append(len(frontier))
+        if target_code in visited:
+            return len(sizes) - 1, levels, tuple(sizes)
+    return None, levels, tuple(sizes)
 
 
 @pytest.fixture

@@ -234,6 +234,10 @@ def test_criterion_6_exhaustive_search_tables():
     diameters = {n: max_depth(n) for n in range(2, 6)}
     for n, want in [(2, 3), (3, 8), (4, 10), (5, 13)]:
         assert diameters[n].value == want and diameters[n].completed
+    assert diameters[5].level_sizes == (
+        1, 20, 168, 1051, 6168, 29056, 122264, 437380, 1264643, 2680600,
+        3513017, 1832490, 112462, 40,
+    )
     dists = {n: distance(n, BitMatrix.anti_identity(n)) for n in range(2, 6)}
     for n, want in [(2, 3), (3, 8), (4, 10), (5, 12)]:
         assert dists[n].value == want and dists[n].completed

@@ -87,8 +87,8 @@ def test_cut_bounds_match_block_oracle(rng):
 def test_gl4_exhaustive_bounds_distance_synthesis():
     """Over all of GL_4(2): rank-cut depth bound <= BFS distance <=
     synthesized depth <= 5n, and every synthesized circuit is exact."""
-    _, levels, visited, _ = _bfs_dense(4, None, None, keep_levels=True)
-    assert visited == sum(len(level) for level in levels) == 20160
+    _, levels, sizes = _bfs_dense(4, None, None, keep_levels=True)
+    assert sum(sizes) == sum(len(level) for level in levels) == 20160
     for dist, level in enumerate(levels):
         for code in level.tolist():
             m = decode_state(4, code)

@@ -169,6 +169,15 @@ def test_bounds_machine_output(capsys, tmp_path):
     assert pairs["reversal_size_lb"] == "49"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bounds_machine_rejects_singular(capsys, tmp_path, n):
+    target = write_matrix(tmp_path, "t.matrix", BitMatrix(n, (0,) * n))
+    code, out, err = run(capsys, "bounds", "--target", target, "--machine")
+    assert code == 2
+    assert err == f"error: matrix of dimension {n} is singular\n"
+    assert out == ""
+
+
 def _pinned_case(name):
     """(circuit, target) for one of the cases in PINNED_REPORTS."""
     if name == "random128":
@@ -272,6 +281,21 @@ def test_search_n8_witness(capsys, tmp_path):
     found = parse_circuit_text(witness.read_text(encoding="ascii"))
     assert found.depth == 1
     assert matrix_of(found) == matrix_of(target_circuit)
+
+
+def test_search_refused_past_state_limit_exits_three(capsys, monkeypatch):
+    from cnotline import search
+
+    monkeypatch.setattr(search, "SORTED_LIMIT", 1000)
+    code, out, err = run(
+        capsys, "search", "--n", "6", "--reversal", "--depth-limit", "4"
+    )
+    assert code == 3
+    assert err == (
+        "error: level 3 of the n=6 search would hold more than 1000 "
+        "states at once; lower the depth limit\n"
+    )
+    assert out == ""
 
 
 def test_search_max_mode(capsys):

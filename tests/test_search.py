@@ -1,12 +1,15 @@
 """Exhaustive BFS over GL_n(2): generator sets, table values, witnesses."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from cnotline import (
     BitMatrix,
     ResourceLimitError,
+    circuit_to_text,
     distance,
     down,
     from_gate_tokens,
@@ -18,13 +21,20 @@ from cnotline import (
     up,
     validate,
 )
+from cnotline import search
 from cnotline.search import (
     _bfs_bitmap,
     _bfs_dense,
+    _bfs_sparse,
     _packed_generators,
+    _witness_from_levels,
     decode_state,
     encode_state,
 )
+from conftest import oracle_set_bfs
+
+# states at distance 0..5 from the identity in GL_6(2)
+BALL_6_5 = (1, 42, 618, 6428, 61390, 450824)
 
 
 def gl_order(n):
@@ -171,10 +181,112 @@ def test_max_depth_refuses_huge_without_flag():
 
 def test_bitmap_sweep_matches_dense_sweep():
     for n in (2, 3, 4):
-        ecc_bitmap, visited_bitmap = _bfs_bitmap(n)
-        _, _, visited_dense, ecc_dense = _bfs_dense(n, None, None, False)
-        assert ecc_bitmap == ecc_dense
-        assert visited_bitmap == visited_dense == gl_order(n)
+        sizes = _bfs_bitmap(n)
+        assert _bfs_dense(n, None, None, False)[2] == sizes
+        assert sum(sizes) == gl_order(n)
+        assert max_depth(n).level_sizes == sizes
+
+
+def _same_levels(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(np.asarray(a, dtype=np.uint64), b)
+
+
+# the default chunk, and one small enough to split the larger levels
+CHUNKS = pytest.mark.parametrize("chunk_codes", [search._CHUNK_CODES, 1 << 10])
+
+
+@CHUNKS
+@pytest.mark.parametrize("n,limit", [(3, 9), (4, 11), (5, 6)])
+def test_sorted_engine_matches_dense_levels(monkeypatch, chunk_codes, n, limit):
+    monkeypatch.setattr(search, "_CHUNK_CODES", chunk_codes)
+    # the zero matrix is never reached, so both engines build every level
+    dist_s, levels_s, sizes_s = _bfs_sparse(n, 0, limit, True)
+    dist_d, levels_d, sizes_d = _bfs_dense(n, 0, limit, True)
+    assert dist_s is dist_d is None
+    assert sizes_s == sizes_d == tuple(len(level) for level in levels_s)
+    _same_levels(levels_d, levels_s)
+    if n < 5:
+        # these limits lie past the diameter, so the whole group is swept
+        assert sum(sizes_s) == gl_order(n)
+
+
+# targets reachable within the oracle's limit, as gate tokens
+ORACLE_CASES = [
+    (6, "d1 u5 u3 d2 u3 u5 d3 d5 u1 u1 d3 u4 d2 u5", 4),
+    (6, "u4 d1 u2 d3 d1 d4 u4 u2 d5 u4 d1 d4 d4 u2", 4),
+    (7, "u5 u5 u5 u4 d3 d5 d3 d2 u6 u1", 3),
+    (8, "u1 d3 u5 d7 u2 d4 u6", 2),
+]
+
+
+@CHUNKS
+@pytest.mark.parametrize(
+    "n,tokens,limit", ORACLE_CASES, ids=["n6-d3", "n6-d4", "n7", "n8"]
+)
+def test_sorted_engine_matches_set_oracle(monkeypatch, chunk_codes, n, tokens, limit):
+    monkeypatch.setattr(search, "_CHUNK_CODES", chunk_codes)
+    target = matrix_of(from_gate_tokens(n, tokens.split()))
+    code = encode_state(target)
+    dist, levels, sizes = oracle_set_bfs(n, code, limit)
+    assert dist is not None
+    assert _bfs_sparse(n, code, limit, False)[2] == sizes
+    got_dist, got_levels, got_sizes = _bfs_sparse(n, code, limit, True)
+    assert (got_dist, got_sizes) == (dist, sizes)
+    _same_levels(got_levels, levels)
+    result = distance(n, target, limit, witness=True)
+    assert (result.value, result.visited_count) == (dist, sum(sizes))
+    want = _witness_from_levels(n, levels, code)
+    assert circuit_to_text(result.witness) == circuit_to_text(want)
+
+
+# SHA-256 of witness text, generated with the set-based engine this
+# sorted engine replaced
+PINNED_WITNESSES = [
+    (6, "u5 u2 u1 d5 d3 d5 d3 u4 u2 d5 d1 d2 u5 d4", 5, 519303,
+     "3f6a332584d5c344e2b18cecbb7b85bb748fb18d34802b074c826b71f0626740"),
+    (7, "d2 d6 u1 u3 u5 u1 u4 d1 u1 d1", 4, 628701,
+     "11e5ae7e0890f06997852ee2c93105e0ff78455f7208ea9ffdcf52c3cc151d3d"),
+    (8, "u3 d2 u6 u1 u2 u4 u4 d4 d4", 3, 230062,
+     "9f7dbe23eef57aeacc02372358af191deca131083e4a2f9d941f24116cdbd62a"),
+]
+
+
+@pytest.mark.parametrize(
+    "n,tokens,dist,visited,digest", PINNED_WITNESSES, ids=["n6", "n7", "n8"]
+)
+def test_sorted_engine_witnesses_are_pinned(n, tokens, dist, visited, digest):
+    target = matrix_of(from_gate_tokens(n, tokens.split()))
+    result = distance(n, target, depth_limit=dist, witness=True)
+    assert (result.value, result.completed) == (dist, True)
+    assert result.visited_count == visited
+    text = circuit_to_text(result.witness)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert matrix_of(result.witness) == target
+    if n == 6:
+        assert result.level_sizes == BALL_6_5
+
+
+def test_n6_reversal_beyond_depth_six():
+    result = distance(6, BitMatrix.anti_identity(6), depth_limit=6)
+    assert (result.value, result.completed) == (6, False)
+    assert result.visited_count == 3567740
+    assert result.level_sizes == BALL_6_5 + (3048437,)
+
+
+def test_sorted_engine_refuses_past_its_state_limit(monkeypatch):
+    # building level 3 at n = 6 holds levels 1..3: 42 + 618 + 6428 states
+    monkeypatch.setattr(search, "SORTED_LIMIT", 7087)
+    target = BitMatrix.anti_identity(6)
+    assert distance(6, target, depth_limit=2).visited_count == 661
+    with pytest.raises(ResourceLimitError, match="7087 states"):
+        distance(6, target, depth_limit=3)
+    monkeypatch.setattr(search, "SORTED_LIMIT", 7088)
+    assert distance(6, target, depth_limit=3).visited_count == 7089
+    # a witness search keeps every level, the identity's included
+    with pytest.raises(ResourceLimitError):
+        distance(6, target, depth_limit=3, witness=True)
 
 
 def _distance_map(n, gens):
