@@ -34,6 +34,13 @@ from .render import render_circuit
 from .search import ResourceLimitError, distance, max_depth
 
 
+# synth refuses a family whose closed-form gate count passes this.  The
+# costliest family per gate, rotate, peaks near 450 MB and takes about
+# 10 s at this size on a 2-CPU machine; the largest circuits the tests
+# and the benchmark build have about 50 K gates.
+SYNTH_GATE_LIMIT = 1 << 20
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="ascii") as handle:
         return handle.read()
@@ -52,30 +59,48 @@ def _require_n(args: argparse.Namespace) -> int:
     return args.n
 
 
+def _within_budget(op: str, gates: int) -> int:
+    """The closed-form gate count of op, refused past SYNTH_GATE_LIMIT."""
+    if gates > SYNTH_GATE_LIMIT:
+        raise ResourceLimitError(
+            f"synth --op {op} would build {gates} gates, more than the "
+            f"limit of {SYNTH_GATE_LIMIT}"
+        )
+    return gates
+
+
 def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
-    """Build the requested circuit plus its diagnostic bound lines."""
+    """Build the requested circuit plus its diagnostic bound lines.
+
+    The families with a closed-form size are refused before they are
+    built when that size passes SYNTH_GATE_LIMIT.
+    """
     op = args.op
     if op == "add":
         n = _require_n(args)
+        size = _within_budget(op, 4 * n - 7)
         c = add_circuit(n)
         k = (n + 1) // 2
-        return c, [f"size formula 4n-7 = {4 * n - 7}, depth bound {2 * k + 3}"]
+        return c, [f"size formula 4n-7 = {size}, depth bound {2 * k + 3}"]
     if op == "swap":
         n = _require_n(args)
+        size = _within_budget(op, 6 * n - 9)
         c = swap_circuit(n)
         k = (n + 1) // 2
-        return c, [f"size formula 6n-9 = {6 * n - 9}, depth bound {2 * k + 7}"]
+        return c, [f"size formula 6n-9 = {size}, depth bound {2 * k + 7}"]
     if op == "rotate":
         n = _require_n(args)
+        size = _within_budget(op, 4 * n - 6)
         c = rotate_circuit(n)
         if n == 2:
             return c, ["size formula 6n-9 = 3, depth bound 3"]
-        return c, [f"size formula 4n-6 = {4 * n - 6}, depth bound {n + 5}"]
+        return c, [f"size formula 4n-6 = {size}, depth bound {n + 5}"]
     if op == "reverse":
         n = _require_n(args)
+        size = _within_budget(op, n * n - 1)
         c = reverse_circuit(n)
         depth = 3 if n == 2 else 2 * n + 2
-        return c, [f"size formula n^2-1 = {n * n - 1}, depth {depth}"]
+        return c, [f"size formula n^2-1 = {size}, depth {depth}"]
     if op == "permute":
         if args.perm is None:
             raise ValueError("--perm is required for op permute")
@@ -84,10 +109,10 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
             raise ValueError(
                 f"--n {args.n} does not match permutation length {len(perm)}"
             )
+        size = _within_budget(op, 3 * inversion_count(perm))
         c = permutation_circuit(perm)
-        inv = inversion_count(perm)
         return c, [
-            f"size formula 3*inversions = {3 * inv}, depth bound {3 * len(perm)}"
+            f"size formula 3*inversions = {size}, depth bound {3 * len(perm)}"
         ]
     if op == "matrix":
         if args.matrix is None:

@@ -9,9 +9,11 @@ with the same generators.
 Three engines share that step and report the size of every level:
 
 - n <= DENSE_LIMIT (5): `_bfs_dense` marks states in a 2^(n^2) flag
-  array.  It is the fastest engine wherever that array fits: on a
-  2-CPU machine a full n = 5 sweep takes 4.7 s and 233 MB, against
-  15-16 s and 153 MB for the sorted engine.
+  array.  It sorts each level and expands it in cache-sized chunks,
+  so each chunk's flag lookups stay in a narrow window.  It is the
+  fastest engine wherever that array fits: on a 2-CPU machine a full
+  n = 5 sweep takes 1.4-1.8 s and 135 MB, against 18-19 s and 153 MB
+  for the sorted engine.
 - n = 6..8 distance searches: `_bfs_sparse` keeps each level as a
   sorted array of unique uint64 codes.  The neighbours of level L lie
   in levels L-1, L and L+1, so only those levels are ever consulted,
@@ -43,6 +45,12 @@ SORTED_LIMIT = 1 << 25
 
 # Neighbour codes generated per chunk of a sorted level (16 MB).
 _CHUNK_CODES = 1 << 21
+
+# Frontier codes the dense engine expands at once: its three work
+# buffers (about 0.5 MB) stay in cache while every generator reuses them.
+# 2^14..2^15 measured fastest for a full n = 5 sweep; _CHUNK_CODES
+# divided by the generator count (about 2^17) was 15-30 % slower.
+_DENSE_CHUNK = 1 << 15
 
 
 class ResourceLimitError(RuntimeError):
@@ -165,26 +173,45 @@ def _bfs_dense(
     visited = np.zeros(1 << (n * n), dtype=bool)
     frontier = np.array([encode_state(BitMatrix.identity(n))], dtype=np.int64)
     visited[frontier] = True
-    levels = [np.sort(frontier)] if keep_levels else None
+    levels = [frontier] if keep_levels else None
     sizes = [1]
     if target_code is not None and target_code == int(frontier[0]):
         return 0, levels, tuple(sizes)
+    one = np.int64(1)
+    nb_buf = np.empty(_DENSE_CHUNK, dtype=np.int64)
+    tmp_buf = np.empty(_DENSE_CHUNK, dtype=np.int64)
+    new_buf = np.empty(_DENSE_CHUNK, dtype=bool)
     while frontier.size:
         if depth_limit is not None and len(sizes) - 1 >= depth_limit:
             return None, levels, tuple(sizes)
         parts = []
-        for up_mask, down_mask in gens:
-            nb = _neighbors(frontier, up_mask, down_mask)
-            fresh = nb[~visited[nb]]
-            if fresh.size:
-                visited[fresh] = True
-                parts.append(fresh)
+        for lo in range(0, frontier.size, _DENSE_CHUNK):
+            block = frontier[lo : lo + _DENSE_CHUNK]
+            k = block.size
+            nb, tmp, new = nb_buf[:k], tmp_buf[:k], new_buf[:k]
+            for up_mask, down_mask in gens:
+                # nb = _neighbors(block, up_mask, down_mask), without temporaries
+                np.bitwise_and(block, up_mask, out=nb)
+                np.right_shift(nb, one, out=nb)
+                np.bitwise_xor(nb, block, out=nb)
+                np.bitwise_and(block, down_mask, out=tmp)
+                np.left_shift(tmp, one, out=tmp)
+                np.bitwise_xor(nb, tmp, out=nb)
+                np.take(visited, nb, out=new)
+                np.logical_not(new, out=new)
+                fresh = np.compress(new, nb)
+                if fresh.size:
+                    visited[fresh] = True
+                    parts.append(fresh)
         if not parts:
             break
+        # sorted, the next level's chunks share their top rows, so each
+        # chunk's visited lookups fall in a narrow window of the flags
         frontier = np.concatenate(parts)
+        frontier.sort()
         sizes.append(frontier.size)
         if keep_levels:
-            levels.append(np.sort(frontier))
+            levels.append(frontier)
         if target_code is not None and visited[target_code]:
             return len(sizes) - 1, levels, tuple(sizes)
     return None, levels, tuple(sizes)

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -298,11 +299,53 @@ def test_search_refused_past_state_limit_exits_three(capsys, monkeypatch):
     assert out == ""
 
 
+def test_synth_refuses_past_gate_limit_exits_three(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "synth", "--op", "add", "--n", "100000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: synth --op add would build 399999993 gates, more than the "
+        "limit of 1048576\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "fits,refused,gates",
+    [
+        (["add", "--n", "9"], ["add", "--n", "10"], 29),
+        (["swap", "--n", "9"], ["swap", "--n", "10"], 45),
+        (["rotate", "--n", "9"], ["rotate", "--n", "10"], 30),
+        (["reverse", "--n", "9"], ["reverse", "--n", "10"], 80),
+        (["permute", "--perm", "3 2 1"], ["permute", "--perm", "4 3 2 1"], 9),
+    ],
+    ids=["add", "swap", "rotate", "reverse", "permute"],
+)
+def test_synth_gate_limit_boundary(capsys, monkeypatch, fits, refused, gates):
+    from cnotline import cli
+
+    # a limit equal to the closed-form size builds, one size up is refused
+    monkeypatch.setattr(cli, "SYNTH_GATE_LIMIT", gates)
+    code, _, err = run(capsys, "synth", "--op", *fits)
+    assert code == 0 and f" size={gates} " in err
+    code, out, err = run(capsys, "synth", "--op", *refused)
+    assert code == 3 and out == ""
+    assert err.endswith(f"gates, more than the limit of {gates}\n")
+
+
 def test_search_max_mode(capsys):
     code, out, _ = run(capsys, "search", "--n", "3", "--max")
     assert code == 0
     assert "max_depth = 8" in out
     assert "visited_count = 168" in out
+    # SHA-256 of the n = 5 stdout, generated before the dense engine
+    # sorted its levels and expanded them in chunks
+    code, out, _ = run(capsys, "search", "--n", "5", "--max")
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "82f51d39cd7fe7aaaa7c6f221426a1547beb2c69e01eff5ed6eda0909e6a8058"
+    )
 
 
 def test_search_max_refuses_huge(capsys):

@@ -1,5 +1,6 @@
 """Exhaustive BFS over GL_n(2): generator sets, table values, witnesses."""
 
+import functools
 import hashlib
 import math
 
@@ -196,20 +197,52 @@ def _same_levels(got, want):
 # the default chunk, and one small enough to split the larger levels
 CHUNKS = pytest.mark.parametrize("chunk_codes", [search._CHUNK_CODES, 1 << 10])
 
+# sorted and dense engine chunks: the defaults, which split no level
+# below n = 5 in the dense engine, and small ones that split many; ids
+# name the sorted chunk, then the dense one where it differs
+ENGINE_CHUNKS = pytest.mark.parametrize(
+    "chunk_codes,dense_chunk",
+    [
+        pytest.param(
+            search._CHUNK_CODES, search._DENSE_CHUNK, id=str(search._CHUNK_CODES)
+        ),
+        pytest.param(1 << 10, 1 << 10, id="1024"),
+        pytest.param(1 << 10, 7, id="1024-7"),
+    ],
+)
 
-@CHUNKS
+
+@functools.cache
+def _oracle_levels(n, limit):
+    return oracle_set_bfs(n, 0, limit)
+
+
+@ENGINE_CHUNKS
 @pytest.mark.parametrize("n,limit", [(3, 9), (4, 11), (5, 6)])
-def test_sorted_engine_matches_dense_levels(monkeypatch, chunk_codes, n, limit):
+def test_sorted_engine_matches_dense_levels(
+    monkeypatch, chunk_codes, dense_chunk, n, limit
+):
     monkeypatch.setattr(search, "_CHUNK_CODES", chunk_codes)
-    # the zero matrix is never reached, so both engines build every level
+    monkeypatch.setattr(search, "_DENSE_CHUNK", dense_chunk)
+    # the zero matrix is never reached, so every engine builds every level
     dist_s, levels_s, sizes_s = _bfs_sparse(n, 0, limit, True)
     dist_d, levels_d, sizes_d = _bfs_dense(n, 0, limit, True)
+    _, levels_o, sizes_o = _oracle_levels(n, limit)
     assert dist_s is dist_d is None
-    assert sizes_s == sizes_d == tuple(len(level) for level in levels_s)
-    _same_levels(levels_d, levels_s)
+    assert sizes_s == sizes_d == sizes_o == tuple(len(level) for level in levels_s)
+    _same_levels(levels_d, levels_o)
+    _same_levels(levels_s, levels_o)
     if n < 5:
         # these limits lie past the diameter, so the whole group is swept
         assert sum(sizes_s) == gl_order(n)
+    # a target on the next-to-last level: the search stops there with
+    # the witness the oracle's levels give
+    dist = len(sizes_o) - 2
+    code = int(levels_o[dist][levels_o[dist].size // 2])
+    result = distance(n, decode_state(n, code), limit, witness=True)
+    assert (result.value, result.level_sizes) == (dist, sizes_o[: dist + 1])
+    want = _witness_from_levels(n, levels_o[: dist + 1], code)
+    assert circuit_to_text(result.witness) == circuit_to_text(want)
 
 
 # targets reachable within the oracle's limit, as gate tokens
@@ -266,6 +299,45 @@ def test_sorted_engine_witnesses_are_pinned(n, tokens, dist, visited, digest):
     assert matrix_of(result.witness) == target
     if n == 6:
         assert result.level_sizes == BALL_6_5
+
+
+# n = 5 targets as column bitmasks, searched with depth_limit=9: SHA-256
+# of value, completed, level sizes and witness text, generated before the
+# dense engine sorted its levels and expanded them in chunks
+PINNED_DENSE = [
+    ((23, 31, 27, 24, 21), 9, False,
+     "2ddc681d19b05e5843ba97a5e495476d8da43089a94a691764776b7a3b010fa8"),
+    ((29, 6, 4, 12, 16), 6, True,
+     "30efd4a40b39b62850e3d5132b6496cb52fd80cbe43c9d5e5b5ffa0d21a43bda"),
+    ((14, 9, 6, 30, 28), 7, True,
+     "eea8270b2c7e9ef59296e0c6ac3d4390f837ead334f54b60bb356f79d102128f"),
+    ((28, 6, 10, 11, 31), 9, True,
+     "59d56d58535c2914c0e68d6674101e5fc641ff8db49f8acb327723ca898f8171"),
+    ((1, 31, 24, 12, 28), 5, True,
+     "2911b8f3bf0712caabad9c29ca7a54d3dc0d0e9f2db59b80f8cc4cb7fb939e91"),
+    ((13, 1, 18, 26, 14), 8, True,
+     "b2c7b9439ad38bb2845ff401cbc1a576bcc938ccaabd4254bdc6fd254e6c14ab"),
+    ((15, 2, 23, 6, 20), 9, True,
+     "b621de44f467352598e049e0274c4a8df2a2da90c8d9c85629765fa59da46c50"),
+    ((24, 25, 26, 12, 28), 5, True,
+     "467dda05cd5f4beafbc8f091757a82545ea95fadc1d00d466010e4da57185b2c"),
+]
+
+
+@pytest.mark.parametrize(
+    "cols,value,completed,digest",
+    PINNED_DENSE,
+    ids=["-".join(map(str, case[0])) for case in PINNED_DENSE],
+)
+def test_dense_engine_results_are_pinned(cols, value, completed, digest):
+    target = BitMatrix(5, cols)
+    result = distance(5, target, depth_limit=9, witness=True)
+    assert (result.value, result.completed) == (value, completed)
+    text = circuit_to_text(result.witness) if completed else ""
+    payload = f"{value} {completed} {list(result.level_sizes)}\n{text}"
+    assert hashlib.sha256(payload.encode("ascii")).hexdigest() == digest
+    if completed:
+        assert matrix_of(result.witness) == target
 
 
 def test_n6_reversal_beyond_depth_six():
