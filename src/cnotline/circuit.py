@@ -78,20 +78,10 @@ class TimeSlice:
 
     gates: frozenset[Gate]
 
-    @classmethod
-    def of(cls, *gates: Gate) -> "TimeSlice":
-        return cls(frozenset(gates))
-
     @property
     def sorted_gates(self) -> tuple[Gate, ...]:
         # target + source = 2 * position + 1 orders gates as position does
         return tuple(sorted(self.gates, key=lambda g: g.target + g.source))
-
-    def wires(self) -> set[int]:
-        return {w for g in self.gates for w in (g.target, g.source)}
-
-    def is_disjoint(self) -> bool:
-        return len(self.gates) * 2 == len(self.wires())
 
 
 @dataclass(frozen=True)
@@ -122,10 +112,6 @@ class Circuit:
     @property
     def size(self) -> int:
         return sum(len(sl.gates) for sl in self.slices)
-
-    def gates(self) -> tuple[Gate, ...]:
-        """All gates in slice order, position order within a slice."""
-        return tuple(g for sl in self.slices for g in sl.sorted_gates)
 
 
 @dataclass(frozen=True)

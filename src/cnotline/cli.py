@@ -22,6 +22,7 @@ from .constructions import (
     GATHER_DEPTH_PER_POSITION,
     add_circuit,
     gather_circuit,
+    gather_moves,
     inversion_count,
     permutation_circuit,
     reverse_circuit,
@@ -60,7 +61,7 @@ def _require_n(args: argparse.Namespace) -> int:
 
 
 def _within_budget(op: str, gates: int) -> int:
-    """The closed-form gate count of op, refused past SYNTH_GATE_LIMIT."""
+    """The gate count of op, refused past SYNTH_GATE_LIMIT."""
     if gates > SYNTH_GATE_LIMIT:
         raise ResourceLimitError(
             f"synth --op {op} would build {gates} gates, more than the "
@@ -72,8 +73,8 @@ def _within_budget(op: str, gates: int) -> int:
 def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
     """Build the requested circuit plus its diagnostic bound lines.
 
-    The families with a closed-form size are refused before they are
-    built when that size passes SYNTH_GATE_LIMIT.
+    Every family but matrix is refused before it is built when its size
+    passes SYNTH_GATE_LIMIT.
     """
     op = args.op
     if op == "add":
@@ -127,6 +128,8 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
         if args.positions is None:
             raise ValueError("--positions is required for op gather")
         positions = _parse_ints(args.positions, "--positions")
+        _, moves = gather_moves(n, positions)
+        _within_budget(op, 3 * sum(abs(src - dst) for src, dst in moves))
         c, window_start = gather_circuit(n, positions)
         cap = (n + 1) // 2 + GATHER_DEPTH_PER_POSITION * len(positions)
         return c, [f"depth bound {cap}", f"window_start={window_start}"]
@@ -205,7 +208,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             raise ValueError("--depth-limit applies only to distance searches")
         if args.witness is not None:
             raise ValueError("--witness applies only to distance searches")
-        result = max_depth(args.n, allow_huge=args.allow_huge)
+        result = max_depth(args.n)
         print(f"n={result.n} mode={result.mode}")
         print(f"max_depth = {result.value}")
         print(f"visited_count = {result.visited_count}")
@@ -280,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max", action="store_true", help="depth of the hardest matrix"
     )
     p.add_argument("--depth-limit", type=int)
-    p.add_argument(
-        "--allow-huge",
-        action="store_true",
-        help="permit the ~26 GB n=6 full sweep",
-    )
     p.add_argument("--witness", help="write a minimum-depth circuit to this file")
     p.set_defaults(func=_cmd_search)
     return parser

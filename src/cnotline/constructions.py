@@ -291,20 +291,13 @@ def box_circuit(position: int, spec: BoxSpec) -> list[Gate]:
     return [up(position) if kind == "u" else down(position) for kind in kinds]
 
 
-def gather_circuit(n: int, positions: Sequence[int]) -> tuple[Circuit, int]:
-    """Move the values at the given positions onto consecutive wires.
+def gather_moves(n: int, positions: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
+    """The window start and the (source, destination) wire of each value
+    gather_circuit moves, in the order it moves them.
 
     With k = ceil(n/2) and j positions at or below wire k, the window
-    starts at wire k - j + 1.  After the circuit, the wire at window
-    slot l carries exactly the initial value of positions[l-1] and no
-    other wire depends on it, so undoing the circuit restores the rest.
-
-    Args:
-        n: wire count.
-        positions: strictly increasing wires to gather, 2 <= len <= n.
-
-    Returns:
-        (circuit, window_start)
+    starts at wire k - j + 1.  Each move costs 3 gates per wire crossed,
+    so the circuit has 3 * sum(|source - destination|) gates.
     """
     pos = list(positions)
     m = len(pos)
@@ -314,18 +307,31 @@ def gather_circuit(n: int, positions: Sequence[int]) -> tuple[Circuit, int]:
         raise ValueError(f"positions must be strictly increasing within 1..{n}")
     k = (n + 1) // 2
     j = sum(1 for p in pos if p <= k)
-    window_start = k - j + 1
+    # below-window values move down first, then above-window values move
+    # up, innermost first on each side
+    slots = list(range(j, 0, -1)) + list(range(j + 1, m + 1))
+    return k - j + 1, [(pos[slot - 1], k - j + slot) for slot in slots]
+
+
+def gather_circuit(n: int, positions: Sequence[int]) -> tuple[Circuit, int]:
+    """Move the values at the given positions onto consecutive wires.
+
+    After the circuit, the wire at window slot l carries exactly the
+    initial value of positions[l-1] and no other wire depends on it, so
+    undoing the circuit restores the rest.  gather_moves gives the window.
+
+    Args:
+        n: wire count.
+        positions: strictly increasing wires to gather, 2 <= len <= n.
+
+    Returns:
+        (circuit, window_start)
+    """
+    window_start, moves = gather_moves(n, positions)
     gates: list[Gate] = []
-    # below-window values cascade down toward the window, innermost first
-    for slot in range(j, 0, -1):
-        src, dst = pos[slot - 1], k - j + slot
-        rng = range(src, dst)
-        for kind in (up, down, up):
-            gates += [kind(i) for i in rng]
-    # above-window values cascade up, innermost first
-    for slot in range(j + 1, m + 1):
-        src, dst = pos[slot - 1], k - j + slot
-        rng = range(src - 1, dst - 1, -1)
+    for src, dst in moves:
+        # a value below the window cascades down, one above it cascades up
+        rng = range(src, dst) if src < dst else range(src - 1, dst - 1, -1)
         for kind in (up, down, up):
             gates += [kind(i) for i in rng]
     return schedule(n, gates), window_start

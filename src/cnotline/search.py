@@ -6,23 +6,24 @@ Cayley graph is undirected, the BFS tree from the identity gives true
 minimum circuit depths, and witnesses can be walked back level by level
 with the same generators.
 
-Three engines share that step and report the size of every level:
+One loop, `_bfs`, walks the levels out from the identity to the
+target or the depth limit.  Two generators yield them as sorted arrays:
 
-- n <= DENSE_LIMIT (5): `_bfs_dense` marks states in a 2^(n^2) flag
+- n <= DENSE_LIMIT (5): `_dense_levels` marks states in a 2^(n^2) flag
   array.  It sorts each level and expands it in cache-sized chunks,
   so each chunk's flag lookups stay in a narrow window.  It is the
   fastest engine wherever that array fits: on a 2-CPU machine a full
   n = 5 sweep takes 1.4-1.8 s and 135 MB, against 18-19 s and 153 MB
   for the sorted engine.
-- n = 6..8 distance searches: `_bfs_sparse` keeps each level as a
+- n = 6..8 distance searches: `_sorted_levels` keeps each level as a
   sorted array of unique uint64 codes.  The neighbours of level L lie
   in levels L-1, L and L+1, so only those levels are ever consulted,
   through np.searchsorted.  Repeats are dropped by sorting and
   comparing neighbours, because np.unique (numpy 2.4) takes about 3 s
   on 3 M uint64 codes against 0.06 s for the sort.  It refuses to hold
   more than SORTED_LIMIT states at once.
-- n = 6 full sweep (`max_depth(6, allow_huge=True)`): `_bfs_bitmap`
-  streams the whole group through three 2^36-bit maps.
+
+A full sweep of GL_6(2), 20 158 709 760 matrices, fits in neither.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 from .circuit import Circuit, TimeSlice, down, up
 from .f2 import BitMatrix
 
-# Beyond this side length the dense visited array (2^(n^2) flags) stops
-# fitting in ordinary memory; n = 6 takes ~26 GB of bitmaps and hours.
+# Largest n for the dense engine: its flag array has 2^(n^2) entries,
+# 32 MB at n = 5 and 64 GB at n = 6, so larger n use the sorted engine.
 DENSE_LIMIT = 5
 
 # The sorted engine keeps at most this many states in its levels at once
@@ -157,33 +158,19 @@ def _contains(level: np.ndarray, code: int) -> bool:
     return bool(at < level.size and int(level[at]) == code)
 
 
-def _bfs_dense(
-    n: int,
-    target_code: "int | None",
-    depth_limit: "int | None",
-    keep_levels: bool,
-):
-    """Level-synchronous BFS over the full 2^(n^2) state space.
-
-    Returns (distance or None, levels or None, level_sizes).  distance
-    is None when the target was not reached within the limit; for a
-    full sweep (no target) len(level_sizes) - 1 is the eccentricity.
-    """
+def _dense_levels(n: int):
+    """Yield each BFS level as a sorted int64 array, marking visited
+    states in a flag array over all 2^(n^2) codes."""
     gens = [(np.int64(u), np.int64(d)) for u, d in _packed_generators(n)]
     visited = np.zeros(1 << (n * n), dtype=bool)
     frontier = np.array([encode_state(BitMatrix.identity(n))], dtype=np.int64)
     visited[frontier] = True
-    levels = [frontier] if keep_levels else None
-    sizes = [1]
-    if target_code is not None and target_code == int(frontier[0]):
-        return 0, levels, tuple(sizes)
+    yield frontier
     one = np.int64(1)
     nb_buf = np.empty(_DENSE_CHUNK, dtype=np.int64)
     tmp_buf = np.empty(_DENSE_CHUNK, dtype=np.int64)
     new_buf = np.empty(_DENSE_CHUNK, dtype=bool)
-    while frontier.size:
-        if depth_limit is not None and len(sizes) - 1 >= depth_limit:
-            return None, levels, tuple(sizes)
+    while True:
         parts = []
         for lo in range(0, frontier.size, _DENSE_CHUNK):
             block = frontier[lo : lo + _DENSE_CHUNK]
@@ -204,17 +191,12 @@ def _bfs_dense(
                     visited[fresh] = True
                     parts.append(fresh)
         if not parts:
-            break
+            return
         # sorted, the next level's chunks share their top rows, so each
         # chunk's visited lookups fall in a narrow window of the flags
         frontier = np.concatenate(parts)
         frontier.sort()
-        sizes.append(frontier.size)
-        if keep_levels:
-            levels.append(frontier)
-        if target_code is not None and visited[target_code]:
-            return len(sizes) - 1, levels, tuple(sizes)
-    return None, levels, tuple(sizes)
+        yield frontier
 
 
 def _witness_from_levels(n: int, levels: list[np.ndarray], target_code: int) -> Circuit:
@@ -254,22 +236,17 @@ def _drop_members(codes: np.ndarray, level: np.ndarray) -> np.ndarray:
     return codes[level[at] != codes]
 
 
-def _bfs_sparse(
-    n: int,
-    target_code: int,
-    depth_limit: "int | None",
-    keep_levels: bool,
-):
-    """Sorted-level BFS for n above the dense limit; practical only with a limit.
+def _sorted_levels(n: int, keep_levels: bool):
+    """Yield each BFS level as a sorted uint64 array.
 
-    Returns what `_bfs_dense` returns.  Each level is a sorted uint64
-    array, built from the current level one chunk at a time.  A chunk's
-    neighbours lie in the previous, current or next level, so those
-    already in the previous level, the current one or the next level
-    as built so far are dropped, and the rest are merged into the next.
+    Each level is built from the current one a chunk at a time.  A
+    chunk's neighbours lie in the previous, current or next level, so
+    those already in the previous level, the current one or the next
+    level as built so far are dropped, and the rest are merged into the
+    next.  keep_levels says the caller keeps every level yielded.
 
     Raises:
-        ResourceLimitError: if the levels kept plus the level being
+        ResourceLimitError: if the levels held plus the level being
             built would exceed SORTED_LIMIT states.
     """
     # uint64 because at n = 8 entry (8, 8) packs to bit 63
@@ -277,14 +254,10 @@ def _bfs_sparse(
     chunk = max(1, _CHUNK_CODES // len(gens))
     prev = np.empty(0, dtype=np.uint64)
     cur = np.array([encode_state(BitMatrix.identity(n))], dtype=np.uint64)
-    levels = [cur] if keep_levels else None
-    sizes = [1]
-    if target_code == int(cur[0]):
-        return 0, levels, tuple(sizes)
-    while cur.size:
-        if depth_limit is not None and len(sizes) - 1 >= depth_limit:
-            return None, levels, tuple(sizes)
-        held = sum(sizes) if keep_levels else prev.size + cur.size
+    depth, total = 0, 1
+    yield cur
+    while True:
+        held = total if keep_levels else prev.size + cur.size
         nxt = np.empty(0, dtype=np.uint64)
         for lo in range(0, cur.size, chunk):
             block = cur[lo : lo + chunk]
@@ -295,21 +268,37 @@ def _bfs_sparse(
                 fresh = _drop_members(fresh, known)
             if held + nxt.size + fresh.size > SORTED_LIMIT:
                 raise ResourceLimitError(
-                    f"level {len(sizes)} of the n={n} search would hold more "
+                    f"level {depth + 1} of the n={n} search would hold more "
                     f"than {SORTED_LIMIT} states at once; lower the depth limit"
                 )
             nxt = np.concatenate([nxt, fresh])
             # two sorted runs: the stable sort (timsort) merges them in one pass
             nxt.sort(kind="stable")
         if not nxt.size:
-            break
+            return
         prev, cur = cur, nxt
-        sizes.append(cur.size)
+        depth, total = depth + 1, total + cur.size
+        yield cur
+
+
+def _bfs(levels, target_code: "int | None", depth_limit: "int | None", keep_levels: bool):
+    """Walk the sorted levels, the identity's first, to the target or limit.
+
+    Returns (distance or None, levels or None, level_sizes).  distance
+    is None when the target was not reached within the limit; for a
+    full sweep (no target) len(level_sizes) - 1 is the eccentricity.
+    """
+    kept = [] if keep_levels else None
+    sizes = []
+    for level in levels:
+        sizes.append(level.size)
         if keep_levels:
-            levels.append(cur)
-        if _contains(cur, target_code):
-            return len(sizes) - 1, levels, tuple(sizes)
-    return None, levels, tuple(sizes)
+            kept.append(level)
+        if target_code is not None and _contains(level, target_code):
+            return len(sizes) - 1, kept, tuple(sizes)
+        if depth_limit is not None and len(sizes) - 1 >= depth_limit:
+            break
+    return None, kept, tuple(sizes)
 
 
 def distance(
@@ -348,77 +337,28 @@ def distance(
             f"2^{n * n} states; pass a depth limit"
         )
     target_code = encode_state(target)
-    bfs = _bfs_dense if n <= DENSE_LIMIT else _bfs_sparse
-    dist, levels, sizes = bfs(n, target_code, depth_limit, witness)
+    levels = _dense_levels(n) if n <= DENSE_LIMIT else _sorted_levels(n, witness)
+    dist, kept, sizes = _bfs(levels, target_code, depth_limit, witness)
     if dist is None:
         limit = depth_limit if depth_limit is not None else len(sizes) - 1
         return SearchResult(n, "distance-to-target", limit, False, sizes)
     built = None
     if witness:
-        built = _witness_from_levels(n, levels[: dist + 1], target_code)
+        built = _witness_from_levels(n, kept, target_code)
     return SearchResult(n, "distance-to-target", dist, True, sizes, built)
 
 
-def max_depth(n: int, *, allow_huge: bool = False) -> SearchResult:
+def max_depth(n: int) -> SearchResult:
     """Eccentricity of the identity: the depth of the hardest matrix.
 
-    n = 6 is refused without allow_huge; it needs roughly 26 GB of
-    bitmaps and a long run.  Larger n are out of reach entirely.
+    Only the dense engine sweeps a whole group, so n = 6 is refused.
     """
     if not 2 <= n <= 6:
         raise ValueError(f"supported wire counts are 2..6, got {n}")
-    if n <= DENSE_LIMIT:
-        _, _, sizes = _bfs_dense(n, None, None, False)
-    elif not allow_huge:
+    if n > DENSE_LIMIT:
         raise ResourceLimitError(
-            "the n=6 sweep walks all of GL_6(2) through ~26 GB of bitmaps; "
-            "opt in with allow_huge (--allow-huge on the command line)"
+            "the n=6 sweep would walk all 20158709760 elements of GL_6(2), "
+            f"which does not fit in memory; --max covers n <= {DENSE_LIMIT}"
         )
-    else:
-        sizes = _bfs_bitmap(n)
+    _, _, sizes = _bfs(_dense_levels(n), None, None, False)
     return SearchResult(n, "diameter", len(sizes) - 1, True, sizes)
-
-
-def _bfs_bitmap(n: int, chunk_bits: int = 22) -> tuple[int, ...]:
-    """Full BFS keeping visited/frontier/next as bit arrays.
-
-    Trades the per-level index arrays of the dense path for three
-    2^(n^2)-bit maps scanned in chunks, which is what makes n = 6
-    feasible on a large machine.  Returns the size of every level.
-    """
-    bits = n * n
-    nbytes = 1 << max(bits - 3, 0)
-    chunk_bytes = min(nbytes, 1 << max(chunk_bits - 3, 0))
-    visited = np.zeros(nbytes, dtype=np.uint8)
-    frontier = np.zeros(nbytes, dtype=np.uint8)
-    nxt = np.zeros(nbytes, dtype=np.uint8)
-    start = encode_state(BitMatrix.identity(n))
-    visited[start >> 3] |= 1 << (start & 7)
-    frontier[start >> 3] |= 1 << (start & 7)
-    gens = [(np.int64(u), np.int64(d)) for u, d in _packed_generators(n)]
-    sizes = [1]
-    while True:
-        advanced = 0
-        for lo in range(0, nbytes, chunk_bytes):
-            block = frontier[lo : lo + chunk_bytes]
-            if not block.any():
-                continue
-            codes = np.flatnonzero(
-                np.unpackbits(block, bitorder="little")
-            ).astype(np.int64) + (lo << 3)
-            for up_mask, down_mask in gens:
-                nb = _neighbors(codes, up_mask, down_mask)
-                byte_at = nb >> 3
-                bit_at = (np.uint8(1) << (nb & 7).astype(np.uint8))
-                fresh = (visited[byte_at] & bit_at) == 0
-                byte_at, bit_at = byte_at[fresh], bit_at[fresh]
-                np.bitwise_or.at(visited, byte_at, bit_at)
-                np.bitwise_or.at(nxt, byte_at, bit_at)
-                advanced += int(fresh.sum())
-        if advanced == 0:
-            return tuple(sizes)
-        # each slice is a bijection and visited is updated between
-        # generators, so fresh counts never double-count a state
-        sizes.append(advanced)
-        frontier, nxt = nxt, frontier
-        nxt[:] = 0

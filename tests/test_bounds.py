@@ -23,7 +23,7 @@ from cnotline import (
     swap_circuit,
     synthesize,
 )
-from cnotline.search import _bfs_dense, decode_state
+from cnotline.search import _bfs, _dense_levels, decode_state
 from conftest import oracle_rank, random_invertible, random_northwest
 
 
@@ -87,7 +87,7 @@ def test_cut_bounds_match_block_oracle(rng):
 def test_gl4_exhaustive_bounds_distance_synthesis():
     """Over all of GL_4(2): rank-cut depth bound <= BFS distance <=
     synthesized depth <= 5n, and every synthesized circuit is exact."""
-    _, levels, sizes = _bfs_dense(4, None, None, keep_levels=True)
+    _, levels, sizes = _bfs(_dense_levels(4), None, None, keep_levels=True)
     assert sum(sizes) == sum(len(level) for level in levels) == 20160
     for dist, level in enumerate(levels):
         for code in level.tolist():

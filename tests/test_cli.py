@@ -309,6 +309,18 @@ def test_synth_refuses_past_gate_limit_exits_three(capsys):
         "error: synth --op add would build 399999993 gates, more than the "
         "limit of 1048576\n"
     )
+    # gather's size comes from its window arithmetic, also before building
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "synth", "--op", "gather", "--n", "1000000", "--positions", "1,1000000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: synth --op gather would build 2999994 gates, more than the "
+        "limit of 1048576\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -319,8 +331,13 @@ def test_synth_refuses_past_gate_limit_exits_three(capsys):
         (["rotate", "--n", "9"], ["rotate", "--n", "10"], 30),
         (["reverse", "--n", "9"], ["reverse", "--n", "10"], 80),
         (["permute", "--perm", "3 2 1"], ["permute", "--perm", "4 3 2 1"], 9),
+        (
+            ["gather", "--n", "9", "--positions", "1,9"],
+            ["gather", "--n", "10", "--positions", "1,10"],
+            21,
+        ),
     ],
-    ids=["add", "swap", "rotate", "reverse", "permute"],
+    ids=["add", "swap", "rotate", "reverse", "permute", "gather"],
 )
 def test_synth_gate_limit_boundary(capsys, monkeypatch, fits, refused, gates):
     from cnotline import cli
@@ -332,6 +349,36 @@ def test_synth_gate_limit_boundary(capsys, monkeypatch, fits, refused, gates):
     code, out, err = run(capsys, "synth", "--op", *refused)
     assert code == 3 and out == ""
     assert err.endswith(f"gates, more than the limit of {gates}\n")
+
+
+def _synth_notes(capsys, *argv):
+    """Built (depth, size), then the noted size and depth bound."""
+    code, _, err = run(capsys, "synth", "--op", *argv)
+    assert code == 0
+    built, note = err.splitlines()
+    depth, size = (int(f.split("=")[1]) for f in built.split()[:2])
+    formula, bound = note.split(", ")
+    return depth, size, int(formula.split(" = ")[1]), int(bound.split()[-1])
+
+
+@pytest.mark.parametrize("op", ["add", "swap", "rotate", "reverse"])
+def test_synth_formula_notes_match_circuits(capsys, op):
+    for n in range(2, 41):
+        depth, size, noted_size, bound = _synth_notes(capsys, op, "--n", str(n))
+        assert size == noted_size
+        assert depth == bound if op == "reverse" else depth <= bound
+
+
+def test_synth_permute_formula_notes_match_circuits(capsys):
+    rng = random.Random(20)
+    for n in range(2, 41):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        depth, size, noted_size, bound = _synth_notes(
+            capsys, "permute", "--perm", " ".join(map(str, perm))
+        )
+        assert size == noted_size
+        assert depth <= bound
 
 
 def test_search_max_mode(capsys):
@@ -351,7 +398,7 @@ def test_search_max_mode(capsys):
 def test_search_max_refuses_huge(capsys):
     code, _, err = run(capsys, "search", "--n", "6", "--max")
     assert code == 3
-    assert "allow" in err
+    assert "GL_6(2)" in err
 
 
 def test_search_max_rejects_distance_flags(capsys):

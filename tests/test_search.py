@@ -24,10 +24,10 @@ from cnotline import (
 )
 from cnotline import search
 from cnotline.search import (
-    _bfs_bitmap,
-    _bfs_dense,
-    _bfs_sparse,
+    _bfs,
+    _dense_levels,
     _packed_generators,
+    _sorted_levels,
     _witness_from_levels,
     decode_state,
     encode_state,
@@ -175,17 +175,9 @@ def test_max_depth_refuses_huge_without_flag():
     with pytest.raises(ResourceLimitError):
         max_depth(6)
     with pytest.raises(ValueError):
-        max_depth(7, allow_huge=True)
+        max_depth(7)
     with pytest.raises(ValueError):
         max_depth(1)
-
-
-def test_bitmap_sweep_matches_dense_sweep():
-    for n in (2, 3, 4):
-        sizes = _bfs_bitmap(n)
-        assert _bfs_dense(n, None, None, False)[2] == sizes
-        assert sum(sizes) == gl_order(n)
-        assert max_depth(n).level_sizes == sizes
 
 
 def _same_levels(got, want):
@@ -225,8 +217,8 @@ def test_sorted_engine_matches_dense_levels(
     monkeypatch.setattr(search, "_CHUNK_CODES", chunk_codes)
     monkeypatch.setattr(search, "_DENSE_CHUNK", dense_chunk)
     # the zero matrix is never reached, so every engine builds every level
-    dist_s, levels_s, sizes_s = _bfs_sparse(n, 0, limit, True)
-    dist_d, levels_d, sizes_d = _bfs_dense(n, 0, limit, True)
+    dist_s, levels_s, sizes_s = _bfs(_sorted_levels(n, True), 0, limit, True)
+    dist_d, levels_d, sizes_d = _bfs(_dense_levels(n), 0, limit, True)
     _, levels_o, sizes_o = _oracle_levels(n, limit)
     assert dist_s is dist_d is None
     assert sizes_s == sizes_d == sizes_o == tuple(len(level) for level in levels_s)
@@ -264,8 +256,8 @@ def test_sorted_engine_matches_set_oracle(monkeypatch, chunk_codes, n, tokens, l
     code = encode_state(target)
     dist, levels, sizes = oracle_set_bfs(n, code, limit)
     assert dist is not None
-    assert _bfs_sparse(n, code, limit, False)[2] == sizes
-    got_dist, got_levels, got_sizes = _bfs_sparse(n, code, limit, True)
+    assert _bfs(_sorted_levels(n, False), code, limit, False)[2] == sizes
+    got_dist, got_levels, got_sizes = _bfs(_sorted_levels(n, True), code, limit, True)
     assert (got_dist, got_sizes) == (dist, sizes)
     _same_levels(got_levels, levels)
     result = distance(n, target, limit, witness=True)
