@@ -6,6 +6,9 @@ wires; a circuit is an ordered sequence of slices.  Simulation tracks
 the matrix whose column j expresses the current value of wire j as a
 combination of the initial wire values, so running gates multiplies on
 the right by elementary matrices.
+
+A slice is held as two masks, bit p of up for gate up(p) and bit p of
+down for down(p); no Gate object is made per gate on the hot paths.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .f2 import BitMatrix
 
@@ -72,16 +77,36 @@ def parse_gate_token(token: str) -> Gate:
     return down(pos) if kind == "d" else up(pos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TimeSlice:
-    """Set of gates meant to act simultaneously."""
+    """Gates acting at once; TimeSlice(up=u, down=d) builds one from its masks."""
 
-    gates: frozenset[Gate]
+    up: int
+    down: int
+
+    def __init__(self, gates: Iterable[Gate] = (), up: int = 0, down: int = 0) -> None:
+        for g in gates:
+            if g.target > g.source:
+                down |= 1 << g.source
+            else:
+                up |= 1 << g.target
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
+
+    @property
+    def gates(self) -> frozenset[Gate]:
+        return frozenset(self.sorted_gates)
 
     @property
     def sorted_gates(self) -> tuple[Gate, ...]:
-        # target + source = 2 * position + 1 orders gates as position does
-        return tuple(sorted(self.gates, key=lambda g: g.target + g.source))
+        """Gates by position, up(p) before down(p) where both occur."""
+        u, d = self.up, self.down
+        return tuple(
+            kind(p)
+            for p in range((u | d).bit_length())
+            for kind, mask in ((up, u), (down, d))
+            if mask >> p & 1
+        )
 
 
 @dataclass(frozen=True)
@@ -101,9 +126,10 @@ class Circuit:
             raise ValueError(f"need at least 2 wires, got {self.n}")
         n = self.n
         for sl in self.slices:
-            for g in sl.gates:
-                if g.target > n or g.source > n:
-                    raise ValueError(f"gate {g} does not fit on {self.n} wires")
+            # a gate at position p needs wire p + 1, and sets bit p
+            if (sl.up | sl.down).bit_length() > n:
+                g = next(g for g in sl.sorted_gates if g.position >= n)
+                raise ValueError(f"gate {g} does not fit on {n} wires")
 
     @property
     def depth(self) -> int:
@@ -111,7 +137,7 @@ class Circuit:
 
     @property
     def size(self) -> int:
-        return sum(len(sl.gates) for sl in self.slices)
+        return sum(sl.up.bit_count() + sl.down.bit_count() for sl in self.slices)
 
 
 @dataclass(frozen=True)
@@ -130,19 +156,21 @@ def validate(circuit: Circuit) -> list[Violation]:
     """
     out = []
     for idx, sl in enumerate(circuit.slices, start=1):
-        if not sl.gates:
+        u, d, w = sl.up, sl.down, sl.up | sl.down
+        if not w:
             out.append(Violation(idx, None, "empty time slice"))
+            continue
+        # gates share a wire at one position or two adjacent ones
+        if not (u & d or w & (w >> 1)):
             continue
         seen: dict[int, Gate] = {}
         for g in sl.sorted_gates:
-            # g.position inlined, as in schedule
-            p = g.target if g.target < g.source else g.source
-            for w in (p, p + 1):
-                if w in seen:
+            for wire in (g.position, g.position + 1):
+                if wire in seen:
                     out.append(
-                        Violation(idx, g, f"wire {w} already used by {seen[w]}")
+                        Violation(idx, g, f"wire {wire} already used by {seen[wire]}")
                     )
-                seen.setdefault(w, g)
+                seen.setdefault(wire, g)
     return out
 
 
@@ -163,12 +191,26 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
 
 def crossing_counts(circuit: Circuit) -> tuple[int, ...]:
     """Number of gates across each of the n-1 cuts between adjacent wires."""
-    counts = [0] * (circuit.n - 1)
-    for sl in circuit.slices:
-        for g in sl.gates:
-            # g.position inlined, as in schedule
-            counts[(g.target if g.target < g.source else g.source) - 1] += 1
-    return tuple(counts)
+    _, pos, _ = _gate_table(circuit)
+    return tuple(np.bincount(pos, minlength=circuit.n)[1:].tolist())
+
+
+def _gate_table(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slice index, position and direction (1 for down) of every gate, in
+    slice and sorted_gates order, unpacking only mask bytes with a gate."""
+    width = (circuit.n + 7) // 8
+    masks = b"".join(
+        m.to_bytes(width, "little") for sl in circuit.slices for m in (sl.up, sl.down)
+    )
+    raw = np.frombuffer(masks, dtype=np.uint8).reshape(-1, 2, width)
+    ups, downs = raw[:, 0].reshape(-1), raw[:, 1].reshape(-1)
+    held = np.flatnonzero(ups | downs)
+    # entry (k, i, d) of the stack: direction d at bit i of mask byte held[k]
+    unpacked = [np.unpackbits(m[held, None], axis=1, bitorder="little") for m in (ups, downs)]
+    found = np.flatnonzero(np.stack(unpacked, axis=2).view(bool))
+    slice_of, byte_of = np.divmod(held, width)
+    k = found >> 4
+    return slice_of[k], 8 * byte_of[k] + (found >> 1 & 7), found & 1
 
 
 def schedule(n: int, gates: Iterable[Gate]) -> Circuit:
@@ -180,18 +222,24 @@ def schedule(n: int, gates: Iterable[Gate]) -> Circuit:
     a time.
     """
     last = [0] * (n + 2)
-    packed: list[set[Gate]] = []
+    ups: list[int] = []
+    downs: list[int] = []
+    depth = 0
     for g in gates:
         # g.position and max inlined: this loop runs once per gate
-        p = g.target if g.target < g.source else g.source
+        t, src = g.target, g.source
+        p = t if t < src else src
         if p >= n:
             raise ValueError(f"gate {g} does not fit on {n} wires")
-        s = last[p] if last[p] > last[p + 1] else last[p + 1]
-        if s == len(packed):
-            packed.append(set())
-        packed[s].add(g)
+        a, b = last[p], last[p + 1]
+        s = a if a > b else b
+        if s == depth:
+            ups.append(0)
+            downs.append(0)
+            depth += 1
+        (ups if t < src else downs)[s] |= 1 << p
         last[p] = last[p + 1] = s + 1
-    return Circuit(n, tuple(TimeSlice(frozenset(s)) for s in packed))
+    return Circuit(n, tuple(TimeSlice(up=u, down=d) for u, d in zip(ups, downs)))
 
 
 def concat(first: Circuit, second: Circuit) -> Circuit:
@@ -211,9 +259,10 @@ def apply(circuit: Circuit, state: BitMatrix) -> BitMatrix:
     if state.n != circuit.n:
         raise ValueError(f"state dimension {state.n} does not match {circuit.n} wires")
     cols = list(state.cols)
-    for sl in circuit.slices:
-        for g in sl.sorted_gates:
-            cols[g.target - 1] ^= cols[g.source - 1]
+    _, pos, direction = _gate_table(circuit)
+    # down(p) adds column p - 1 (wire p) into column p, up(p) the reverse
+    for t, s in zip((pos - 1 + direction).tolist(), (pos - direction).tolist()):
+        cols[t] ^= cols[s]
     return BitMatrix(circuit.n, tuple(cols))
 
 
@@ -234,20 +283,24 @@ def flip(circuit: Circuit) -> Circuit:
     computes M, the flipped circuit computes J M J.
     """
     n = circuit.n
+
+    def mirror(mask: int) -> int:
+        # up(p) = (p <- p + 1) becomes (n + 1 - p <- n - p) = down(n - p)
+        return int(format(mask, f"0{n + 1}b")[::-1], 2)
+
     return Circuit(
         n,
-        tuple(
-            TimeSlice(frozenset(Gate(n + 1 - g.target, n + 1 - g.source) for g in sl.gates))
-            for sl in circuit.slices
-        ),
+        tuple(TimeSlice(up=mirror(sl.down), down=mirror(sl.up)) for sl in circuit.slices),
     )
 
 
 def circuit_to_text(circuit: Circuit) -> str:
     """Serialize: header "n <wires>", then one line of gate tokens per slice."""
-    lines = [f"n {circuit.n}"]
-    for sl in circuit.slices:
-        lines.append(" ".join(g.token for g in sl.sorted_gates))
+    slice_index, pos, direction = _gate_table(circuit)
+    names = [f"{kind}{p}" for p in range(circuit.n) for kind in "ud"]
+    tokens = [names[k] for k in (2 * pos + direction).tolist()]
+    ends = [0, *np.cumsum(np.bincount(slice_index, minlength=circuit.depth)).tolist()]
+    lines = [f"n {circuit.n}"] + [" ".join(tokens[a:b]) for a, b in zip(ends, ends[1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -269,30 +322,40 @@ def parse_circuit_text(text: str) -> Circuit:
     n = int(head[1])
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
+    # token -> bit p for up(p), n + p for down(p): one sum gives both masks
+    bit_of: dict[str, int] = {}
+    low = (1 << n) - 1
     slices = []
-    # token -> (gate, mask of its two wires); each distinct token is
-    # parsed and placed on the line once, however often it repeats
-    known: dict[str, tuple[Gate, int]] = {}
     for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
+        tokens = ln.split()
+        if not tokens:
             raise ValueError(f"line {lineno}: empty time slice")
-        gates = []
-        used = 0
-        for tok in ln.split():
-            hit = known.get(tok)
-            if hit is None:
-                g = parse_gate_token(tok)
-                pos = int(tok[1:])
-                if pos >= n:
-                    raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")
-                hit = known[tok] = (g, 3 << pos)
-            g, wires = hit
-            if used & wires:
-                raise ValueError(f"line {lineno}: wire collision at {tok}")
-            used |= wires
-            gates.append(g)
-        slices.append(TimeSlice(frozenset(gates)))
+        try:
+            code = sum(map(bit_of.__getitem__, tokens))
+        except KeyError:
+            code = _line_code(tokens, n, lineno, bit_of)
+        u, d = code & low, code >> n
+        w = u | d
+        if code.bit_count() != len(tokens) or u & d or w & (w >> 1):
+            # a repeated token or a shared wire: raises
+            _line_code(tokens, n, lineno, bit_of)
+        slices.append(TimeSlice(up=u, down=d))
     return Circuit(n, tuple(slices))
+
+
+def _line_code(tokens: list[str], n: int, lineno: int, bit_of: dict[str, int]) -> int:
+    """Check a slice line token by token; learn and sum the tokens' bits."""
+    code = used = 0
+    for tok in tokens:
+        g = parse_gate_token(tok)
+        if g.position >= n:
+            raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")
+        wires = 3 << g.position
+        if used & wires:
+            raise ValueError(f"line {lineno}: wire collision at {tok}")
+        used |= wires
+        code |= bit_of.setdefault(tok, 1 << (g.position + n * g.is_downward))
+    return code
 
 
 def from_gate_tokens(n: int, tokens: Sequence[str]) -> Circuit:

@@ -35,11 +35,11 @@ from .render import render_circuit
 from .search import ResourceLimitError, distance, max_depth
 
 
-# synth refuses a family whose closed-form gate count passes this.  The
-# costliest family per gate, rotate, peaks near 450 MB and takes about
-# 10 s at this size on a 2-CPU machine; the largest circuits the tests
-# and the benchmark build have about 50 K gates.
+# synth refuses a family past either limit, counting gates and depth
+# bound times n (a slice holds two n-bit masks); at the cell limit
+# rotate, the costliest per cell, peaks near 300 MB.
 SYNTH_GATE_LIMIT = 1 << 20
+SYNTH_CELL_LIMIT = 1 << 28
 
 
 def _read(path: str) -> str:
@@ -60,12 +60,17 @@ def _require_n(args: argparse.Namespace) -> int:
     return args.n
 
 
-def _within_budget(op: str, gates: int) -> int:
-    """The gate count of op, refused past SYNTH_GATE_LIMIT."""
+def _within_budget(op: str, gates: int, depth: int, n: int) -> int:
+    """The gate count of op, refused past either synth limit."""
     if gates > SYNTH_GATE_LIMIT:
         raise ResourceLimitError(
             f"synth --op {op} would build {gates} gates, more than the "
             f"limit of {SYNTH_GATE_LIMIT}"
+        )
+    if n > 0 and depth * n > SYNTH_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"synth --op {op} would build {depth} slices on {n} wires, more "
+            f"than the limit of {SYNTH_CELL_LIMIT} slice-wire cells"
         )
     return gates
 
@@ -74,34 +79,31 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
     """Build the requested circuit plus its diagnostic bound lines.
 
     Every family but matrix is refused before it is built when its size
-    passes SYNTH_GATE_LIMIT.
+    passes SYNTH_GATE_LIMIT or its depth bound times n passes
+    SYNTH_CELL_LIMIT.
     """
     op = args.op
     if op == "add":
         n = _require_n(args)
-        size = _within_budget(op, 4 * n - 7)
-        c = add_circuit(n)
-        k = (n + 1) // 2
-        return c, [f"size formula 4n-7 = {size}, depth bound {2 * k + 3}"]
+        bound = 2 * ((n + 1) // 2) + 3
+        size = _within_budget(op, 4 * n - 7, bound, n)
+        return add_circuit(n), [f"size formula 4n-7 = {size}, depth bound {bound}"]
     if op == "swap":
         n = _require_n(args)
-        size = _within_budget(op, 6 * n - 9)
-        c = swap_circuit(n)
-        k = (n + 1) // 2
-        return c, [f"size formula 6n-9 = {size}, depth bound {2 * k + 7}"]
+        bound = 2 * ((n + 1) // 2) + 7
+        size = _within_budget(op, 6 * n - 9, bound, n)
+        return swap_circuit(n), [f"size formula 6n-9 = {size}, depth bound {bound}"]
     if op == "rotate":
         n = _require_n(args)
-        size = _within_budget(op, 4 * n - 6)
-        c = rotate_circuit(n)
-        if n == 2:
-            return c, ["size formula 6n-9 = 3, depth bound 3"]
-        return c, [f"size formula 4n-6 = {size}, depth bound {n + 5}"]
+        # n = 2 degenerates to the 3-gate swap
+        formula, bound = ("6n-9", 3) if n == 2 else ("4n-6", n + 5)
+        size = _within_budget(op, 3 if n == 2 else 4 * n - 6, bound, n)
+        return rotate_circuit(n), [f"size formula {formula} = {size}, depth bound {bound}"]
     if op == "reverse":
         n = _require_n(args)
-        size = _within_budget(op, n * n - 1)
-        c = reverse_circuit(n)
         depth = 3 if n == 2 else 2 * n + 2
-        return c, [f"size formula n^2-1 = {size}, depth {depth}"]
+        size = _within_budget(op, n * n - 1, depth, n)
+        return reverse_circuit(n), [f"size formula n^2-1 = {size}, depth {depth}"]
     if op == "permute":
         if args.perm is None:
             raise ValueError("--perm is required for op permute")
@@ -110,11 +112,10 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
             raise ValueError(
                 f"--n {args.n} does not match permutation length {len(perm)}"
             )
-        size = _within_budget(op, 3 * inversion_count(perm))
+        n = len(perm)
+        size = _within_budget(op, 3 * inversion_count(perm), 3 * n, n)
         c = permutation_circuit(perm)
-        return c, [
-            f"size formula 3*inversions = {size}, depth bound {3 * len(perm)}"
-        ]
+        return c, [f"size formula 3*inversions = {size}, depth bound {3 * n}"]
     if op == "matrix":
         if args.matrix is None:
             raise ValueError("--matrix is required for op matrix")
@@ -129,9 +130,9 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
             raise ValueError("--positions is required for op gather")
         positions = _parse_ints(args.positions, "--positions")
         _, moves = gather_moves(n, positions)
-        _within_budget(op, 3 * sum(abs(src - dst) for src, dst in moves))
-        c, window_start = gather_circuit(n, positions)
         cap = (n + 1) // 2 + GATHER_DEPTH_PER_POSITION * len(positions)
+        _within_budget(op, 3 * sum(abs(src - dst) for src, dst in moves), cap, n)
+        c, window_start = gather_circuit(n, positions)
         return c, [f"depth bound {cap}", f"window_start={window_start}"]
     raise ValueError(f"unknown op {op}")
 

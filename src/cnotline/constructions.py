@@ -119,14 +119,10 @@ def rotate_circuit(n: int) -> Circuit:
     # trade places.  The tail therefore starts before the head is done.
     shift = 2 if n % 2 == 0 else 3
     depth = max(head.depth, tail.depth + shift)
-    merged = []
-    for t in range(depth):
-        gates: frozenset[Gate] = frozenset()
-        if t < head.depth:
-            gates |= head.slices[t].gates
-        if 0 <= t - shift < tail.depth:
-            gates |= tail.slices[t - shift].gates
-        merged.append(TimeSlice(gates))
+    empty = (TimeSlice(),)
+    heads = head.slices + empty * (depth - head.depth)
+    tails = empty * shift + tail.slices + empty * (depth - shift - tail.depth)
+    merged = (TimeSlice(up=h.up | t.up, down=h.down | t.down) for h, t in zip(heads, tails))
     return Circuit(n, tuple(merged))
 
 

@@ -415,7 +415,8 @@ def parse_matrix_text(text: str) -> BitMatrix:
     rows = []
     for i, ln in enumerate(body):
         ln = ln.strip()
-        if len(ln) != n or set(ln) - {"0", "1"}:
+        if len(ln) != n or ln.strip("01"):
             raise ValueError(f"row {i + 1} is not {n} characters of 0/1: {ln!r}")
-        rows.append([int(ch) for ch in ln])
-    return BitMatrix.from_rows(rows)
+        # entry (i, j) is character j - 1, and bit j - 1 of the packed row
+        rows.append(int(ln[::-1], 2))
+    return transpose(BitMatrix(n, tuple(rows)))

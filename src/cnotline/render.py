@@ -20,20 +20,16 @@ def render_circuit(circuit: Circuit) -> str:
     for w in range(1, n + 1):
         row = [f"{w:>{margin}} "]
         for sl in circuit.slices:
-            sym = "-"
-            for g in sl.gates:
-                if g.source == w:
-                    sym = "*"
-                elif g.target == w:
-                    sym = "+"
-            row.append(f"-{sym}--")
+            # wire w is the source of up(w - 1) and down(w)
+            source = (sl.up >> (w - 1) | sl.down >> w) & 1
+            target = (sl.up >> w | sl.down >> (w - 1)) & 1
+            row.append("-*--" if source else "-+--" if target else "----")
         row.append("-")
         wire_rows.append("".join(row))
         if w < n:
             link = [" " * (margin + 1)]
             for sl in circuit.slices:
-                hit = any(g.position == w for g in sl.gates)
-                link.append(" |  " if hit else "    ")
+                link.append(" |  " if (sl.up | sl.down) >> w & 1 else "    ")
             link_rows.append("".join(link).rstrip())
     out = []
     for w in range(n):

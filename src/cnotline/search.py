@@ -95,7 +95,7 @@ def slice_generators(n: int) -> list[TimeSlice]:
     def extend(pos: int, chosen: tuple) -> None:
         if pos > n - 1:
             if chosen:
-                out.append(TimeSlice(frozenset(chosen)))
+                out.append(TimeSlice(chosen))
             return
         extend(pos + 1, chosen)
         extend(pos + 2, chosen + (up(pos),))
@@ -133,17 +133,10 @@ def _packed_generators(n: int) -> list[tuple[int, int]]:
     Applying a slice to packed state s is
     s ^ ((s & up_mask) >> 1) ^ ((s & down_mask) << 1).
     """
-    col_mask = [sum(1 << (i * n + j) for i in range(n)) for j in range(n)]
-    packed = []
-    for slice_ in slice_generators(n):
-        up_mask = down_mask = 0
-        for g in slice_.gates:
-            if g.is_downward:
-                down_mask |= col_mask[g.source - 1]
-            else:
-                up_mask |= col_mask[g.source - 1]
-        packed.append((up_mask, down_mask))
-    return packed
+    # up(p) reads column p + 1, bit p of a packed row, and down(p) bit
+    # p - 1; multiplying by rows copies a row pattern into every row
+    rows = sum(1 << (i * n) for i in range(n))
+    return [(sl.up * rows, (sl.down >> 1) * rows) for sl in slice_generators(n)]
 
 
 def _neighbors(frontier: np.ndarray, up_mask: np.integer, down_mask: np.integer) -> np.ndarray:

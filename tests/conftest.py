@@ -123,6 +123,62 @@ def oracle_set_bfs(n: int, target_code: int, depth_limit: "int | None"):
     return None, levels, tuple(sizes)
 
 
+def oracle_slice_order(gates) -> list:
+    """A slice's gates by position, up(p) before down(p) where both occur."""
+    return sorted(set(gates), key=lambda g: (min(g.target, g.source), g.target > g.source))
+
+
+def oracle_apply(n: int, slices, rows: list[list[int]]) -> list[list[int]]:
+    """Run gate lists on list rows, gate (t <- s) adding column s into t.
+
+    slices is a list of gate collections; each runs in oracle_slice_order.
+    """
+    out = [row[:] for row in rows]
+    for gates in slices:
+        for g in oracle_slice_order(gates):
+            for row in out:
+                row[g.target - 1] ^= row[g.source - 1]
+    return out
+
+
+def oracle_crossings(n: int, slices) -> list[int]:
+    """Gates per cut 1..n-1, counting each distinct gate of a slice once."""
+    counts = [0] * (n - 1)
+    for gates in slices:
+        for g in set(gates):
+            counts[min(g.target, g.source) - 1] += 1
+    return counts
+
+
+def oracle_circuit_text(n: int, slices) -> str:
+    lines = [f"n {n}"]
+    for gates in slices:
+        lines.append(" ".join(
+            f"d{g.source}" if g.target > g.source else f"u{g.target}"
+            for g in oracle_slice_order(gates)
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_violations(slices) -> list[tuple]:
+    """(1-based slice, gate or None, reason) for each defect, where a gate
+    sharing a wire with an earlier gate of its slice names that gate."""
+    out = []
+    for idx, gates in enumerate(slices, start=1):
+        order = oracle_slice_order(gates)
+        if not order:
+            out.append((idx, None, "empty time slice"))
+            continue
+        owner: dict = {}
+        for g in order:
+            for w in sorted((g.target, g.source)):
+                if w in owner:
+                    out.append((idx, g, f"wire {w} already used by {owner[w].token}"))
+                else:
+                    owner[w] = g
+    return out
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0)

@@ -32,6 +32,14 @@ from cnotline import (
     validate,
 )
 from cnotline.f2 import inverse as matrix_inverse
+from conftest import (
+    oracle_apply,
+    oracle_circuit_text,
+    oracle_crossings,
+    oracle_slice_order,
+    oracle_violations,
+    to_lists,
+)
 
 
 def all_circuits(n, max_depth):
@@ -286,6 +294,25 @@ def test_property_rejects_wire_collision(c, data):
 
 @PROPERTY
 @given(circuits(min_depth=1), st.data())
+def test_property_rejects_collision_of_tokens_seen_before(c, data):
+    # each token of the colliding line first appears alone on an earlier
+    # line, so the parser already knows every token when it meets the line
+    def colliding(gates):
+        g = data.draw(st.sampled_from(gates))
+        pos = data.draw(st.sampled_from([
+            p for p in (g.position - 1, g.position, g.position + 1) if 1 <= p < c.n
+        ]))
+        return data.draw(st.sampled_from("ud")) + str(pos), True
+
+    text, lineno, token = _with_token(data.draw, c, colliding)
+    lines = text.splitlines()
+    alone = lines[lineno - 1].split()
+    text = "\n".join(lines[:1] + alone + lines[1:]) + "\n"
+    _rejects(text, f"line {lineno + len(alone)}: wire collision at {token}")
+
+
+@PROPERTY
+@given(circuits(min_depth=1), st.data())
 def test_property_rejects_gate_off_the_line(c, data):
     def off_line(gates):
         pos = data.draw(st.integers(c.n, c.n + 40))
@@ -355,3 +382,92 @@ def test_property_flip_and_inverse_identities(c):
     assert matrix_of(inverse(c)) == matrix_inverse(m)
     assert crossing_counts(flip(c)) == crossing_counts(c)[::-1]
     assert parse_circuit_text(circuit_to_text(flip(c))) == flip(c)
+
+
+def _gate_lists(max_position):
+    """Gate lists with repeats, any positions 1..max_position, any order."""
+    return st.lists(
+        st.builds(lambda kind, p: kind(p), st.sampled_from((up, down)),
+                  st.integers(1, max_position)),
+        max_size=12,
+    )
+
+
+def _holds_both_at_a_position(gates):
+    return bool({g.position for g in gates if g.is_downward}
+                & {g.position for g in gates if not g.is_downward})
+
+
+@PROPERTY
+@given(_gate_lists(70), _gate_lists(70))
+def test_property_time_slice_is_its_gate_set(a, b):
+    sl = TimeSlice(frozenset(a))
+    assert sl.gates == frozenset(a)
+    order = sl.sorted_gates
+    assert len(order) == len(set(a)) and set(order) == set(a)
+    assert [g.position for g in order] == sorted(g.position for g in set(a))
+    if not _holds_both_at_a_position(a):
+        assert order == tuple(oracle_slice_order(a))
+    other = TimeSlice(frozenset(b))
+    assert (sl == other) == (frozenset(a) == frozenset(b))
+    if sl == other:
+        assert hash(sl) == hash(other)
+    assert sl == TimeSlice(frozenset(a[::-1]))
+    assert hash(sl) == hash(TimeSlice(frozenset(a[::-1])))
+
+
+@PROPERTY
+@given(_gate_lists(70), st.integers(1, 70))
+def test_property_shared_position_lists_up_first(a, p):
+    # up(p) and down(p) share both wires, so which runs first changes what
+    # the slice computes; sorted_gates lists up(p) first
+    a = a + [down(p), up(p)]
+    assert TimeSlice(frozenset(a)).sorted_gates == tuple(oracle_slice_order(a))
+
+
+@st.composite
+def raw_circuits(draw, shared_positions=False):
+    """(n, gate lists): slices may be empty or share wires; with
+    shared_positions a slice may hold up(p) and down(p) together."""
+    n = draw(st.integers(2, 12))
+    kinds = [(), (up,), (down,)] + ([(up, down)] if shared_positions else [])
+    slices = []
+    for _ in range(draw(st.integers(0, 6))):
+        gates = []
+        for p in range(1, n):
+            gates += [kind(p) for kind in draw(st.sampled_from(kinds))]
+        slices.append(draw(st.permutations(gates)))
+    return n, slices
+
+
+def _check_against_oracles(n, slices, state_seed):
+    c = Circuit(n, tuple(TimeSlice(frozenset(gates)) for gates in slices))
+    rng = random.Random(state_seed)
+    state = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
+    assert to_lists(apply(c, state)) == oracle_apply(n, slices, to_lists(state))
+    assert to_lists(matrix_of(c)) == oracle_apply(
+        n, slices, to_lists(BitMatrix.identity(n))
+    )
+    assert crossing_counts(c) == tuple(oracle_crossings(n, slices))
+    assert circuit_to_text(c) == oracle_circuit_text(n, slices)
+    assert [(v.slice_index, v.gate, v.reason) for v in validate(c)] == (
+        oracle_violations(slices)
+    )
+    assert c.size == sum(len(set(gates)) for gates in slices)
+
+
+@PROPERTY
+@given(raw_circuits(), st.integers(0, 2**32))
+def test_property_circuit_layer_matches_list_oracles(raw, state_seed):
+    _check_against_oracles(*raw, state_seed)
+
+
+@PROPERTY
+@given(raw_circuits(shared_positions=True), st.integers(0, 2**32))
+def test_property_shared_position_circuits_match_list_oracles(raw, state_seed):
+    _check_against_oracles(*raw, state_seed)
+
+
+def test_circuit_names_the_gate_off_the_line():
+    with pytest.raises(ValueError, match=r"^gate d3 does not fit on 3 wires$"):
+        Circuit(3, (TimeSlice(frozenset({up(1)})), TimeSlice(frozenset({down(3)}))))

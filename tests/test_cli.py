@@ -351,6 +351,62 @@ def test_synth_gate_limit_boundary(capsys, monkeypatch, fits, refused, gates):
     assert err.endswith(f"gates, more than the limit of {gates}\n")
 
 
+def test_synth_rotate_two_wires_budgets_the_swap(capsys, monkeypatch):
+    from cnotline import cli
+
+    # n = 2 builds the 3-gate swap, not 4n - 6 = 2 gates
+    monkeypatch.setattr(cli, "SYNTH_GATE_LIMIT", 2)
+    code, out, err = run(capsys, "synth", "--op", "rotate", "--n", "2")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: synth --op rotate would build 3 gates, more than the limit of 2\n"
+    )
+    monkeypatch.setattr(cli, "SYNTH_GATE_LIMIT", 3)
+    code, _, err = run(capsys, "synth", "--op", "rotate", "--n", "2")
+    assert code == 0 and " size=3 " in err
+
+
+def test_synth_refuses_past_cell_limit_exits_three(capsys):
+    # within the gate limit, but 20003 slices of 20000-bit masks
+    start = time.perf_counter()
+    code, out, err = run(capsys, "synth", "--op", "add", "--n", "20000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == (
+        "error: synth --op add would build 20003 slices on 20000 wires, more "
+        "than the limit of 268435456 slice-wire cells\n"
+    )
+    # a bad wire count stays an input error
+    code, _, err = run(capsys, "synth", "--op", "add", "--n", "-100000")
+    assert code == 2 and "need at least 2 wires" in err
+
+
+@pytest.mark.parametrize(
+    "argv,cells",
+    [
+        (["add", "--n", "9"], 13 * 9),
+        (["swap", "--n", "9"], 17 * 9),
+        (["rotate", "--n", "9"], 14 * 9),
+        (["rotate", "--n", "2"], 3 * 2),
+        (["reverse", "--n", "9"], 20 * 9),
+        (["permute", "--perm", "3 2 1"], 9 * 3),
+        (["gather", "--n", "9", "--positions", "1,9"], 13 * 9),
+    ],
+    ids=["add", "swap", "rotate", "rotate-2", "reverse", "permute", "gather"],
+)
+def test_synth_cell_limit_boundary(capsys, monkeypatch, argv, cells):
+    from cnotline import cli
+
+    # the depth bound times n may equal the limit, but not pass it
+    monkeypatch.setattr(cli, "SYNTH_CELL_LIMIT", cells)
+    code, _, err = run(capsys, "synth", "--op", *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "SYNTH_CELL_LIMIT", cells - 1)
+    code, out, err = run(capsys, "synth", "--op", *argv)
+    assert code == 3 and out == ""
+    assert err.endswith(f"more than the limit of {cells - 1} slice-wire cells\n")
+
+
 def _synth_notes(capsys, *argv):
     """Built (depth, size), then the noted size and depth bound."""
     code, _, err = run(capsys, "synth", "--op", *argv)

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnotline import (
     BitBlock,
@@ -229,4 +232,55 @@ def test_matrix_text_layout_is_row_major():
 )
 def test_parse_matrix_rejects_malformed(text):
     with pytest.raises(ValueError):
+        parse_matrix_text(text)
+
+
+# Property tests run a fixed example sequence, so a failure reproduces.
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def matrix_texts(draw):
+    """(entry lists, text): rows may carry surrounding blanks, and blank
+    lines may sit between rows; neither changes the matrix."""
+    n = draw(st.integers(1, 64))
+    rows = [format(draw(st.integers(0, (1 << n) - 1)), f"0{n}b") for _ in range(n)]
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    lines = [str(n)]
+    for r in rows:
+        if draw(st.booleans()):
+            lines.append(draw(pad))
+        lines.append(draw(pad) + r + draw(pad))
+    return [[int(ch) for ch in r] for r in rows], "\n".join(lines) + "\n"
+
+
+@PROPERTY
+@given(matrix_texts())
+def test_property_parse_matrix_text_matches_from_rows(case):
+    rows, text = case
+    assert parse_matrix_text(text) == BitMatrix.from_rows(rows)
+
+
+@PROPERTY
+@given(matrix_texts(), st.data())
+def test_property_parse_matrix_text_names_the_bad_row(case, data):
+    rows, _ = case
+    n = len(rows)
+    body = ["".join(map(str, r)) for r in rows]
+    i = data.draw(st.integers(0, n - 1))
+    how = data.draw(st.sampled_from(["short", "long", "char"]))
+    if how == "short":
+        body[i] = body[i][:data.draw(st.integers(1, n)) - 1] or "x"
+    elif how == "long":
+        body[i] += data.draw(st.sampled_from("01x"))
+    else:
+        at = data.draw(st.integers(0, n - 1))
+        bad = data.draw(st.sampled_from(["2", "x", " ", "_", "+", "-", "b"]))
+        body[i] = body[i][:at] + bad + body[i][at + 1:]
+    ln = body[i].strip()
+    text = f"{n}\n" + "\n".join(body) + "\n"
+    if not ln or len(ln) == n and not set(ln) - {"0", "1"}:
+        return  # the edit left an empty or well-formed row
+    message = f"row {i + 1} is not {n} characters of 0/1: {ln!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_matrix_text(text)
