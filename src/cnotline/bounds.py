@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constructions import inversion_count
+from .constructions import _check_permutation, inversion_count
 from .f2 import BitMatrix, _echelon_add
 
 
@@ -124,6 +124,5 @@ def permutation_swap_lower(perm: Sequence[int]) -> int:
     Each adjacent swap removes at most one inversion, so no swap network
     for perm can use fewer.
     """
-    if sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError(f"{perm!r} is not a permutation of 1..{len(perm)}")
+    _check_permutation(perm)
     return inversion_count(perm)

@@ -14,7 +14,7 @@ down for down(p); no Gate object is made per gate on the hot paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -139,6 +139,26 @@ class Circuit:
     def size(self) -> int:
         return sum(sl.up.bit_count() + sl.down.bit_count() for sl in self.slices)
 
+    @cached_property
+    def _gate_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Slice index, position and direction (1 for down) of every gate, in
+        slice and sorted_gates order, unpacking only mask bytes with a gate.
+        Built once per circuit: verify's crossings and simulation share it."""
+        width = (self.n + 7) // 8
+        masks = b"".join(
+            m.to_bytes(width, "little") for sl in self.slices for m in (sl.up, sl.down)
+        )
+        raw = np.frombuffer(masks, dtype=np.uint8).reshape(-1, 2, width)
+        ups, downs = raw[:, 0].reshape(-1), raw[:, 1].reshape(-1)
+        held = np.flatnonzero(ups | downs)
+        # entry (k, i, d) of the stack: direction d at bit i of mask byte held[k]
+        unpacked = [np.unpackbits(m[held, None], axis=1, bitorder="little")
+                    for m in (ups, downs)]
+        found = np.flatnonzero(np.stack(unpacked, axis=2).view(bool))
+        slice_of, byte_of = np.divmod(held, width)
+        k = found >> 4
+        return slice_of[k], 8 * byte_of[k] + (found >> 1 & 7), found & 1
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -191,26 +211,8 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
 
 def crossing_counts(circuit: Circuit) -> tuple[int, ...]:
     """Number of gates across each of the n-1 cuts between adjacent wires."""
-    _, pos, _ = _gate_table(circuit)
+    _, pos, _ = circuit._gate_table
     return tuple(np.bincount(pos, minlength=circuit.n)[1:].tolist())
-
-
-def _gate_table(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slice index, position and direction (1 for down) of every gate, in
-    slice and sorted_gates order, unpacking only mask bytes with a gate."""
-    width = (circuit.n + 7) // 8
-    masks = b"".join(
-        m.to_bytes(width, "little") for sl in circuit.slices for m in (sl.up, sl.down)
-    )
-    raw = np.frombuffer(masks, dtype=np.uint8).reshape(-1, 2, width)
-    ups, downs = raw[:, 0].reshape(-1), raw[:, 1].reshape(-1)
-    held = np.flatnonzero(ups | downs)
-    # entry (k, i, d) of the stack: direction d at bit i of mask byte held[k]
-    unpacked = [np.unpackbits(m[held, None], axis=1, bitorder="little") for m in (ups, downs)]
-    found = np.flatnonzero(np.stack(unpacked, axis=2).view(bool))
-    slice_of, byte_of = np.divmod(held, width)
-    k = found >> 4
-    return slice_of[k], 8 * byte_of[k] + (found >> 1 & 7), found & 1
 
 
 def schedule(n: int, gates: Iterable[Gate]) -> Circuit:
@@ -259,7 +261,7 @@ def apply(circuit: Circuit, state: BitMatrix) -> BitMatrix:
     if state.n != circuit.n:
         raise ValueError(f"state dimension {state.n} does not match {circuit.n} wires")
     cols = list(state.cols)
-    _, pos, direction = _gate_table(circuit)
+    _, pos, direction = circuit._gate_table
     # down(p) adds column p - 1 (wire p) into column p, up(p) the reverse
     for t, s in zip((pos - 1 + direction).tolist(), (pos - direction).tolist()):
         cols[t] ^= cols[s]
@@ -296,7 +298,7 @@ def flip(circuit: Circuit) -> Circuit:
 
 def circuit_to_text(circuit: Circuit) -> str:
     """Serialize: header "n <wires>", then one line of gate tokens per slice."""
-    slice_index, pos, direction = _gate_table(circuit)
+    slice_index, pos, direction = circuit._gate_table
     names = [f"{kind}{p}" for p in range(circuit.n) for kind in "ud"]
     tokens = [names[k] for k in (2 * pos + direction).tolist()]
     ends = [0, *np.cumsum(np.bincount(slice_index, minlength=circuit.depth)).tolist()]

@@ -57,6 +57,8 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 def _require_n(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ValueError(f"--n is required for op {args.op}")
+    if args.n < 2:
+        raise ValueError(f"need at least 2 wires, got {args.n}")
     return args.n
 
 

@@ -3,13 +3,15 @@
 Each construction emits its gates in an order chosen so that the greedy
 scheduler reproduces the intended depth; where a construction depends
 on reordering commuting gates, the emitted sequence is already the
-reordered one.
+reordered one.  Permutation routing and the synthesis stages in glsynth
+instead run a sorting network through _sorting_run, which writes each
+swap's gates straight into slice masks where the scheduler would put them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .circuit import Circuit, Gate, TimeSlice, down, schedule, up
 from .f2 import BitMatrix
@@ -152,7 +154,7 @@ class ComparatorNetwork:
     """Adjacent-wire sorting network: layers of non-conflicting positions."""
 
     n: int
-    layers: tuple[tuple[int, ...], ...]
+    layers: tuple[Sequence[int], ...]
 
     @property
     def depth(self) -> int:
@@ -164,15 +166,55 @@ class ComparatorNetwork:
 
 
 def odd_even_network(n: int) -> ComparatorNetwork:
-    """Odd-even transposition network: depth n (1 at n=2), size n(n-1)/2."""
+    """Odd-even transposition network: depth n (1 at n=2), size n(n-1)/2.
+    Its layers are ranges, so it takes O(n) memory, not O(n^2)."""
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
-    if n == 2:
-        return ComparatorNetwork(2, ((1,),))
-    layers = tuple(
-        tuple(range(1 + t % 2, n, 2)) for t in range(n)
-    )
+    layers = tuple(range(1 + t % 2, n, 2) for t in range(1 if n == 2 else n))
     return ComparatorNetwork(n, layers)
+
+
+def _sorting_run(
+    layers: Sequence[Iterable[int]], labels: list[int], values: list[int], box: Callable
+) -> Circuit:
+    """Sort labels in place with comparator layers, a box of gates per swap.
+
+    box(p, k) names the gates for the swap at p that moves label k up
+    onto wire p: at most three of "u" for up(p) and "d" for down(p).
+    They are applied to values and ORed straight into slice masks, each
+    in the first slice after every earlier gate on its wires, which is
+    where schedule puts them.  The run stops once the labels are sorted.
+    """
+    cap = 3 * len(layers)
+    ups, downs, last = [0] * cap, [0] * cap, [0] * len(labels)
+    goal = sorted(labels)
+    for layer in layers:
+        if labels == goal:
+            break
+        for p in layer:
+            j, k = labels[p - 1], labels[p]
+            if j < k:
+                continue
+            labels[p - 1], labels[p] = k, j
+            gates = box(p, k)
+            if not gates:
+                continue
+            a, b, bit = last[p - 1], last[p], 1 << p
+            s = a if a > b else b
+            u, v = values[p - 1], values[p]
+            for kind in gates:
+                if kind == "u":
+                    ups[s] |= bit
+                    u ^= v
+                else:
+                    downs[s] |= bit
+                    v ^= u
+                s += 1
+            values[p - 1], values[p] = u, v
+            last[p - 1] = last[p] = s
+    depth = max(last, default=0)
+    slices = (TimeSlice(up=u, down=d) for u, d in zip(ups[:depth], downs))
+    return Circuit(len(labels), tuple(slices))
 
 
 def fired_comparators(
@@ -197,13 +239,22 @@ def fired_comparators(
 
 
 def inversion_count(perm: Sequence[int]) -> int:
-    """Number of pairs i < j with perm[i] > perm[j]."""
-    return sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
+    """Number of pairs i < j with perm[i] > perm[j], by merge sort."""
+
+    def sort_count(seq: list) -> tuple[list, int]:
+        half = len(seq) // 2
+        if not half:
+            return seq, 0
+        (left, count), (right, more) = sort_count(seq[:half]), sort_count(seq[half:])
+        i = 0
+        for x in right:
+            while i < half and left[i] <= x:
+                i += 1
+            # x sits below the left entries from i on
+            count += half - i
+        return sorted(left + right), count + more
+
+    return sort_count(list(perm))[1]
 
 
 def _check_permutation(perm: Sequence[int]) -> None:
@@ -226,18 +277,13 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
 
     Each comparator of the odd-even network that finds its labels out
     of order becomes a 3-gate swap, so the size is 3 times the
-    inversion count of perm and the depth is at most 3n.
+    inversion count of perm and the depth is at most 3n.  The run stops
+    once the labels are sorted, so its work grows with the swaps.
     """
     _check_permutation(perm)
     n = len(perm)
-    if n < 2:
-        raise ValueError(f"need at least 2 wires, got {n}")
-    net = odd_even_network(n)
-    gates: list[Gate] = []
-    for layer in fired_comparators(net, perm):
-        for p in layer:
-            gates += [up(p), down(p), up(p)]
-    return schedule(n, gates)
+    layers = odd_even_network(n).layers
+    return _sorting_run(layers, list(perm), [0] * n, lambda p, k: "udu")
 
 
 _BOX_OUTPUTS = ("u", "v", "u^v")

@@ -5,17 +5,19 @@ state to northwest-triangular form with depth-2 boxes riding a sorting
 network (depth at most 2n), and a reduction stage takes the triangular
 matrix to the identity with depth-3 boxes riding the network's reversal
 schedule (depth at most 3n).  Inverting both stages yields a circuit
-computing the matrix.
+computing the matrix.  Each stage is a box rule for the network runner
+constructions._sorting_run, which writes the boxes straight into slice
+masks: no gate list is built and no schedule pass runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import circuit as circuit_mod
-from .circuit import Circuit, Gate, down, schedule, up
+from .circuit import Circuit
 from .constructions import ComparatorNetwork, fired_comparators, odd_even_network
+from .constructions import _sorting_run
 from .f2 import (
     BitMatrix,
     BitVector,
@@ -109,66 +111,40 @@ def northwest_basis(m: BitMatrix) -> tuple[tuple[BitVector, ...], tuple[int, ...
     return tuple(w), tuple(pi)
 
 
-def _sorting_run(
-    net: ComparatorNetwork,
-    values: list[int],
-    labels: list[int],
-    box_for: Callable[[int, int], list[Gate]],
-    states: "list[LabeledWireState] | None",
-    basis: tuple[tuple[BitVector, ...], tuple[BitVector, ...]],
-) -> list[Gate]:
-    """Sort the wire labels with the network, emitting a box per swap.
-
-    box_for(p, k) gives the gates for the swap at position p that moves
-    label k up onto wire p; they are applied to values as emitted.  When
-    states is a list, the state before the first layer and after each
-    layer is appended to it, with basis as its (w_basis, duals).
-    """
-    n = len(values)
-    if net.n != n:
-        raise ValueError(f"network on {net.n} wires, matrix of dimension {n}")
-    gates: list[Gate] = []
-    # the empty first layer records the initial state
+def _stage_states(stage: tuple, net: ComparatorNetwork) -> list[LabeledWireState]:
+    """The state before the first layer and after each layer of a stage,
+    the (values, labels, box, basis) of _clearing or _reduction, with basis
+    as its (w_basis, duals).  Layers after the labels are sorted repeat it."""
+    values, labels, box, basis = stage
+    states = []
     for layer in ((),) + net.layers:
-        for p in layer:
-            j, k = labels[p - 1], labels[p]
-            if j < k:
-                continue
-            labels[p - 1], labels[p] = k, j
-            box = box_for(p, k)
-            for g in box:
-                values[g.target - 1] ^= values[g.source - 1]
-            gates += box
-        if states is not None:
-            states.append(
-                LabeledWireState(BitMatrix(n, tuple(values)), tuple(labels), *basis)
-            )
-    return gates
+        _sorting_run([layer], labels, values, box)
+        values_matrix = BitMatrix(len(values), tuple(values))
+        states.append(LabeledWireState(values_matrix, tuple(labels), *basis))
+    return states
 
 
-def _clearing_run(
-    m: BitMatrix, net: ComparatorNetwork, states: "list[LabeledWireState] | None" = None
-) -> list[Gate]:
-    """Run the clearing stage; states are recorded as _sorting_run says."""
+def _clearing(m: BitMatrix, net: ComparatorNetwork) -> tuple:
+    """Values, labels, box and basis of the clearing stage for _sorting_run."""
+    if net.n != m.n:
+        raise ValueError(f"network on {net.n} wires, matrix of dimension {m.n}")
     w_basis, pi = northwest_basis(m)
     # row k of the inverse of [w_1 ... w_n] is the dual functional of w_k
     inv_rows = matrix_inverse(BitMatrix.from_columns(w_basis)).packed_rows()
-    duals = tuple(BitVector(m.n, r) for r in inv_rows)
     values = list(m.cols)
 
-    def box_for(p: int, k: int) -> list[Gate]:
+    def box(p: int, k: int) -> str:
         # write some member of span{w_l : l != k} to the lower wire,
         # cheapest output first; u itself always qualifies because
         # the span has codimension 1
         u, v = values[p - 1], values[p]
-        dual_k = duals[k - 1].bits
+        dual_k = inv_rows[k - 1]
         if (dual_k & v).bit_count() & 1 == 0:
-            return []
-        if (dual_k & (u ^ v)).bit_count() & 1 == 0:
-            return [down(p)]
-        return [up(p), down(p)]
+            return ""
+        return "d" if (dual_k & (u ^ v)).bit_count() & 1 == 0 else "ud"
 
-    return _sorting_run(net, values, list(pi), box_for, states, (w_basis, duals))
+    duals = tuple(BitVector(m.n, r) for r in inv_rows)
+    return values, list(pi), box, (w_basis, duals)
 
 
 def clearing_circuit(m: BitMatrix, net: ComparatorNetwork) -> Circuit:
@@ -177,14 +153,13 @@ def clearing_circuit(m: BitMatrix, net: ComparatorNetwork) -> Circuit:
     Raises:
         SingularMatrixError: if m is singular.
     """
-    return schedule(m.n, _clearing_run(m, net))
+    values, labels, box, _ = _clearing(m, net)
+    return _sorting_run(net.layers, labels, values, box)
 
 
 def clearing_states(m: BitMatrix, net: ComparatorNetwork) -> list[LabeledWireState]:
     """Wire states after each clearing layer (index 0 = initial state)."""
-    states: list[LabeledWireState] = []
-    _clearing_run(m, net, states)
-    return states
+    return _stage_states(_clearing(m, net), net)
 
 
 def reversal_layers(net: ComparatorNetwork) -> tuple[tuple[int, ...], ...]:
@@ -192,11 +167,12 @@ def reversal_layers(net: ComparatorNetwork) -> tuple[tuple[int, ...], ...]:
     return fired_comparators(net, list(range(net.n, 0, -1)))
 
 
-def _reduction_run(
-    nw: BitMatrix, net: ComparatorNetwork, states: "list[LabeledWireState] | None" = None
-) -> list[Gate]:
-    """Run the reduction stage; it swaps exactly at reversal_layers(net)."""
+def _reduction(nw: BitMatrix, net: ComparatorNetwork) -> tuple:
+    """Values, labels, box and basis of the reduction stage for _sorting_run;
+    it swaps exactly at reversal_layers(net)."""
     n = nw.n
+    if net.n != n:
+        raise ValueError(f"network on {net.n} wires, matrix of dimension {n}")
     if not is_northwest_triangular(nw):
         raise ValueError("matrix is not northwest-triangular")
     if not nw.is_invertible:
@@ -204,13 +180,12 @@ def _reduction_run(
     std = tuple(BitVector.unit(n, k) for k in range(1, n + 1))
     values = list(nw.cols)
 
-    def box_for(p: int, j: int) -> list[Gate]:
-        if (values[p - 1] >> (j - 1)) & 1:
-            # replace u by u^v, then exchange: outputs (v, u^v)
-            return [down(p), up(p)]
-        return [up(p), down(p), up(p)]
+    def box(p: int, j: int) -> str:
+        # with coordinate j of u set, replace u by u^v, then exchange:
+        # outputs (v, u^v); otherwise a plain swap
+        return "du" if (values[p - 1] >> (j - 1)) & 1 else "udu"
 
-    return _sorting_run(net, values, list(range(n, 0, -1)), box_for, states, (std, std))
+    return values, list(range(n, 0, -1)), box, (std, std)
 
 
 def triangular_reduction_circuit(nw: BitMatrix, net: ComparatorNetwork) -> Circuit:
@@ -222,14 +197,13 @@ def triangular_reduction_circuit(nw: BitMatrix, net: ComparatorNetwork) -> Circu
         ValueError: if nw is not northwest-triangular.
         SingularMatrixError: if nw is singular.
     """
-    return schedule(nw.n, _reduction_run(nw, net))
+    values, labels, box, _ = _reduction(nw, net)
+    return _sorting_run(net.layers, labels, values, box)
 
 
 def reduction_states(nw: BitMatrix, net: ComparatorNetwork) -> list[LabeledWireState]:
     """Wire states after each reduction layer (index 0 = initial state)."""
-    states: list[LabeledWireState] = []
-    _reduction_run(nw, net, states)
-    return states
+    return _stage_states(_reduction(nw, net), net)
 
 
 def synthesize(m: BitMatrix) -> Circuit:

@@ -11,7 +11,21 @@ import random
 import numpy as np
 import pytest
 
-from cnotline import BitMatrix
+from cnotline import (
+    BitMatrix,
+    BitVector,
+    Circuit,
+    LabeledWireState,
+    apply,
+    concat,
+    down,
+    inverse,
+    northwest_basis,
+    odd_even_network,
+    schedule,
+    up,
+)
+from cnotline.f2 import inverse as matrix_inverse
 from cnotline.search import _packed_generators, encode_state
 
 
@@ -177,6 +191,89 @@ def oracle_violations(slices) -> list[tuple]:
                 else:
                     owner[w] = g
     return out
+
+
+def oracle_sorting_run(net, values, labels, box_for, states, basis) -> list:
+    """Gate-list network runner: the reference for the slice-mask runner.
+
+    Runs every layer of the network, asks box_for(p, k) for the Gate
+    list of each swap and applies it to values as emitted; the caller
+    packs the list with schedule.  When states is a list, the state
+    before the first layer and after each layer is appended to it.
+    """
+    n = len(values)
+    gates: list = []
+    for layer in ((),) + net.layers:
+        for p in layer:
+            j, k = labels[p - 1], labels[p]
+            if j < k:
+                continue
+            labels[p - 1], labels[p] = k, j
+            box = box_for(p, k)
+            for g in box:
+                values[g.target - 1] ^= values[g.source - 1]
+            gates += box
+        if states is not None:
+            states.append(
+                LabeledWireState(BitMatrix(n, tuple(values)), tuple(labels), *basis)
+            )
+    return gates
+
+
+def oracle_clearing(m: BitMatrix, net, states=None) -> Circuit:
+    """Clearing stage through oracle_sorting_run and schedule."""
+    w_basis, pi = northwest_basis(m)
+    inv_rows = matrix_inverse(BitMatrix.from_columns(w_basis)).packed_rows()
+    duals = tuple(BitVector(m.n, r) for r in inv_rows)
+    values = list(m.cols)
+
+    def box_for(p, k):
+        u, v = values[p - 1], values[p]
+        dual_k = duals[k - 1].bits
+        if (dual_k & v).bit_count() & 1 == 0:
+            return []
+        if (dual_k & (u ^ v)).bit_count() & 1 == 0:
+            return [down(p)]
+        return [up(p), down(p)]
+
+    gates = oracle_sorting_run(net, values, list(pi), box_for, states, (w_basis, duals))
+    return schedule(m.n, gates)
+
+
+def oracle_reduction(nw: BitMatrix, net, states=None) -> Circuit:
+    """Reduction stage through oracle_sorting_run and schedule."""
+    n = nw.n
+    std = tuple(BitVector.unit(n, k) for k in range(1, n + 1))
+    values = list(nw.cols)
+
+    def box_for(p, j):
+        if (values[p - 1] >> (j - 1)) & 1:
+            return [down(p), up(p)]
+        return [up(p), down(p), up(p)]
+
+    labels = list(range(n, 0, -1))
+    return schedule(n, oracle_sorting_run(net, values, labels, box_for, states, (std, std)))
+
+
+def oracle_synthesize(m: BitMatrix) -> Circuit:
+    """The depth-5n pipeline through the oracle stages."""
+    if m == BitMatrix.identity(m.n):
+        return Circuit(m.n)
+    net = odd_even_network(m.n)
+    clearing = oracle_clearing(m, net)
+    reduction = oracle_reduction(apply(clearing, m), net)
+    return concat(inverse(reduction), inverse(clearing))
+
+
+def oracle_permutation_circuit(perm) -> Circuit:
+    """A 3-gate swap per fired comparator of the full odd-even network."""
+    n = len(perm)
+
+    def swap(p, k):
+        return [up(p), down(p), up(p)]
+
+    gates = oracle_sorting_run(odd_even_network(n), [0] * n, list(perm), swap, None, ())
+    return schedule(n, gates)
 
 
 @pytest.fixture

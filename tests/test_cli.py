@@ -382,6 +382,26 @@ def test_synth_refuses_past_cell_limit_exits_three(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,got",
+    [
+        (["add", "--n", "-5000"], -5000),
+        (["swap", "--n", "1"], 1),
+        (["rotate", "--n", "0"], 0),
+        (["reverse", "--n", "-5000"], -5000),
+        (["gather", "--n", "-5000", "--positions", "1,2"], -5000),
+        (["permute", "--perm", "1"], 1),
+    ],
+    ids=["add", "swap", "rotate", "reverse", "gather", "permute"],
+)
+def test_synth_bad_wire_count_exits_two(capsys, argv, got):
+    # checked before any size formula is budgeted: reverse at n = -5000
+    # would otherwise count n^2 - 1 gates and be refused with exit 3
+    code, out, err = run(capsys, "synth", "--op", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: need at least 2 wires, got {got}\n"
+
+
+@pytest.mark.parametrize(
     "argv,cells",
     [
         (["add", "--n", "9"], 13 * 9),

@@ -2,13 +2,16 @@
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cnotline import (
     BitMatrix,
     BoxSpec,
     add_circuit,
+    circuit_to_text,
     box_circuit,
     fired_comparators,
     gather_circuit,
@@ -25,7 +28,7 @@ from cnotline import (
     swap_circuit,
     validate,
 )
-from conftest import add_target, cyclic_matrix, swap_target
+from conftest import add_target, cyclic_matrix, oracle_permutation_circuit, swap_target
 
 
 def ceil_half(n):
@@ -157,6 +160,46 @@ def test_inversion_count_oracle(rng):
             if perm[i] > perm[j]
         )
         assert inversion_count(perm) == want
+
+
+@given(st.lists(st.integers(-5, 5), max_size=40))
+def test_inversion_count_matches_brute_force(seq):
+    want = sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+    assert inversion_count(seq) == want
+
+
+def test_permutation_circuit_matches_gate_list_oracle():
+    rng = random.Random(300)
+    for n in range(2, 301):
+        swapped = list(range(1, n + 1))
+        i = rng.randrange(n - 1)
+        swapped[i : i + 2] = swapped[i + 1], swapped[i]
+        shuffled = list(range(1, n + 1))
+        rng.shuffle(shuffled)
+        perms = [list(range(1, n + 1)), swapped]
+        # shuffles and the reversal fire about n^2/4 and n^2/2 swaps,
+        # too many to check at every n up to 300
+        if n <= 60 or n % 20 == 0:
+            perms += [shuffled, list(range(n, 0, -1))]
+        for perm in perms:
+            assert circuit_to_text(permutation_circuit(perm)) == circuit_to_text(
+                oracle_permutation_circuit(perm)
+            )
+
+
+@pytest.mark.parametrize("swap_at", [None, 1, 2, 9999, 19999])
+def test_permutation_circuit_scales_with_swaps(swap_at):
+    # the run stops once the labels are sorted: no n^2 network is built
+    perm = list(range(1, 20001))
+    if swap_at is not None:
+        perm[swap_at - 1 : swap_at + 1] = perm[swap_at], perm[swap_at - 1]
+    start = time.perf_counter()
+    c = permutation_circuit(perm)
+    assert time.perf_counter() - start < 1.0
+    assert c.size == (0 if swap_at is None else 3)
+    assert c.depth == (0 if swap_at is None else 3)
 
 
 def test_permutation_circuit_properties(rng):

@@ -19,13 +19,20 @@ from cnotline import (
     northwest_basis,
     odd_even_network,
     permutation_circuit,
+    permutation_matrix,
     reduction_states,
     reversal_layers,
     synthesize,
     triangular_reduction_circuit,
     validate,
 )
-from conftest import random_invertible, random_northwest
+from conftest import (
+    oracle_clearing,
+    oracle_reduction,
+    oracle_synthesize,
+    random_invertible,
+    random_northwest,
+)
 
 
 def brute_lex_min(col, others):
@@ -212,3 +219,47 @@ def test_permutation_circuit_output_is_pinned():
     assert _text_sha256(permutation_circuit(perm)) == (
         "295ec6c9b5f75c25d25f4618c16a55b5959873b2a6c5de67fbddaf8e4824021a"
     )
+
+
+def _stage_targets(n, rng):
+    """A random invertible, the identity, the reversal and a permutation matrix."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return [
+        random_invertible(n, rng),
+        BitMatrix.identity(n),
+        BitMatrix.anti_identity(n),
+        permutation_matrix(perm),
+    ]
+
+
+def test_stages_match_gate_list_oracle():
+    rng = random.Random(70)
+    for n in range(2, 71):
+        net = odd_even_network(n)
+        for m in _stage_targets(n, rng):
+            want = oracle_synthesize(m)
+            assert circuit_to_text(synthesize(m)) == circuit_to_text(want)
+            want = oracle_clearing(m, net)
+            assert circuit_to_text(clearing_circuit(m, net)) == circuit_to_text(want)
+        nw = random_northwest(n, rng)
+        want = oracle_reduction(nw, net)
+        assert circuit_to_text(triangular_reduction_circuit(nw, net)) == (
+            circuit_to_text(want)
+        )
+
+
+def test_stage_states_match_oracle_layer_by_layer():
+    rng = random.Random(12)
+    for n in range(2, 14):
+        net = odd_even_network(n)
+        # the reversal's clearing labels start sorted, so that run stops
+        # before its first layer and repeats the initial state
+        for m in _stage_targets(n, rng):
+            want = []
+            oracle_clearing(m, net, want)
+            assert clearing_states(m, net) == want
+        for nw in (random_northwest(n, rng), BitMatrix.anti_identity(n)):
+            want = []
+            oracle_reduction(nw, net, want)
+            assert reduction_states(nw, net) == want
