@@ -19,20 +19,17 @@ from .circuit import (
     parse_circuit_text,
 )
 from .constructions import (
+    FAMILIES,
     GATHER_DEPTH_PER_POSITION,
-    add_circuit,
     gather_circuit,
     gather_moves,
     inversion_count,
     permutation_circuit,
-    reverse_circuit,
-    rotate_circuit,
-    swap_circuit,
 )
 from .f2 import BitMatrix, parse_matrix_text
 from .glsynth import synthesize
 from .render import render_circuit
-from .search import ResourceLimitError, distance, max_depth
+from .search import ResourceLimitError, check_wire_count, distance, max_depth
 
 
 # synth refuses a family past either limit, counting gates and depth
@@ -62,8 +59,8 @@ def _require_n(args: argparse.Namespace) -> int:
     return args.n
 
 
-def _within_budget(op: str, gates: int, depth: int, n: int) -> int:
-    """The gate count of op, refused past either synth limit."""
+def _within_budget(op: str, gates: int, depth: int, n: int) -> None:
+    """Refuse op past either synth limit."""
     if gates > SYNTH_GATE_LIMIT:
         raise ResourceLimitError(
             f"synth --op {op} would build {gates} gates, more than the "
@@ -74,7 +71,6 @@ def _within_budget(op: str, gates: int, depth: int, n: int) -> int:
             f"synth --op {op} would build {depth} slices on {n} wires, more "
             f"than the limit of {SYNTH_CELL_LIMIT} slice-wire cells"
         )
-    return gates
 
 
 def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
@@ -85,27 +81,13 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
     SYNTH_CELL_LIMIT.
     """
     op = args.op
-    if op == "add":
+    if op in FAMILIES:
         n = _require_n(args)
-        bound = 2 * ((n + 1) // 2) + 3
-        size = _within_budget(op, 4 * n - 7, bound, n)
-        return add_circuit(n), [f"size formula 4n-7 = {size}, depth bound {bound}"]
-    if op == "swap":
-        n = _require_n(args)
-        bound = 2 * ((n + 1) // 2) + 7
-        size = _within_budget(op, 6 * n - 9, bound, n)
-        return swap_circuit(n), [f"size formula 6n-9 = {size}, depth bound {bound}"]
-    if op == "rotate":
-        n = _require_n(args)
-        # n = 2 degenerates to the 3-gate swap
-        formula, bound = ("6n-9", 3) if n == 2 else ("4n-6", n + 5)
-        size = _within_budget(op, 3 if n == 2 else 4 * n - 6, bound, n)
-        return rotate_circuit(n), [f"size formula {formula} = {size}, depth bound {bound}"]
-    if op == "reverse":
-        n = _require_n(args)
-        depth = 3 if n == 2 else 2 * n + 2
-        size = _within_budget(op, n * n - 1, depth, n)
-        return reverse_circuit(n), [f"size formula n^2-1 = {size}, depth {depth}"]
+        build, cost, exact_depth = FAMILIES[op]
+        formula, size, depth = cost(n)
+        _within_budget(op, size, depth, n)
+        label = "depth" if exact_depth else "depth bound"
+        return build(n), [f"size formula {formula} = {size}, {label} {depth}"]
     if op == "permute":
         if args.perm is None:
             raise ValueError("--perm is required for op permute")
@@ -115,7 +97,8 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
                 f"--n {args.n} does not match permutation length {len(perm)}"
             )
         n = len(perm)
-        size = _within_budget(op, 3 * inversion_count(perm), 3 * n, n)
+        size = 3 * inversion_count(perm)
+        _within_budget(op, size, 3 * n, n)
         c = permutation_circuit(perm)
         return c, [f"size formula 3*inversions = {size}, depth bound {3 * n}"]
     if op == "matrix":
@@ -216,6 +199,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"max_depth = {result.value}")
         print(f"visited_count = {result.visited_count}")
         return 0
+    # before the target is built: a huge n would cost n^2 bits
+    check_wire_count(args.n)
     if args.reversal:
         target = BitMatrix.anti_identity(args.n)
     else:

@@ -3,9 +3,10 @@
 Each construction emits its gates in an order chosen so that the greedy
 scheduler reproduces the intended depth; where a construction depends
 on reordering commuting gates, the emitted sequence is already the
-reordered one.  Permutation routing and the synthesis stages in glsynth
-instead run a sorting network through _sorting_run, which writes each
-swap's gates straight into slice masks where the scheduler would put them.
+reordered one; FAMILIES holds their proven sizes and depths.  Permutation
+routing and the synthesis stages in glsynth instead run a sorting network
+through _sorting_run, which writes each swap's box from _BOX_GATES
+straight into slice masks where the scheduler would put its gates.
 """
 
 from __future__ import annotations
@@ -107,10 +108,8 @@ def rotate_circuit(n: int) -> Circuit:
     Size 4n - 6 and depth at most n + 5 for n > 2; n = 2 degenerates to
     the 3-gate swap.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 wires, got {n}")
-    if n == 2:
-        return swap_circuit(2)
+    if n <= 2:
+        return swap_circuit(n)
     k = (n + 1) // 2
     head = schedule(n, rotation_block(1, k)[0])
     tail = schedule(n, rotation_block(k, n)[1])
@@ -149,6 +148,22 @@ def reverse_circuit(n: int) -> Circuit:
     return schedule(n, gates)
 
 
+# Each closed-form family: its builder, cost(n) = (proven size formula,
+# size, depth bound) for n >= 2, and whether that bound is the exact depth.
+FAMILIES = {
+    "add": (add_circuit, lambda n: ("4n-7", 4 * n - 7, 2 * ((n + 1) // 2) + 3), False),
+    "swap": (swap_circuit, lambda n: ("6n-9", 6 * n - 9, 2 * ((n + 1) // 2) + 7), False),
+    "rotate": (
+        rotate_circuit,
+        lambda n: ("6n-9", 3, 3) if n == 2 else ("4n-6", 4 * n - 6, n + 5),
+        False,
+    ),
+    "reverse": (
+        reverse_circuit, lambda n: ("n^2-1", n * n - 1, 3 if n == 2 else 2 * n + 2), True
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ComparatorNetwork:
     """Adjacent-wire sorting network: layers of non-conflicting positions."""
@@ -180,10 +195,11 @@ def _sorting_run(
     """Sort labels in place with comparator layers, a box of gates per swap.
 
     box(p, k) names the gates for the swap at p that moves label k up
-    onto wire p: at most three of "u" for up(p) and "d" for down(p).
-    They are applied to values and ORed straight into slice masks, each
-    in the first slice after every earlier gate on its wires, which is
-    where schedule puts them.  The run stops once the labels are sorted.
+    onto wire p, an entry of _BOX_GATES: at most three of "u" for up(p)
+    and "d" for down(p).  They are applied to values and ORed straight
+    into slice masks, each in the first slice after every earlier gate
+    on its wires, which is where schedule puts them.  The run stops once
+    the labels are sorted.
     """
     cap = 3 * len(layers)
     ups, downs, last = [0] * cap, [0] * cap, [0] * len(labels)
@@ -283,10 +299,28 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
     _check_permutation(perm)
     n = len(perm)
     layers = odd_even_network(n).layers
-    return _sorting_run(layers, list(perm), [0] * n, lambda p, k: "udu")
+    swap = _BOX_GATES[("v", "u")]
+    return _sorting_run(layers, list(perm), [0] * n, lambda p, k: swap)
 
 
-_BOX_OUTPUTS = ("u", "v", "u^v")
+# Minimal gate sequences, in _sorting_run's form ("u" for up(p), "d" for
+# down(p)), for every valid output pair; upper wire input u, lower v.
+# Fully specified pairs realize the exact optimal depths 0,1,1,2,2,3;
+# pairs with one free output need depth at most 2.
+_BOX_GATES: dict[tuple[str, str], str] = {
+    ("u", "v"): "",
+    ("u", "u^v"): "d",
+    ("u^v", "v"): "u",
+    ("u^v", "u"): "ud",
+    ("v", "u^v"): "du",
+    ("v", "u"): "udu",
+    ("u", "free"): "",
+    ("v", "free"): "du",
+    ("u^v", "free"): "u",
+    ("free", "v"): "",
+    ("free", "u"): "ud",
+    ("free", "u^v"): "d",
+}
 
 
 @dataclass(frozen=True)
@@ -297,32 +331,11 @@ class BoxSpec:
     second_out: str
 
     def __post_init__(self) -> None:
-        for out in (self.first_out, self.second_out):
-            if out not in _BOX_OUTPUTS and out != "free":
-                raise ValueError(f"bad box output {out!r}")
-        if self.first_out == "free" and self.second_out == "free":
-            raise ValueError("at most one box output may be free")
-        if self.first_out == self.second_out:
-            raise ValueError(f"box outputs must differ, got {self.first_out!r} twice")
-
-
-# Minimal gate sequences per output pair, upper wire input u, lower v.
-# Fully specified pairs realize the exact optimal depths 0,1,1,2,2,3;
-# pairs with one free output need depth at most 2.
-_BOX_GATES: dict[tuple[str, str], tuple[str, ...]] = {
-    ("u", "v"): (),
-    ("u", "u^v"): ("d",),
-    ("u^v", "v"): ("u",),
-    ("u^v", "u"): ("u", "d"),
-    ("v", "u^v"): ("d", "u"),
-    ("v", "u"): ("u", "d", "u"),
-    ("u", "free"): (),
-    ("v", "free"): ("d", "u"),
-    ("u^v", "free"): ("u",),
-    ("free", "v"): (),
-    ("free", "u"): ("u", "d"),
-    ("free", "u^v"): ("d",),
-}
+        if (self.first_out, self.second_out) not in _BOX_GATES:
+            raise ValueError(
+                f"bad box outputs {self.first_out!r}, {self.second_out!r}: each is "
+                "u, v, u^v or free, they differ, and at most one is free"
+            )
 
 
 def box_circuit(position: int, spec: BoxSpec) -> list[Gate]:

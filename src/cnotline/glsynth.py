@@ -7,7 +7,9 @@ matrix to the identity with depth-3 boxes riding the network's reversal
 schedule (depth at most 3n).  Inverting both stages yields a circuit
 computing the matrix.  Each stage is a box rule for the network runner
 constructions._sorting_run, which writes the boxes straight into slice
-masks: no gate list is built and no schedule pass runs.
+masks: no gate list is built and no schedule pass runs.  Both stages
+take their boxes from constructions._BOX_GATES, as permutation routing
+does.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from . import circuit as circuit_mod
 from .circuit import Circuit
 from .constructions import ComparatorNetwork, fired_comparators, odd_even_network
-from .constructions import _sorting_run
+from .constructions import _BOX_GATES, _sorting_run
 from .f2 import (
     BitMatrix,
     BitVector,
@@ -132,16 +134,17 @@ def _clearing(m: BitMatrix, net: ComparatorNetwork) -> tuple:
     # row k of the inverse of [w_1 ... w_n] is the dual functional of w_k
     inv_rows = matrix_inverse(BitMatrix.from_columns(w_basis)).packed_rows()
     values = list(m.cols)
+    keep, add, swap = (_BOX_GATES[("free", out)] for out in ("v", "u^v", "u"))
 
     def box(p: int, k: int) -> str:
-        # write some member of span{w_l : l != k} to the lower wire,
-        # cheapest output first; u itself always qualifies because
-        # the span has codimension 1
+        # the upper output is free: write some member of span{w_l : l != k}
+        # to the lower wire, cheapest output first; u itself always
+        # qualifies because the span has codimension 1
         u, v = values[p - 1], values[p]
         dual_k = inv_rows[k - 1]
         if (dual_k & v).bit_count() & 1 == 0:
-            return ""
-        return "d" if (dual_k & (u ^ v)).bit_count() & 1 == 0 else "ud"
+            return keep
+        return add if (dual_k & (u ^ v)).bit_count() & 1 == 0 else swap
 
     duals = tuple(BitVector(m.n, r) for r in inv_rows)
     return values, list(pi), box, (w_basis, duals)
@@ -179,11 +182,11 @@ def _reduction(nw: BitMatrix, net: ComparatorNetwork) -> tuple:
         raise SingularMatrixError(f"matrix of dimension {n} is singular")
     std = tuple(BitVector.unit(n, k) for k in range(1, n + 1))
     values = list(nw.cols)
+    fold, swap = _BOX_GATES[("v", "u^v")], _BOX_GATES[("v", "u")]
 
     def box(p: int, j: int) -> str:
-        # with coordinate j of u set, replace u by u^v, then exchange:
-        # outputs (v, u^v); otherwise a plain swap
-        return "du" if (values[p - 1] >> (j - 1)) & 1 else "udu"
+        # with coordinate j of u set, output (v, u^v); otherwise a plain swap
+        return fold if (values[p - 1] >> (j - 1)) & 1 else swap
 
     return values, list(range(n, 0, -1)), box, (std, std)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, TimeSlice, down, up
-from .f2 import BitMatrix
+from .f2 import BitMatrix, transpose
 
 # Largest n for the dense engine: its flag array has 2^(n^2) entries,
 # 32 MB at n = 5 and 64 GB at n = 6, so larger n use the sorted engine.
@@ -56,6 +56,12 @@ _DENSE_CHUNK = 1 << 15
 
 class ResourceLimitError(RuntimeError):
     """Raised when a search would exceed its declared memory budget."""
+
+
+def check_wire_count(n: int, top: int = 8) -> None:
+    """Refuse n outside 2..top; at n = 8 a packed state fills a uint64."""
+    if not 2 <= n <= top:
+        raise ValueError(f"supported wire counts are 2..{top}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,7 @@ def slice_generators(n: int) -> list[TimeSlice]:
     g(t) = g(t-1) + 2 g(t-2): a position is either skipped or carries
     one of two gate directions, blocking its neighbor.
     """
-    if not 2 <= n <= 8:
-        raise ValueError(f"supported wire counts are 2..8, got {n}")
+    check_wire_count(n)
     out: list[TimeSlice] = []
 
     def extend(pos: int, chosen: tuple) -> None:
@@ -106,25 +111,13 @@ def slice_generators(n: int) -> list[TimeSlice]:
 
 
 def encode_state(m: BitMatrix) -> int:
-    """Pack entry (i, j) into bit (i-1)*n + (j-1) of an integer."""
-    n = m.n
-    code = 0
-    for j, col in enumerate(m.cols):
-        while col:
-            low = col & -col
-            code |= 1 << ((low.bit_length() - 1) * n + j)
-            col ^= low
-    return code
+    """Pack entry (i, j) into bit (i-1)*n + (j-1): the packed rows end to end."""
+    return sum(row << (i * m.n) for i, row in enumerate(m.packed_rows()))
 
 
 def decode_state(n: int, code: int) -> BitMatrix:
-    cols = [0] * n
-    while code:
-        low = code & -code
-        pos = low.bit_length() - 1
-        cols[pos % n] |= 1 << (pos // n)
-        code ^= low
-    return BitMatrix(n, tuple(cols))
+    mask = (1 << n) - 1
+    return transpose(BitMatrix(n, tuple((code >> (i * n)) & mask for i in range(n))))
 
 
 def _packed_generators(n: int) -> list[tuple[int, int]]:
@@ -315,9 +308,11 @@ def distance(
         SearchResult with mode "distance-to-target".
 
     Raises:
+        ValueError: for n outside 2..8.
         ResourceLimitError: above n = 5 without a depth limit, or when
             the levels would exceed SORTED_LIMIT states.
     """
+    check_wire_count(n)
     if target.n != n:
         raise ValueError(f"target dimension {target.n} does not match n={n}")
     if not target.is_invertible:
@@ -346,8 +341,7 @@ def max_depth(n: int) -> SearchResult:
 
     Only the dense engine sweeps a whole group, so n = 6 is refused.
     """
-    if not 2 <= n <= 6:
-        raise ValueError(f"supported wire counts are 2..6, got {n}")
+    check_wire_count(n, 6)
     if n > DENSE_LIMIT:
         raise ResourceLimitError(
             "the n=6 sweep would walk all 20158709760 elements of GL_6(2), "

@@ -20,6 +20,7 @@ from cnotline import (
     validate,
 )
 from cnotline.cli import main
+from cnotline.constructions import FAMILIES
 from conftest import random_invertible
 
 
@@ -262,6 +263,22 @@ def test_search_rejects_negative_depth_limit(capsys):
     assert "error:" in err and "distance" not in out
 
 
+@pytest.mark.parametrize("n", [1, 9, 100000])
+def test_search_unsupported_n_exits_two(capsys, n):
+    # checked before the n x n reversal is built or any budget is counted
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--n", str(n), "--reversal")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: supported wire counts are 2..8, got {n}\n"
+
+
+def test_search_unlimited_n7_exits_three(capsys):
+    code, out, err = run(capsys, "search", "--n", "7", "--reversal")
+    assert code == 3 and out == ""
+    assert "pass a depth limit" in err
+
+
 def test_search_n8_witness(capsys, tmp_path):
     # at n = 8 entry (8, 8) packs to bit 63 of the state code
     witness = tmp_path / "w.circuit"
@@ -437,12 +454,13 @@ def _synth_notes(capsys, *argv):
     return depth, size, int(formula.split(" = ")[1]), int(bound.split()[-1])
 
 
-@pytest.mark.parametrize("op", ["add", "swap", "rotate", "reverse"])
+@pytest.mark.parametrize("op", FAMILIES)
 def test_synth_formula_notes_match_circuits(capsys, op):
+    exact_depth = FAMILIES[op][2]
     for n in range(2, 41):
         depth, size, noted_size, bound = _synth_notes(capsys, op, "--n", str(n))
         assert size == noted_size
-        assert depth == bound if op == "reverse" else depth <= bound
+        assert depth == bound if exact_depth else depth <= bound
 
 
 def test_synth_permute_formula_notes_match_circuits(capsys):

@@ -28,6 +28,7 @@ from cnotline import (
     swap_circuit,
     validate,
 )
+from cnotline.constructions import FAMILIES
 from conftest import add_target, cyclic_matrix, oracle_permutation_circuit, swap_target
 
 
@@ -57,46 +58,33 @@ def test_pinned_odd_even_network():
     assert net.depth == 7 and net.size == 21
 
 
-@pytest.mark.parametrize("n", range(2, 33))
-def test_add_formulas_and_target(n):
-    c = add_circuit(n)
-    assert c.size == 4 * n - 7 if n > 2 else c.size == 1
-    assert c.depth <= 2 * ceil_half(n) + 3
-    assert matrix_of(c) == add_target(n)
-    assert not validate(c)
-    # every wire except n carries its own input back out
-    m = matrix_of(c)
-    assert all(m.column(j).bits == 1 << (j - 1) for j in range(1, n))
+FAMILY_TARGETS = {
+    "add": add_target,
+    "swap": swap_target,
+    # n = 2 builds the swap
+    "rotate": lambda n: swap_target(2) if n == 2 else cyclic_matrix(n),
+    "reverse": BitMatrix.anti_identity,
+}
 
 
-@pytest.mark.parametrize("n", range(2, 33))
-def test_swap_formulas_and_target(n):
-    c = swap_circuit(n)
-    assert c.size == 6 * n - 9
-    assert c.depth <= 2 * ceil_half(n) + 7
-    assert matrix_of(c) == swap_target(n)
-    assert not validate(c)
+def _family_test(name):
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test(n):
+        build, cost, exact_depth = FAMILIES[name]
+        c = build(n)
+        _, size, depth = cost(n)
+        assert c.size == size
+        assert c.depth == depth if exact_depth else c.depth <= depth
+        assert matrix_of(c) == FAMILY_TARGETS[name](n)
+        assert not validate(c)
+
+    return test
 
 
-@pytest.mark.parametrize("n", range(2, 33))
-def test_rotate_formulas_and_target(n):
-    c = rotate_circuit(n)
-    if n == 2:
-        assert c.size == 3 and matrix_of(c) == swap_target(2)
-        return
-    assert c.size == 4 * n - 6
-    assert c.depth <= n + 5
-    assert matrix_of(c) == cyclic_matrix(n)
-    assert not validate(c)
-
-
-@pytest.mark.parametrize("n", range(2, 33))
-def test_reverse_formulas_and_target(n):
-    c = reverse_circuit(n)
-    assert c.size == n * n - 1
-    assert c.depth == (3 if n == 2 else 2 * n + 2)
-    assert matrix_of(c) == BitMatrix.anti_identity(n)
-    assert not validate(c)
+# test_add_formulas_and_target and its kin: one test per FAMILIES entry,
+# so a family added later is checked too
+for _name in FAMILIES:
+    globals()[f"test_{_name}_formulas_and_target"] = _family_test(_name)
 
 
 def test_add_size_at_n2():

@@ -80,6 +80,19 @@ def test_slice_generators_range():
             slice_generators(n)
 
 
+def test_encode_state_layout_matches_list_oracle(rng):
+    # bit (i-1)*n + (j-1) holds entry (i, j)
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
+        m = BitMatrix.from_rows(entries)
+        code = sum(
+            entries[i][j] << (i * n + j) for i in range(n) for j in range(n)
+        )
+        assert encode_state(m) == code
+        assert decode_state(n, code) == m
+
+
 def test_encode_decode_round_trip(rng):
     for _ in range(100):
         n = rng.randint(2, 8)
@@ -169,6 +182,14 @@ def test_distance_input_validation():
         distance(3, BitMatrix.anti_identity(3), depth_limit=-1)
     with pytest.raises(ResourceLimitError):
         distance(6, BitMatrix.anti_identity(6))
+
+
+@pytest.mark.parametrize("limit", [None, 2])
+def test_distance_rejects_unsupported_n_before_budget(limit):
+    # n = 9 is an input error, not a refused budget, with or without a limit
+    for n in (1, 9):
+        with pytest.raises(ValueError, match=f"supported wire counts are 2..8, got {n}"):
+            distance(n, BitMatrix.anti_identity(n), limit)
 
 
 def test_max_depth_refuses_huge_without_flag():
