@@ -14,9 +14,7 @@ from .bounds import (
     BoundReport,
     cut_lower_bound,
     matrix_lower_bounds,
-    permutation_swap_lower,
     reversal_bounds,
-    reversal_cut_bound,
 )
 from .circuit import (
     Circuit,
@@ -29,8 +27,6 @@ from .circuit import (
     concat,
     crossing_counts,
     down,
-    flip,
-    from_gate_tokens,
     inverse,
     matrix_of,
     metrics,
@@ -42,16 +38,13 @@ from .circuit import (
 )
 from .constructions import (
     GATHER_DEPTH_PER_POSITION,
-    BoxSpec,
     ComparatorNetwork,
     add_circuit,
-    box_circuit,
     fired_comparators,
     gather_circuit,
     inversion_count,
     odd_even_network,
     permutation_circuit,
-    permutation_matrix,
     reverse_circuit,
     rotate_circuit,
     rotation_block,
@@ -66,22 +59,15 @@ from .f2 import (
     blocks,
     dual_functional,
     is_northwest_triangular,
-    lex_less,
     lex_min_coset,
     matrix_to_text,
-    matvec,
-    multiply,
     parse_matrix_text,
     rank,
     transpose,
 )
 from .glsynth import (
-    LabeledWireState,
     clearing_circuit,
-    clearing_states,
     northwest_basis,
-    reduction_states,
-    reversal_layers,
     synthesize,
     triangular_reduction_circuit,
 )
@@ -101,14 +87,12 @@ __all__ = [
     "BitMatrix",
     "BitVector",
     "BoundReport",
-    "BoxSpec",
     "Circuit",
     "CircuitMetrics",
     "ComparatorNetwork",
     "CutBlocks",
     "GATHER_DEPTH_PER_POSITION",
     "Gate",
-    "LabeledWireState",
     "ResourceLimitError",
     "SearchResult",
     "SingularMatrixError",
@@ -117,10 +101,8 @@ __all__ = [
     "add_circuit",
     "apply",
     "blocks",
-    "box_circuit",
     "circuit_to_text",
     "clearing_circuit",
-    "clearing_states",
     "concat",
     "crossing_counts",
     "cut_lower_bound",
@@ -128,35 +110,25 @@ __all__ = [
     "down",
     "dual_functional",
     "fired_comparators",
-    "flip",
-    "from_gate_tokens",
     "gather_circuit",
     "inverse",
     "inversion_count",
     "is_northwest_triangular",
-    "lex_less",
     "lex_min_coset",
     "matrix_lower_bounds",
     "matrix_of",
     "matrix_to_text",
-    "matvec",
     "max_depth",
     "metrics",
-    "multiply",
     "northwest_basis",
     "odd_even_network",
     "parse_circuit_text",
     "parse_gate_token",
     "parse_matrix_text",
     "permutation_circuit",
-    "permutation_matrix",
-    "permutation_swap_lower",
     "rank",
-    "reduction_states",
     "render_circuit",
     "reversal_bounds",
-    "reversal_cut_bound",
-    "reversal_layers",
     "reverse_circuit",
     "rotate_circuit",
     "rotation_block",

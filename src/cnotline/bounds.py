@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constructions import _check_permutation, inversion_count
 from .f2 import BitMatrix, _echelon_add
 
 
@@ -95,17 +94,6 @@ def matrix_lower_bounds(m: BitMatrix) -> BoundReport:
     )
 
 
-def reversal_cut_bound(n: int, k: int) -> int:
-    """Gates forced between wires k and k+1 by any reversal circuit: 2k+1.
-
-    The extra gate beyond the generic rank count comes from the first
-    crossing gate, which cannot change any block rank yet.
-    """
-    if not 1 <= k <= n / 2:
-        raise ValueError(f"cut {k} out of range 1..{n}/2")
-    return 2 * k + 1
-
-
 def reversal_bounds(n: int) -> tuple[int, int]:
     """Proven (depth, size) lower bounds for reversing n >= 3 wires.
 
@@ -116,13 +104,3 @@ def reversal_bounds(n: int) -> tuple[int, int]:
     if n % 2 == 0:
         return 2 * n + 1, (n * n + 2 * n) // 2
     return 2 * n + 1, (n * n + 2 * n - 1) // 2
-
-
-def permutation_swap_lower(perm: Sequence[int]) -> int:
-    """Minimum adjacent swaps realizing the permutation: its inversions.
-
-    Each adjacent swap removes at most one inversion, so no swap network
-    for perm can use fewer.
-    """
-    _check_permutation(perm)
-    return inversion_count(perm)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -278,24 +278,6 @@ def inverse(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n, tuple(reversed(circuit.slices)))
 
 
-def flip(circuit: Circuit) -> Circuit:
-    """Reflect the circuit upside down, wire w becoming wire n + 1 - w.
-
-    The computed matrix conjugates by the anti-identity: if the circuit
-    computes M, the flipped circuit computes J M J.
-    """
-    n = circuit.n
-
-    def mirror(mask: int) -> int:
-        # up(p) = (p <- p + 1) becomes (n + 1 - p <- n - p) = down(n - p)
-        return int(format(mask, f"0{n + 1}b")[::-1], 2)
-
-    return Circuit(
-        n,
-        tuple(TimeSlice(up=mirror(sl.down), down=mirror(sl.up)) for sl in circuit.slices),
-    )
-
-
 def circuit_to_text(circuit: Circuit) -> str:
     """Serialize: header "n <wires>", then one line of gate tokens per slice."""
     slice_index, pos, direction = circuit._gate_table
@@ -324,9 +306,11 @@ def parse_circuit_text(text: str) -> Circuit:
     n = int(head[1])
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
-    # token -> bit p for up(p), n + p for down(p): one sum gives both masks
+    # token -> bit p for up(p), shift + p for down(p): one sum gives both
+    # masks.  shift only passes the positions learned so far, so memory
+    # follows the gates, not the header.
     bit_of: dict[str, int] = {}
-    low = (1 << n) - 1
+    shift = low = 0
     slices = []
     for lineno, ln in enumerate(lines[1:], start=2):
         tokens = ln.split()
@@ -335,19 +319,27 @@ def parse_circuit_text(text: str) -> Circuit:
         try:
             code = sum(map(bit_of.__getitem__, tokens))
         except KeyError:
-            code = _line_code(tokens, n, lineno, bit_of)
-        u, d = code & low, code >> n
+            code, shift = _line_code(tokens, n, lineno, bit_of, shift)
+            low = (1 << shift) - 1
+        u, d = code & low, code >> shift
         w = u | d
         if code.bit_count() != len(tokens) or u & d or w & (w >> 1):
             # a repeated token or a shared wire: raises
-            _line_code(tokens, n, lineno, bit_of)
+            _line_code(tokens, n, lineno, bit_of, shift)
         slices.append(TimeSlice(up=u, down=d))
     return Circuit(n, tuple(slices))
 
 
-def _line_code(tokens: list[str], n: int, lineno: int, bit_of: dict[str, int]) -> int:
-    """Check a slice line token by token; learn and sum the tokens' bits."""
-    code = used = 0
+def _line_code(
+    tokens: list[str], n: int, lineno: int, bit_of: dict[str, int], shift: int
+) -> tuple[int, int]:
+    """Check a slice line token by token; learn and sum the tokens' bits.
+
+    Returns the code and the shift.  A line reaching past the shift at
+    least doubles it and forgets the bits learned under the old one.
+    """
+    gates = []
+    used = 0
     for tok in tokens:
         g = parse_gate_token(tok)
         if g.position >= n:
@@ -356,10 +348,12 @@ def _line_code(tokens: list[str], n: int, lineno: int, bit_of: dict[str, int]) -
         if used & wires:
             raise ValueError(f"line {lineno}: wire collision at {tok}")
         used |= wires
-        code |= bit_of.setdefault(tok, 1 << (g.position + n * g.is_downward))
-    return code
-
-
-def from_gate_tokens(n: int, tokens: Sequence[str]) -> Circuit:
-    """Schedule a sequence of gate tokens such as ("u1", "d2")."""
-    return schedule(n, [parse_gate_token(t) for t in tokens])
+        gates.append(g)
+    # the top position is bit_length - 2, and the shift must pass it
+    if used.bit_length() - 1 > shift:
+        shift = max(2 * shift, used.bit_length() - 1)
+        bit_of.clear()
+    code = 0
+    for tok, g in zip(tokens, gates):
+        code |= bit_of.setdefault(tok, 1 << (g.position + shift * g.is_downward))
+    return code, shift

@@ -37,6 +37,9 @@ from .search import ResourceLimitError, check_wire_count, distance, max_depth
 # rotate, the costliest per cell, peaks near 300 MB.
 SYNTH_GATE_LIMIT = 1 << 20
 SYNTH_CELL_LIMIT = 1 << 28
+# render refuses a drawing of more wires times (depth + 1) cells; at the
+# limit, about 8 characters a cell, it peaks near 350 MB.
+RENDER_CELL_LIMIT = 1 << 24
 
 
 def _read(path: str) -> str:
@@ -157,6 +160,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     circuit = parse_circuit_text(_read(args.circuit))
+    if circuit.n * (circuit.depth + 1) > RENDER_CELL_LIMIT:
+        raise ResourceLimitError(
+            f"render would draw {circuit.depth} slices on {circuit.n} wires, more "
+            f"than the limit of {RENDER_CELL_LIMIT} slice-wire cells"
+        )
     sys.stdout.write(render_circuit(circuit))
     return 0
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .circuit import Circuit, Gate, TimeSlice, down, schedule, up
-from .f2 import BitMatrix
 
 # Measured nesting overhead of gather_circuit per gathered position; the
 # depth bound ceil(n/2) + GATHER_DEPTH_PER_POSITION * m is pinned by test.
@@ -273,21 +272,6 @@ def inversion_count(perm: Sequence[int]) -> int:
     return sort_count(list(perm))[1]
 
 
-def _check_permutation(perm: Sequence[int]) -> None:
-    if sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError(f"{perm!r} is not a permutation of 1..{len(perm)}")
-
-
-def permutation_matrix(perm: Sequence[int]) -> BitMatrix:
-    """Matrix sending wire perm[i-1] to a_i: column perm[i-1] = e_i."""
-    _check_permutation(perm)
-    n = len(perm)
-    cols = [0] * n
-    for i, image in enumerate(perm, start=1):
-        cols[image - 1] = 1 << (i - 1)
-    return BitMatrix(n, tuple(cols))
-
-
 def permutation_circuit(perm: Sequence[int]) -> Circuit:
     """Route wire contents so that wire perm[i-1] ends with a_i.
 
@@ -296,8 +280,9 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
     inversion count of perm and the depth is at most 3n.  The run stops
     once the labels are sorted, so its work grows with the swaps.
     """
-    _check_permutation(perm)
     n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
     layers = odd_even_network(n).layers
     swap = _BOX_GATES[("v", "u")]
     return _sorting_run(layers, list(perm), [0] * n, lambda p, k: swap)
@@ -321,29 +306,6 @@ _BOX_GATES: dict[tuple[str, str], str] = {
     ("free", "u"): "ud",
     ("free", "u^v"): "d",
 }
-
-
-@dataclass(frozen=True)
-class BoxSpec:
-    """Requested two-wire action: each output is u, v, u^v, or "free"."""
-
-    first_out: str
-    second_out: str
-
-    def __post_init__(self) -> None:
-        if (self.first_out, self.second_out) not in _BOX_GATES:
-            raise ValueError(
-                f"bad box outputs {self.first_out!r}, {self.second_out!r}: each is "
-                "u, v, u^v or free, they differ, and at most one is free"
-            )
-
-
-def box_circuit(position: int, spec: BoxSpec) -> list[Gate]:
-    """Gate list realizing the requested outputs on wires (position, position + 1)."""
-    if position < 1:
-        raise ValueError(f"position must be positive, got {position}")
-    kinds = _BOX_GATES[(spec.first_out, spec.second_out)]
-    return [up(position) if kind == "u" else down(position) for kind in kinds]
 
 
 def gather_moves(n: int, positions: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:

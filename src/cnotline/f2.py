@@ -39,15 +39,6 @@ class BitVector:
             raise ValueError(f"coordinate {k} out of range 1..{n}")
         return cls(n, 1 << (k - 1))
 
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "BitVector":
-        bits = 0
-        for i, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError(f"coordinate {i + 1} is {c}, expected 0 or 1")
-            bits |= c << i
-        return cls(len(coords), bits)
-
     def get(self, i: int) -> int:
         if not 1 <= i <= self.n:
             raise ValueError(f"coordinate {i} out of range 1..{self.n}")
@@ -67,26 +58,12 @@ class BitVector:
             raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
         return (self.bits & other.bits).bit_count() & 1
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def top_coordinate(self) -> int:
         """Largest i with coordinate i set, or 0 for the zero vector."""
         return self.bits.bit_length()
 
     def __str__(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.n))
-
-
-def lex_less(u: BitVector, v: BitVector) -> bool:
-    """Strict lexicographic order that weighs coordinate n heaviest.
-
-    Equivalent to comparing the packed integer values, which is why the
-    packing puts coordinate i at bit i-1.
-    """
-    if u.n != v.n:
-        raise ValueError(f"dimension mismatch: {u.n} vs {v.n}")
-    return u.bits < v.bits
 
 
 @dataclass(frozen=True)
@@ -181,20 +158,6 @@ class BitMatrix:
         return cls(n, tuple(1 << (n - 1 - i) for i in range(n)))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise ValueError("matrix must be square")
-        cols = [0] * n
-        for i, r in enumerate(rows):
-            for j, e in enumerate(r):
-                if e not in (0, 1):
-                    raise ValueError(f"entry ({i + 1}, {j + 1}) is {e}, expected 0 or 1")
-                cols[j] |= e << i
-        return cls(n, tuple(cols))
-
-    @classmethod
     def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
         n = len(columns)
         for v in columns:
@@ -211,14 +174,6 @@ class BitMatrix:
         if not 1 <= j <= self.n:
             raise ValueError(f"column {j} out of range 1..{self.n}")
         return BitVector(self.n, self.cols[j - 1])
-
-    def row(self, i: int) -> BitVector:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"row {i} out of range 1..{self.n}")
-        bits = 0
-        for j in range(self.n):
-            bits |= ((self.cols[j] >> (i - 1)) & 1) << j
-        return BitVector(self.n, bits)
 
     def packed_rows(self) -> tuple[int, ...]:
         """Rows packed into ints, bit j-1 of row i-1 holding entry (i, j)."""
@@ -237,34 +192,6 @@ class BitMatrix:
 
 def transpose(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.n, m.packed_rows())
-
-
-def multiply(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product a @ b over GF(2)."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    cols = []
-    for bc in b.cols:
-        acc = 0
-        rest = bc
-        while rest:
-            low = rest & -rest
-            acc ^= a.cols[low.bit_length() - 1]
-            rest ^= low
-        cols.append(acc)
-    return BitMatrix(a.n, tuple(cols))
-
-
-def matvec(m: BitMatrix, v: BitVector) -> BitVector:
-    if m.n != v.n:
-        raise ValueError(f"dimension mismatch: {m.n} vs {v.n}")
-    acc = 0
-    rest = v.bits
-    while rest:
-        low = rest & -rest
-        acc ^= m.cols[low.bit_length() - 1]
-        rest ^= low
-    return BitVector(m.n, acc)
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
@@ -338,7 +265,7 @@ def dual_functional(basis: Sequence[BitVector], k: int) -> BitVector:
         raise ValueError(f"index {k} out of range 1..{n}")
     inv = inverse(BitMatrix.from_columns(basis))
     # row k of the inverse is the k-th dual functional
-    return inv.row(k)
+    return BitVector(n, inv.packed_rows()[k - 1])
 
 
 @dataclass(frozen=True)
@@ -355,17 +282,6 @@ class CutBlocks:
     top_right: BitBlock
     bottom_left: BitBlock
     bottom_right: BitBlock
-
-    def assemble(self) -> BitMatrix:
-        """Reassemble the original matrix from the four blocks."""
-        n, k = self.n, self.k
-        rows = []
-        for i in range(k):
-            rows.append(self.top_left.rows[i] | (self.top_right.rows[i] << k))
-        for i in range(n - k):
-            rows.append(self.bottom_left.rows[i] | (self.bottom_right.rows[i] << k))
-        # packed rows read as columns give the transpose
-        return transpose(BitMatrix(n, tuple(rows)))
 
 
 def blocks(m: BitMatrix, k: int) -> CutBlocks:

@@ -14,11 +14,9 @@ does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import circuit as circuit_mod
 from .circuit import Circuit
-from .constructions import ComparatorNetwork, fired_comparators, odd_even_network
+from .constructions import ComparatorNetwork, odd_even_network
 from .constructions import _BOX_GATES, _sorting_run
 from .f2 import (
     BitMatrix,
@@ -28,59 +26,6 @@ from .f2 import (
     is_northwest_triangular,
 )
 from .f2 import inverse as matrix_inverse
-
-
-@dataclass(frozen=True)
-class LabeledWireState:
-    """Snapshot of wire values and labels during a synthesis stage.
-
-    w_basis and duals describe the coordinate system the clearing stage
-    reasons in; the reduction stage uses the standard basis, where the
-    dual of e_k is e_k itself.
-    """
-
-    values: BitMatrix
-    labels: tuple[int, ...]
-    w_basis: tuple[BitVector, ...]
-    duals: tuple[BitVector, ...]
-
-    def clearing_violations(self) -> list[str]:
-        """Check: a wire's value has coefficient 0 on every lower wire's label."""
-        out = []
-        n = self.values.n
-        for i in range(1, n + 1):
-            value = self.values.column(i)
-            for h in range(1, i):
-                k = self.labels[h - 1]
-                if self.duals[k - 1].dot(value) != 0:
-                    out.append(
-                        f"wire {i} value has nonzero w_{k} coefficient; "
-                        f"label {k} sits on lower wire {h}"
-                    )
-        return out
-
-    def reduction_violations(self) -> list[str]:
-        """Check the triangular-stage invariants on coordinates.
-
-        (1) the value on a label-k wire has coordinate k set and all
-        higher coordinates clear; (2) it has coordinate j clear for
-        every smaller label j on a lower-numbered wire.
-        """
-        out = []
-        n = self.values.n
-        for i in range(1, n + 1):
-            k = self.labels[i - 1]
-            value = self.values.column(i)
-            if value.get(k) != 1 or value.top_coordinate() > k:
-                out.append(f"wire {i} (label {k}) value {value} not confined to e_{k}")
-            for h in range(1, i):
-                j = self.labels[h - 1]
-                if j < k and value.get(j) != 0:
-                    out.append(
-                        f"wire {i} (label {k}) value has coordinate {j} set; "
-                        f"label {j} sits on lower wire {h}"
-                    )
-        return out
 
 
 def northwest_basis(m: BitMatrix) -> tuple[tuple[BitVector, ...], tuple[int, ...]]:
@@ -113,21 +58,8 @@ def northwest_basis(m: BitMatrix) -> tuple[tuple[BitVector, ...], tuple[int, ...
     return tuple(w), tuple(pi)
 
 
-def _stage_states(stage: tuple, net: ComparatorNetwork) -> list[LabeledWireState]:
-    """The state before the first layer and after each layer of a stage,
-    the (values, labels, box, basis) of _clearing or _reduction, with basis
-    as its (w_basis, duals).  Layers after the labels are sorted repeat it."""
-    values, labels, box, basis = stage
-    states = []
-    for layer in ((),) + net.layers:
-        _sorting_run([layer], labels, values, box)
-        values_matrix = BitMatrix(len(values), tuple(values))
-        states.append(LabeledWireState(values_matrix, tuple(labels), *basis))
-    return states
-
-
 def _clearing(m: BitMatrix, net: ComparatorNetwork) -> tuple:
-    """Values, labels, box and basis of the clearing stage for _sorting_run."""
+    """Values, labels and box of the clearing stage for _sorting_run."""
     if net.n != m.n:
         raise ValueError(f"network on {net.n} wires, matrix of dimension {m.n}")
     w_basis, pi = northwest_basis(m)
@@ -146,8 +78,7 @@ def _clearing(m: BitMatrix, net: ComparatorNetwork) -> tuple:
             return keep
         return add if (dual_k & (u ^ v)).bit_count() & 1 == 0 else swap
 
-    duals = tuple(BitVector(m.n, r) for r in inv_rows)
-    return values, list(pi), box, (w_basis, duals)
+    return values, list(pi), box
 
 
 def clearing_circuit(m: BitMatrix, net: ComparatorNetwork) -> Circuit:
@@ -156,23 +87,13 @@ def clearing_circuit(m: BitMatrix, net: ComparatorNetwork) -> Circuit:
     Raises:
         SingularMatrixError: if m is singular.
     """
-    values, labels, box, _ = _clearing(m, net)
+    values, labels, box = _clearing(m, net)
     return _sorting_run(net.layers, labels, values, box)
 
 
-def clearing_states(m: BitMatrix, net: ComparatorNetwork) -> list[LabeledWireState]:
-    """Wire states after each clearing layer (index 0 = initial state)."""
-    return _stage_states(_clearing(m, net), net)
-
-
-def reversal_layers(net: ComparatorNetwork) -> tuple[tuple[int, ...], ...]:
-    """The comparators the network uses when sorting the reversal labeling."""
-    return fired_comparators(net, list(range(net.n, 0, -1)))
-
-
 def _reduction(nw: BitMatrix, net: ComparatorNetwork) -> tuple:
-    """Values, labels, box and basis of the reduction stage for _sorting_run;
-    it swaps exactly at reversal_layers(net)."""
+    """Values, labels and box of the reduction stage for _sorting_run; it
+    swaps exactly at the comparators that fire sorting the reversal labeling."""
     n = nw.n
     if net.n != n:
         raise ValueError(f"network on {net.n} wires, matrix of dimension {n}")
@@ -180,7 +101,6 @@ def _reduction(nw: BitMatrix, net: ComparatorNetwork) -> tuple:
         raise ValueError("matrix is not northwest-triangular")
     if not nw.is_invertible:
         raise SingularMatrixError(f"matrix of dimension {n} is singular")
-    std = tuple(BitVector.unit(n, k) for k in range(1, n + 1))
     values = list(nw.cols)
     fold, swap = _BOX_GATES[("v", "u^v")], _BOX_GATES[("v", "u")]
 
@@ -188,7 +108,7 @@ def _reduction(nw: BitMatrix, net: ComparatorNetwork) -> tuple:
         # with coordinate j of u set, output (v, u^v); otherwise a plain swap
         return fold if (values[p - 1] >> (j - 1)) & 1 else swap
 
-    return values, list(range(n, 0, -1)), box, (std, std)
+    return values, list(range(n, 0, -1)), box
 
 
 def triangular_reduction_circuit(nw: BitMatrix, net: ComparatorNetwork) -> Circuit:
@@ -200,13 +120,8 @@ def triangular_reduction_circuit(nw: BitMatrix, net: ComparatorNetwork) -> Circu
         ValueError: if nw is not northwest-triangular.
         SingularMatrixError: if nw is singular.
     """
-    values, labels, box, _ = _reduction(nw, net)
+    values, labels, box = _reduction(nw, net)
     return _sorting_run(net.layers, labels, values, box)
-
-
-def reduction_states(nw: BitMatrix, net: ComparatorNetwork) -> list[LabeledWireState]:
-    """Wire states after each reduction layer (index 0 = initial state)."""
-    return _stage_states(_reduction(nw, net), net)
 
 
 def synthesize(m: BitMatrix) -> Circuit:

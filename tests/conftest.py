@@ -7,6 +7,7 @@ the library, computing over plain lists so that agreement is evidence.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,17 +16,20 @@ from cnotline import (
     BitMatrix,
     BitVector,
     Circuit,
-    LabeledWireState,
     apply,
     concat,
     down,
+    dual_functional,
     inverse,
     northwest_basis,
     odd_even_network,
+    parse_gate_token,
     schedule,
     up,
 )
+from cnotline.constructions import _BOX_GATES, _sorting_run
 from cnotline.f2 import inverse as matrix_inverse
+from cnotline.glsynth import _clearing, _reduction
 from cnotline.search import _packed_generators, encode_state
 
 
@@ -82,6 +86,22 @@ def random_northwest(n: int, rng: random.Random) -> BitMatrix:
         for j in range(i):
             rows[i][j] = rng.randint(0, 1)
     return from_lists(rows[::-1])
+
+
+def oracle_permutation_matrix(perm) -> BitMatrix:
+    """Matrix sending wire perm[i-1] to a_i: entry (i, perm[i-1]) is 1."""
+    n = len(perm)
+    return from_lists([[int(j == perm[i] - 1) for j in range(n)] for i in range(n)])
+
+
+def schedule_tokens(n: int, tokens) -> Circuit:
+    """Schedule a sequence of gate tokens such as ("u1", "d2")."""
+    return schedule(n, [parse_gate_token(t) for t in tokens])
+
+
+def box_gates(position: int, outputs: tuple) -> list:
+    """The Gate list of the _BOX_GATES box for outputs on (position, position + 1)."""
+    return [up(position) if kind == "u" else down(position) for kind in _BOX_GATES[outputs]]
 
 
 def cyclic_matrix(n: int) -> BitMatrix:
@@ -191,6 +211,87 @@ def oracle_violations(slices) -> list[tuple]:
                 else:
                     owner[w] = g
     return out
+
+
+@dataclass(frozen=True)
+class LabeledWireState:
+    """Snapshot of wire values and labels during a synthesis stage.
+
+    w_basis and duals describe the coordinate system the clearing stage
+    reasons in; the reduction stage uses the standard basis, where the
+    dual of e_k is e_k itself.
+    """
+
+    values: BitMatrix
+    labels: tuple
+    w_basis: tuple
+    duals: tuple
+
+    def clearing_violations(self) -> list[str]:
+        """Check: a wire's value has coefficient 0 on every lower wire's label."""
+        out = []
+        n = self.values.n
+        for i in range(1, n + 1):
+            value = self.values.column(i)
+            for h in range(1, i):
+                k = self.labels[h - 1]
+                if self.duals[k - 1].dot(value) != 0:
+                    out.append(
+                        f"wire {i} value has nonzero w_{k} coefficient; "
+                        f"label {k} sits on lower wire {h}"
+                    )
+        return out
+
+    def reduction_violations(self) -> list[str]:
+        """Check the triangular-stage invariants on coordinates.
+
+        (1) the value on a label-k wire has coordinate k set and all
+        higher coordinates clear; (2) it has coordinate j clear for
+        every smaller label j on a lower-numbered wire.
+        """
+        out = []
+        n = self.values.n
+        for i in range(1, n + 1):
+            k = self.labels[i - 1]
+            value = self.values.column(i)
+            if value.get(k) != 1 or value.top_coordinate() > k:
+                out.append(f"wire {i} (label {k}) value {value} not confined to e_{k}")
+            for h in range(1, i):
+                j = self.labels[h - 1]
+                if j < k and value.get(j) != 0:
+                    out.append(
+                        f"wire {i} (label {k}) value has coordinate {j} set; "
+                        f"label {j} sits on lower wire {h}"
+                    )
+        return out
+
+
+def _stage_states(stage: tuple, net, basis: tuple) -> list:
+    """The state before the first layer and after each layer of a stage,
+    the (values, labels, box) of glsynth._clearing or _reduction run one
+    layer at a time through _sorting_run.  Layers after the labels are
+    sorted repeat it."""
+    values, labels, box = stage
+    states = []
+    for layer in ((),) + net.layers:
+        _sorting_run([layer], labels, values, box)
+        states.append(
+            LabeledWireState(BitMatrix(len(values), tuple(values)), tuple(labels), *basis)
+        )
+    return states
+
+
+def clearing_states(m: BitMatrix, net) -> list:
+    """Wire states after each clearing layer (index 0 = initial state)."""
+    w_basis, _ = northwest_basis(m)
+    duals = tuple(dual_functional(w_basis, k) for k in range(1, m.n + 1))
+    return _stage_states(_clearing(m, net), net, (w_basis, duals))
+
+
+def reduction_states(nw: BitMatrix, net) -> list:
+    """Wire states after each reduction layer (index 0 = initial state)."""
+    std = tuple(BitVector.unit(nw.n, k) for k in range(1, nw.n + 1))
+    return _stage_states(_reduction(nw, net), net, (std, std))
 
 
 def oracle_sorting_run(net, values, labels, box_for, states, basis) -> list:

@@ -11,18 +11,14 @@ import pytest
 
 from cnotline import (
     BitMatrix,
-    BoxSpec,
     Circuit,
     TimeSlice,
     add_circuit,
     apply,
-    box_circuit,
     clearing_circuit,
-    clearing_states,
     crossing_counts,
     distance,
     down,
-    flip,
     inverse,
     inversion_count,
     is_northwest_triangular,
@@ -30,11 +26,8 @@ from cnotline import (
     matrix_lower_bounds,
     matrix_of,
     max_depth,
-    multiply,
     odd_even_network,
     permutation_circuit,
-    permutation_matrix,
-    reduction_states,
     reversal_bounds,
     reverse_circuit,
     rotate_circuit,
@@ -47,12 +40,17 @@ from cnotline import (
     validate,
 )
 from cnotline.f2 import BitVector
+from cnotline.f2 import inverse as matrix_inverse
 
 from conftest import (
     add_target,
+    box_gates,
+    clearing_states,
     cyclic_matrix,
+    oracle_permutation_matrix,
     random_invertible,
     random_northwest,
+    reduction_states,
     swap_target,
 )
 
@@ -79,7 +77,7 @@ def permutation_runs():
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             perm = tuple(perm)
-            out.append((perm, permutation_circuit(perm), permutation_matrix(perm)))
+            out.append((perm, permutation_circuit(perm), oracle_permutation_matrix(perm)))
     return out
 
 
@@ -188,7 +186,7 @@ def test_criterion_4_box_depths():
     ]
     depths = []
     for first, second in pairs:
-        gates = box_circuit(1, BoxSpec(first, second))
+        gates = box_gates(1, (first, second))
         got = symbolic(gates)
         assert (name_of[got[0]], name_of[got[1]]) == (first, second)
         # sequential gates on one wire pair: depth equals gate count
@@ -263,17 +261,14 @@ def test_criterion_7_property_suites():
         ]
         sequential = Circuit(n, tuple(TimeSlice(frozenset({g})) for g in gates))
         assert matrix_of(schedule(n, gates)) == matrix_of(sequential)
-    # inverse and flip identities, exhaustively over shallow circuits
+    # inverse identity, exhaustively over shallow circuits
     checked = 0
     for n in (2, 3):
-        j = BitMatrix.anti_identity(n)
         gens = slice_generators(n)
         for depth in range(4):
             for combo in itertools.product(gens, repeat=depth):
                 c = Circuit(n, combo)
-                m = matrix_of(c)
-                assert multiply(m, matrix_of(inverse(c))) == BitMatrix.identity(n)
-                assert matrix_of(flip(c)) == multiply(j, multiply(m, j))
+                assert matrix_of(inverse(c)) == matrix_inverse(matrix_of(c))
                 checked += 1
     # stage invariants hold layer by layer
     for _ in range(50):
@@ -301,7 +296,7 @@ def test_criterion_7_property_suites():
         assert best == oracle
     print(
         f"criterion 7: PASS - scheduler preservation (200 programs), "
-        f"inverse/flip identities ({checked} exhaustive circuits), "
+        f"inverse identity ({checked} exhaustive circuits), "
         "stage invariants (50 matrices at n=6), coset minima (300 cosets)"
     )
 

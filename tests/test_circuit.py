@@ -18,12 +18,9 @@ from cnotline import (
     concat,
     crossing_counts,
     down,
-    flip,
-    from_gate_tokens,
     inverse,
     matrix_of,
     metrics,
-    multiply,
     parse_circuit_text,
     parse_gate_token,
     schedule,
@@ -38,6 +35,7 @@ from conftest import (
     oracle_crossings,
     oracle_slice_order,
     oracle_violations,
+    schedule_tokens,
     to_lists,
 )
 
@@ -87,35 +85,12 @@ def test_gate_token_round_trip():
 def test_inverse_identity_exhaustive_small():
     """matrix_of(inverse(C)) inverts matrix_of(C), all circuits depth <= 3."""
     for n in (2, 3):
-        eye = BitMatrix.identity(n)
         for c in all_circuits(n, 3):
-            m = matrix_of(c)
-            assert multiply(m, matrix_of(inverse(c))) == eye
-            assert matrix_of(inverse(c)) == matrix_inverse(m)
-
-
-def test_flip_identity_exhaustive_small():
-    """Flipping every gate upside down conjugates the matrix by the
-    anti-identity: matrix_of(flip(C)) = J * matrix_of(C) * J."""
-    for n in (2, 3):
-        j = BitMatrix.anti_identity(n)
-        for c in all_circuits(n, 3):
-            want = multiply(j, multiply(matrix_of(c), j))
-            assert matrix_of(flip(c)) == want
-
-
-def test_flip_preserves_slice_structure():
-    # wire w maps to n+1-w, so up(1)=Gate(1,2) becomes Gate(4,3)=down(3)
-    c = Circuit(4, (TimeSlice(frozenset({up(1)})), TimeSlice(frozenset({down(2)}))))
-    f = flip(c)
-    assert [s.gates for s in f.slices] == [
-        frozenset({down(3)}),
-        frozenset({up(2)}),
-    ]
+            assert matrix_of(inverse(c)) == matrix_inverse(matrix_of(c))
 
 
 def test_inverse_reverses_slices():
-    c = from_gate_tokens(3, ["u1", "d2", "u2"])
+    c = schedule_tokens(3, ["u1", "d2", "u2"])
     assert [s.gates for s in inverse(c).slices] == [
         s.gates for s in reversed(c.slices)
     ]
@@ -163,7 +138,7 @@ def test_circuit_text_round_trip(rng):
 
 
 def test_circuit_text_example():
-    c = from_gate_tokens(3, ["u1", "d1", "u2"])
+    c = schedule_tokens(3, ["u1", "d1", "u2"])
     # u1 alone; then d1 alone (shares wires with u1 and u2); then u2
     assert circuit_to_text(schedule(3, [parse_gate_token(t) for t in ["u1", "d1", "u2"]])) == (
         "n 3\nu1\nd1\nu2\n"
@@ -205,7 +180,7 @@ def test_validate_reports_defects():
 
 
 def test_crossing_counts_by_position():
-    c = from_gate_tokens(4, ["u1", "d1", "u3", "d2"])
+    c = schedule_tokens(4, ["u1", "d1", "u3", "d2"])
     assert crossing_counts(c) == (2, 1, 1)
 
 
@@ -372,16 +347,9 @@ def test_property_rejects_too_few_wires(c, wires):
 
 @PROPERTY
 @given(circuits())
-def test_property_flip_and_inverse_identities(c):
-    m = matrix_of(c)
-    j = BitMatrix.anti_identity(c.n)
-    assert flip(flip(c)) == c
+def test_property_inverse_identities(c):
     assert inverse(inverse(c)) == c
-    assert flip(inverse(c)) == inverse(flip(c))
-    assert matrix_of(flip(c)) == multiply(j, multiply(m, j))
-    assert matrix_of(inverse(c)) == matrix_inverse(m)
-    assert crossing_counts(flip(c)) == crossing_counts(c)[::-1]
-    assert parse_circuit_text(circuit_to_text(flip(c))) == flip(c)
+    assert matrix_of(inverse(c)) == matrix_inverse(matrix_of(c))
 
 
 def _gate_lists(max_position):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,6 @@ from cnotline import (
     BitMatrix,
     add_circuit,
     circuit_to_text,
-    from_gate_tokens,
     matrix_of,
     matrix_to_text,
     parse_circuit_text,
@@ -19,9 +19,10 @@ from cnotline import (
     synthesize,
     validate,
 )
+from cnotline import cli
 from cnotline.cli import main
 from cnotline.constructions import FAMILIES
-from conftest import random_invertible
+from conftest import random_invertible, schedule_tokens
 
 
 def run(capsys, *argv):
@@ -120,7 +121,7 @@ def test_synth_matrix_rejects_singular(capsys, tmp_path):
 
 
 def test_synth_matrix_round_trips_through_verify(capsys, tmp_path, rng):
-    from conftest import random_invertible
+    from conftest import random_invertible, schedule_tokens
 
     m = random_invertible(7, rng)
     target = write_matrix(tmp_path, "t.matrix", m)
@@ -288,7 +289,7 @@ def test_search_n8_witness(capsys, tmp_path):
     )
     assert code == 0, err
     assert "distance > 1" in out
-    target_circuit = from_gate_tokens(8, ["d7", "u1", "d3"])
+    target_circuit = schedule_tokens(8, ["d7", "u1", "d3"])
     target = write_matrix(tmp_path, "t.matrix", matrix_of(target_circuit))
     code, out, err = run(
         capsys, "search", "--n", "8", "--target", target, "--depth-limit", "1",
@@ -499,6 +500,43 @@ def test_search_max_rejects_distance_flags(capsys):
     code, _, err = run(capsys, "search", "--n", "3", "--max", "--depth-limit", "2")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("wires", [10**9, 10**12])
+def test_huge_circuit_header_fails_cleanly(capsys, tmp_path, wires):
+    # parsing takes memory from the gates, not from the header's wire count
+    circuit = tmp_path / "c.circuit"
+    circuit.write_text(f"n {wires}\nu1 d3\n", encoding="ascii")
+    target = write_matrix(tmp_path, "t.matrix", BitMatrix.identity(2))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        verify = run(capsys, "verify", "--circuit", str(circuit), "--target", target)
+        render = run(capsys, "render", "--circuit", str(circuit))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 20
+    assert verify == (2, "", f"error: circuit has {wires} wires but target is 2x2\n")
+    assert render == (
+        3,
+        "",
+        f"error: render would draw 1 slices on {wires} wires, more than the "
+        f"limit of {cli.RENDER_CELL_LIMIT} slice-wire cells\n",
+    )
+
+
+def test_render_cell_limit_boundary(capsys, monkeypatch, tmp_path):
+    # 9 wires times (20 slices + 1) may equal the limit, but not pass it
+    circuit = write_circuit(tmp_path, "c.circuit", reverse_circuit(9))
+    monkeypatch.setattr(cli, "RENDER_CELL_LIMIT", 9 * 21)
+    code, out, _ = run(capsys, "render", "--circuit", circuit)
+    assert code == 0 and out.count("\n") == 17
+    monkeypatch.setattr(cli, "RENDER_CELL_LIMIT", 9 * 21 - 1)
+    code, out, err = run(capsys, "render", "--circuit", circuit)
+    assert code == 3 and out == ""
+    assert err.endswith(f"more than the limit of {9 * 21 - 1} slice-wire cells\n")
 
 
 def test_search_target_dimension_mismatch(capsys, tmp_path):

@@ -12,26 +12,27 @@ from cnotline import (
     apply,
     circuit_to_text,
     clearing_circuit,
-    clearing_states,
     dual_functional,
     is_northwest_triangular,
     matrix_of,
     northwest_basis,
     odd_even_network,
+    fired_comparators,
     permutation_circuit,
-    permutation_matrix,
-    reduction_states,
-    reversal_layers,
     synthesize,
     triangular_reduction_circuit,
     validate,
 )
+from cnotline.f2 import inverse as matrix_inverse
 from conftest import (
+    clearing_states,
     oracle_clearing,
+    oracle_permutation_matrix,
     oracle_reduction,
     oracle_synthesize,
     random_invertible,
     random_northwest,
+    reduction_states,
 )
 
 
@@ -76,11 +77,14 @@ def test_northwest_basis_rejects_singular():
 
 
 def test_clearing_duals_match_dual_functional(rng):
+    # the clearing stage reads row k of the inverse of [w_1 ... w_n] as
+    # the dual of w_k
     for n in [2, 3, 5, 8, 13] + [rng.randint(2, 24) for _ in range(20)]:
         m = random_invertible(n, rng)
-        state = clearing_states(m, odd_even_network(n))[0]
-        assert state.duals == tuple(
-            dual_functional(state.w_basis, k) for k in range(1, n + 1)
+        w_basis, _ = northwest_basis(m)
+        rows = matrix_inverse(BitMatrix.from_columns(w_basis)).packed_rows()
+        assert rows == tuple(
+            dual_functional(w_basis, k).bits for k in range(1, n + 1)
         )
 
 
@@ -143,7 +147,7 @@ def test_reduction_rejects_singular_northwest():
 
 def test_reversal_layers_fire_everything():
     for n in range(2, 9):
-        layers = reversal_layers(odd_even_network(n))
+        layers = fired_comparators(odd_even_network(n), range(n, 0, -1))
         assert sum(len(layer) for layer in layers) == n * (n - 1) // 2
 
 
@@ -229,7 +233,7 @@ def _stage_targets(n, rng):
         random_invertible(n, rng),
         BitMatrix.identity(n),
         BitMatrix.anti_identity(n),
-        permutation_matrix(perm),
+        oracle_permutation_matrix(perm),
     ]
 
 

@@ -1,11 +1,7 @@
 """ASCII rendering: golden outputs and structural properties."""
 
-from cnotline import (
-    Circuit,
-    add_circuit,
-    from_gate_tokens,
-    render_circuit,
-)
+from cnotline import Circuit, add_circuit, render_circuit
+from conftest import schedule_tokens
 
 
 def test_empty_circuit_renders_bare_wires():
@@ -14,7 +10,7 @@ def test_empty_circuit_renders_bare_wires():
 
 def test_single_gate_golden():
     # '+' marks the target, '*' the source, '|' the link between them
-    assert render_circuit(from_gate_tokens(2, ["u1"])) == (
+    assert render_circuit(schedule_tokens(2, ["u1"])) == (
         " 1 -+---\n"
         "    |\n"
         " 2 -*---\n"
@@ -22,7 +18,7 @@ def test_single_gate_golden():
 
 
 def test_multi_slice_golden():
-    got = render_circuit(from_gate_tokens(4, ["u1", "d3", "d1", "u2"]))
+    got = render_circuit(schedule_tokens(4, ["u1", "d3", "d1", "u2"]))
     assert got == (
         " 1 -+---*-------\n"
         "    |   |\n"

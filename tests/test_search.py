@@ -13,7 +13,6 @@ from cnotline import (
     circuit_to_text,
     distance,
     down,
-    from_gate_tokens,
     matrix_of,
     max_depth,
     reverse_circuit,
@@ -32,7 +31,7 @@ from cnotline.search import (
     decode_state,
     encode_state,
 )
-from conftest import oracle_set_bfs
+from conftest import from_lists, oracle_set_bfs, schedule_tokens
 
 # states at distance 0..5 from the identity in GL_6(2)
 BALL_6_5 = (1, 42, 618, 6428, 61390, 450824)
@@ -85,7 +84,7 @@ def test_encode_state_layout_matches_list_oracle(rng):
     for _ in range(100):
         n = rng.randint(1, 8)
         entries = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
-        m = BitMatrix.from_rows(entries)
+        m = from_lists(entries)
         code = sum(
             entries[i][j] << (i * n + j) for i in range(n) for j in range(n)
         )
@@ -148,7 +147,7 @@ def test_distance_witness_is_a_minimum_depth_circuit():
 
 
 def test_distance_never_exceeds_construction_depth():
-    for c in (reverse_circuit(4), rotate_circuit(4), from_gate_tokens(4, ["u1", "d2", "u3"])):
+    for c in (reverse_circuit(4), rotate_circuit(4), schedule_tokens(4, ["u1", "d2", "u3"])):
         result = distance(4, matrix_of(c))
         assert result.value <= c.depth
 
@@ -158,13 +157,13 @@ def test_distance_depth_limit_reports_lower_bound():
     assert not result.completed
     assert result.value == 5
     # reachable targets inside the limit still complete
-    shallow = matrix_of(from_gate_tokens(4, ["u1", "d2"]))
+    shallow = matrix_of(schedule_tokens(4, ["u1", "d2"]))
     ok = distance(4, shallow, depth_limit=5)
     assert ok.completed and ok.value <= 2
 
 
 def test_sparse_path_handles_n6_with_limit():
-    c = from_gate_tokens(6, ["u1", "d3", "u5", "d1"])
+    c = schedule_tokens(6, ["u1", "d3", "u5", "d1"])
     result = distance(6, matrix_of(c), depth_limit=4, witness=True)
     assert result.completed
     assert result.value <= c.depth
@@ -273,7 +272,7 @@ ORACLE_CASES = [
 )
 def test_sorted_engine_matches_set_oracle(monkeypatch, chunk_codes, n, tokens, limit):
     monkeypatch.setattr(search, "_CHUNK_CODES", chunk_codes)
-    target = matrix_of(from_gate_tokens(n, tokens.split()))
+    target = matrix_of(schedule_tokens(n, tokens.split()))
     code = encode_state(target)
     dist, levels, sizes = oracle_set_bfs(n, code, limit)
     assert dist is not None
@@ -303,7 +302,7 @@ PINNED_WITNESSES = [
     "n,tokens,dist,visited,digest", PINNED_WITNESSES, ids=["n6", "n7", "n8"]
 )
 def test_sorted_engine_witnesses_are_pinned(n, tokens, dist, visited, digest):
-    target = matrix_of(from_gate_tokens(n, tokens.split()))
+    target = matrix_of(schedule_tokens(n, tokens.split()))
     result = distance(n, target, depth_limit=dist, witness=True)
     assert (result.value, result.completed) == (dist, True)
     assert result.visited_count == visited
