@@ -20,8 +20,8 @@ from .circuit import (
     Circuit,
     CircuitMetrics,
     Gate,
+    ResourceLimitError,
     TimeSlice,
-    Violation,
     apply,
     circuit_to_text,
     concat,
@@ -34,7 +34,6 @@ from .circuit import (
     parse_gate_token,
     schedule,
     up,
-    validate,
 )
 from .constructions import (
     GATHER_DEPTH_PER_POSITION,
@@ -53,7 +52,6 @@ from .constructions import (
 from .f2 import (
     BitBlock,
     BitMatrix,
-    BitVector,
     CutBlocks,
     SingularMatrixError,
     blocks,
@@ -73,7 +71,6 @@ from .glsynth import (
 )
 from .render import render_circuit
 from .search import (
-    ResourceLimitError,
     SearchResult,
     distance,
     max_depth,
@@ -85,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitBlock",
     "BitMatrix",
-    "BitVector",
     "BoundReport",
     "Circuit",
     "CircuitMetrics",
@@ -97,7 +93,6 @@ __all__ = [
     "SearchResult",
     "SingularMatrixError",
     "TimeSlice",
-    "Violation",
     "add_circuit",
     "apply",
     "blocks",
@@ -139,5 +134,4 @@ __all__ = [
     "transpose",
     "triangular_reduction_circuit",
     "up",
-    "validate",
 ]

@@ -21,6 +21,15 @@ import numpy as np
 
 from .f2 import BitMatrix
 
+# Slice-wire cells a circuit may take: synth refuses a family whose depth
+# bound times n passes it, and parsing a gate whose position times the
+# file's line count does.
+CELL_LIMIT = 1 << 28
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a command would exceed its declared memory budget."""
+
 
 @dataclass(frozen=True, order=True)
 class Gate:
@@ -94,10 +103,6 @@ class TimeSlice:
         object.__setattr__(self, "down", down)
 
     @property
-    def gates(self) -> frozenset[Gate]:
-        return frozenset(self.sorted_gates)
-
-    @property
     def sorted_gates(self) -> tuple[Gate, ...]:
         """Gates by position, up(p) before down(p) where both occur."""
         u, d = self.up, self.down
@@ -114,8 +119,7 @@ class Circuit:
     """Ordered time slices on n wires.
 
     The constructor is permissive: it checks only that gate wires fit on
-    the line.  Structural soundness (disjoint slices, no empty slices)
-    is reported by validate().
+    the line, not that slices are nonempty and wire-disjoint.
     """
 
     n: int
@@ -158,40 +162,6 @@ class Circuit:
         slice_of, byte_of = np.divmod(held, width)
         k = found >> 4
         return slice_of[k], 8 * byte_of[k] + (found >> 1 & 7), found & 1
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One structural defect found by validate()."""
-
-    slice_index: int
-    gate: "Gate | None"
-    reason: str
-
-
-def validate(circuit: Circuit) -> list[Violation]:
-    """Check slice structure; returns an empty list for a sound circuit.
-
-    Slice indices in violations are 1-based.
-    """
-    out = []
-    for idx, sl in enumerate(circuit.slices, start=1):
-        u, d, w = sl.up, sl.down, sl.up | sl.down
-        if not w:
-            out.append(Violation(idx, None, "empty time slice"))
-            continue
-        # gates share a wire at one position or two adjacent ones
-        if not (u & d or w & (w >> 1)):
-            continue
-        seen: dict[int, Gate] = {}
-        for g in sl.sorted_gates:
-            for wire in (g.position, g.position + 1):
-                if wire in seen:
-                    out.append(
-                        Violation(idx, g, f"wire {wire} already used by {seen[wire]}")
-                    )
-                seen.setdefault(wire, g)
-    return out
 
 
 @dataclass(frozen=True)
@@ -319,32 +289,44 @@ def parse_circuit_text(text: str) -> Circuit:
         try:
             code = sum(map(bit_of.__getitem__, tokens))
         except KeyError:
-            code, shift = _line_code(tokens, n, lineno, bit_of, shift)
+            code, shift = _line_code(tokens, n, lineno, bit_of, shift, len(lines) - 1)
             low = (1 << shift) - 1
         u, d = code & low, code >> shift
         w = u | d
         if code.bit_count() != len(tokens) or u & d or w & (w >> 1):
             # a repeated token or a shared wire: raises
-            _line_code(tokens, n, lineno, bit_of, shift)
+            _line_code(tokens, n, lineno, bit_of, shift, len(lines) - 1)
         slices.append(TimeSlice(up=u, down=d))
     return Circuit(n, tuple(slices))
 
 
 def _line_code(
-    tokens: list[str], n: int, lineno: int, bit_of: dict[str, int], shift: int
+    tokens: list[str], n: int, lineno: int, bit_of: dict[str, int], shift: int,
+    depth: int,
 ) -> tuple[int, int]:
     """Check a slice line token by token; learn and sum the tokens' bits.
 
     Returns the code and the shift.  A line reaching past the shift at
     least doubles it and forgets the bits learned under the old one.
+
+    Raises:
+        ResourceLimitError: if depth slices of masks reaching a gate's
+            position would pass CELL_LIMIT cells.
     """
+    top = CELL_LIMIT // depth  # depth * (p + 1) passes the limit iff p >= top
     gates = []
     used = 0
     for tok in tokens:
         g = parse_gate_token(tok)
-        if g.position >= n:
+        p = g.position
+        if p >= n:
             raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")
-        wires = 3 << g.position
+        if p >= top:
+            raise ResourceLimitError(
+                f"line {lineno}: gate {tok} would need {depth} slices on {p + 1} "
+                f"wires, more than the limit of {CELL_LIMIT} slice-wire cells"
+            )
+        wires = 3 << p
         if used & wires:
             raise ValueError(f"line {lineno}: wire collision at {tok}")
         used |= wires

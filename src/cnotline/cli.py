@@ -11,7 +11,9 @@ import sys
 
 from .bounds import matrix_lower_bounds, reversal_bounds
 from .circuit import (
+    CELL_LIMIT as SYNTH_CELL_LIMIT,
     Circuit,
+    ResourceLimitError,
     circuit_to_text,
     crossing_counts,
     matrix_of,
@@ -29,14 +31,13 @@ from .constructions import (
 from .f2 import BitMatrix, parse_matrix_text
 from .glsynth import synthesize
 from .render import render_circuit
-from .search import ResourceLimitError, check_wire_count, distance, max_depth
+from .search import check_wire_count, distance, max_depth
 
 
 # synth refuses a family past either limit, counting gates and depth
-# bound times n (a slice holds two n-bit masks); at the cell limit
-# rotate, the costliest per cell, peaks near 300 MB.
+# bound times n (a slice holds two n-bit masks); at the cell limit,
+# which parsing shares, rotate, the costliest per cell, peaks near 300 MB.
 SYNTH_GATE_LIMIT = 1 << 20
-SYNTH_CELL_LIMIT = 1 << 28
 # render refuses a drawing of more wires times (depth + 1) cells; at the
 # limit, about 8 characters a cell, it peaks near 350 MB.
 RENDER_CELL_LIMIT = 1 << 24

@@ -20,53 +20,6 @@ class SingularMatrixError(ValueError):
 
 
 @dataclass(frozen=True)
-class BitVector:
-    """Vector over GF(2), coordinates packed into an int (1-based access)."""
-
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"coordinates beyond position {self.n} must be zero")
-
-    @classmethod
-    def unit(cls, n: int, k: int) -> "BitVector":
-        """Standard basis vector with a single 1 at coordinate k."""
-        if not 1 <= k <= n:
-            raise ValueError(f"coordinate {k} out of range 1..{n}")
-        return cls(n, 1 << (k - 1))
-
-    def get(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range 1..{self.n}")
-        return (self.bits >> (i - 1)) & 1
-
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return BitVector(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "BitVector") -> int:
-        """Inner product over GF(2)."""
-        if self.n != other.n:
-            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def top_coordinate(self) -> int:
-        """Largest i with coordinate i set, or 0 for the zero vector."""
-        return self.bits.bit_length()
-
-    def __str__(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.n))
-
-
-@dataclass(frozen=True)
 class BitBlock:
     """Rectangular block over GF(2), rows packed into ints.
 
@@ -85,11 +38,6 @@ class BitBlock:
         for r in self.rows:
             if not 0 <= r < (1 << self.ncols):
                 raise ValueError("row has bits outside the column range")
-
-    def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.nrows and 1 <= j <= self.ncols):
-            raise ValueError(f"entry ({i}, {j}) out of range")
-        return (self.rows[i - 1] >> (j - 1)) & 1
 
 
 def _echelon_add(pivot_by_top: dict[int, int], r: int) -> int:
@@ -157,24 +105,6 @@ class BitMatrix:
         """Ones on the anti-diagonal: entry (i, j) = 1 iff i + j = n + 1."""
         return cls(n, tuple(1 << (n - 1 - i) for i in range(n)))
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[BitVector]) -> "BitMatrix":
-        n = len(columns)
-        for v in columns:
-            if v.n != n:
-                raise ValueError(f"column of dimension {v.n} in a {n}x{n} matrix")
-        return cls(n, tuple(v.bits for v in columns))
-
-    def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"entry ({i}, {j}) out of range 1..{self.n}")
-        return (self.cols[j - 1] >> (i - 1)) & 1
-
-    def column(self, j: int) -> BitVector:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"column {j} out of range 1..{self.n}")
-        return BitVector(self.n, self.cols[j - 1])
-
     def packed_rows(self) -> tuple[int, ...]:
         """Rows packed into ints, bit j-1 of row i-1 holding entry (i, j)."""
         rows = [0] * self.n
@@ -236,25 +166,16 @@ def is_northwest_triangular(m: BitMatrix) -> bool:
     return True
 
 
-def lex_min_coset(a: BitVector, spanning: Iterable[BitVector]) -> BitVector:
-    """Lexicographically least element of a + span(spanning).
-
-    Reduces the spanning set to a basis in echelon form keyed on top set
-    coordinates, then clears the top coordinates of a greedily.
-    """
-    rows = []
-    for v in spanning:
-        if v.n != a.n:
-            raise ValueError(f"dimension mismatch: {v.n} vs {a.n}")
-        rows.append(v.bits)
-    return BitVector(a.n, _coset_min(a.bits, _echelon(rows)))
+def lex_min_coset(a: int, spanning: Iterable[int]) -> int:
+    """Least element of a + span(spanning), vectors packed as ints."""
+    return _coset_min(a, _echelon(spanning))
 
 
-def dual_functional(basis: Sequence[BitVector], k: int) -> BitVector:
+def dual_functional(basis: Sequence[int], k: int) -> int:
     """Vector d with d . basis[j-1] = 1 exactly when j = k.
 
     Args:
-        basis: a basis of the full space, in order.
+        basis: a basis of the full space, in order, packed as ints.
         k: 1-based index of the basis vector the functional selects.
 
     Raises:
@@ -263,9 +184,8 @@ def dual_functional(basis: Sequence[BitVector], k: int) -> BitVector:
     n = len(basis)
     if not 1 <= k <= n:
         raise ValueError(f"index {k} out of range 1..{n}")
-    inv = inverse(BitMatrix.from_columns(basis))
     # row k of the inverse is the k-th dual functional
-    return BitVector(n, inv.packed_rows()[k - 1])
+    return inverse(BitMatrix(n, tuple(basis))).packed_rows()[k - 1]
 
 
 @dataclass(frozen=True)
@@ -303,10 +223,9 @@ def blocks(m: BitMatrix, k: int) -> CutBlocks:
 
 def matrix_to_text(m: BitMatrix) -> str:
     """Serialize: first line n, then n lines of n characters from {0, 1}."""
-    lines = [str(m.n)]
-    for i in range(1, m.n + 1):
-        lines.append("".join(str(m.entry(i, j)) for j in range(1, m.n + 1)))
-    return "\n".join(lines) + "\n"
+    # entry (i, j) is bit j - 1 of packed row i, written as character j - 1
+    rows = (format(r, f"0{m.n}b")[::-1] for r in m.packed_rows())
+    return "\n".join([str(m.n), *rows]) + "\n"
 
 
 def parse_matrix_text(text: str) -> BitMatrix:

@@ -18,17 +18,11 @@ from . import circuit as circuit_mod
 from .circuit import Circuit
 from .constructions import ComparatorNetwork, odd_even_network
 from .constructions import _BOX_GATES, _sorting_run
-from .f2 import (
-    BitMatrix,
-    BitVector,
-    SingularMatrixError,
-    _coset_min,
-    is_northwest_triangular,
-)
+from .f2 import BitMatrix, SingularMatrixError, _coset_min, is_northwest_triangular
 from .f2 import inverse as matrix_inverse
 
 
-def northwest_basis(m: BitMatrix) -> tuple[tuple[BitVector, ...], tuple[int, ...]]:
+def northwest_basis(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Basis change and wire labeling behind the clearing stage.
 
     For each wire i, v_i is the lexicographically least vector reachable
@@ -39,13 +33,14 @@ def northwest_basis(m: BitMatrix) -> tuple[tuple[BitVector, ...], tuple[int, ...
     top coordinate no pivot has yet, so it is the next pivot.
 
     Returns:
-        (w_basis, pi) with w_basis[j-1] = w_j and pi[i-1] = pi(i).
+        (w_basis, pi) with w_basis[j-1] = w_j, packed as an int, and
+        pi[i-1] = pi(i).
 
     Raises:
         SingularMatrixError: if the columns do not span the space.
     """
     n = m.n
-    w = [BitVector(n)] * n
+    w = [0] * n
     pi = [0] * n
     pivot_by_top: dict[int, int] = {}
     for i in range(n - 1, -1, -1):
@@ -54,7 +49,7 @@ def northwest_basis(m: BitMatrix) -> tuple[tuple[BitVector, ...], tuple[int, ...
             raise SingularMatrixError(f"matrix of dimension {n} is singular")
         pivot_by_top[v.bit_length()] = v
         pi[i] = n + 1 - v.bit_length()
-        w[pi[i] - 1] = BitVector(n, v)
+        w[pi[i] - 1] = v
     return tuple(w), tuple(pi)
 
 
@@ -64,7 +59,7 @@ def _clearing(m: BitMatrix, net: ComparatorNetwork) -> tuple:
         raise ValueError(f"network on {net.n} wires, matrix of dimension {m.n}")
     w_basis, pi = northwest_basis(m)
     # row k of the inverse of [w_1 ... w_n] is the dual functional of w_k
-    inv_rows = matrix_inverse(BitMatrix.from_columns(w_basis)).packed_rows()
+    inv_rows = matrix_inverse(BitMatrix(m.n, w_basis)).packed_rows()
     values = list(m.cols)
     keep, add, swap = (_BOX_GATES[("free", out)] for out in ("v", "u^v", "u"))
 

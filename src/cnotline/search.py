@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, TimeSlice, down, up
-from .f2 import BitMatrix, transpose
+from .circuit import Circuit, ResourceLimitError, TimeSlice, down, up
+from .f2 import BitMatrix
 
 # Largest n for the dense engine: its flag array has 2^(n^2) entries,
 # 32 MB at n = 5 and 64 GB at n = 6, so larger n use the sorted engine.
@@ -52,10 +52,6 @@ _CHUNK_CODES = 1 << 21
 # 2^14..2^15 measured fastest for a full n = 5 sweep; _CHUNK_CODES
 # divided by the generator count (about 2^17) was 15-30 % slower.
 _DENSE_CHUNK = 1 << 15
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a search would exceed its declared memory budget."""
 
 
 def check_wire_count(n: int, top: int = 8) -> None:
@@ -113,11 +109,6 @@ def slice_generators(n: int) -> list[TimeSlice]:
 def encode_state(m: BitMatrix) -> int:
     """Pack entry (i, j) into bit (i-1)*n + (j-1): the packed rows end to end."""
     return sum(row << (i * m.n) for i, row in enumerate(m.packed_rows()))
-
-
-def decode_state(n: int, code: int) -> BitMatrix:
-    mask = (1 << n) - 1
-    return transpose(BitMatrix(n, tuple((code >> (i * n)) & mask for i in range(n))))
 
 
 def _packed_generators(n: int) -> list[tuple[int, int]]:

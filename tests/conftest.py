@@ -14,7 +14,6 @@ import pytest
 
 from cnotline import (
     BitMatrix,
-    BitVector,
     Circuit,
     apply,
     concat,
@@ -33,9 +32,14 @@ from cnotline.glsynth import _clearing, _reduction
 from cnotline.search import _packed_generators, encode_state
 
 
+def coords(v: int, n: int) -> list[int]:
+    """Coordinates 1..n of a packed vector as a list of 0/1 ints."""
+    return [(v >> i) & 1 for i in range(n)]
+
+
 def to_lists(m: BitMatrix) -> list[list[int]]:
     """Unpack a BitMatrix into a row-major list-of-lists of 0/1 ints."""
-    return [[m.entry(i, j) for j in range(1, m.n + 1)] for i in range(1, m.n + 1)]
+    return [list(row) for row in zip(*(coords(c, m.n) for c in m.cols))]
 
 
 def from_lists(rows: list[list[int]]) -> BitMatrix:
@@ -86,6 +90,11 @@ def random_northwest(n: int, rng: random.Random) -> BitMatrix:
         for j in range(i):
             rows[i][j] = rng.randint(0, 1)
     return from_lists(rows[::-1])
+
+
+def decode_state(n: int, code: int) -> BitMatrix:
+    """Matrix of a packed search state, entry (i, j) at bit (i-1)*n + (j-1)."""
+    return from_lists([[code >> (i * n + j) & 1 for j in range(n)] for i in range(n)])
 
 
 def oracle_permutation_matrix(perm) -> BitMatrix:
@@ -213,13 +222,18 @@ def oracle_violations(slices) -> list[tuple]:
     return out
 
 
+def slice_violations(c: Circuit) -> list[tuple]:
+    """oracle_violations of a circuit's slices: empty for a sound circuit."""
+    return oracle_violations([sl.sorted_gates for sl in c.slices])
+
+
 @dataclass(frozen=True)
 class LabeledWireState:
     """Snapshot of wire values and labels during a synthesis stage.
 
-    w_basis and duals describe the coordinate system the clearing stage
-    reasons in; the reduction stage uses the standard basis, where the
-    dual of e_k is e_k itself.
+    w_basis and duals, packed as ints, describe the coordinate system
+    the clearing stage reasons in; the reduction stage uses the standard
+    basis, where the dual of e_k is e_k itself.
     """
 
     values: BitMatrix
@@ -232,10 +246,10 @@ class LabeledWireState:
         out = []
         n = self.values.n
         for i in range(1, n + 1):
-            value = self.values.column(i)
+            value = self.values.cols[i - 1]
             for h in range(1, i):
                 k = self.labels[h - 1]
-                if self.duals[k - 1].dot(value) != 0:
+                if (self.duals[k - 1] & value).bit_count() & 1:
                     out.append(
                         f"wire {i} value has nonzero w_{k} coefficient; "
                         f"label {k} sits on lower wire {h}"
@@ -253,12 +267,13 @@ class LabeledWireState:
         n = self.values.n
         for i in range(1, n + 1):
             k = self.labels[i - 1]
-            value = self.values.column(i)
-            if value.get(k) != 1 or value.top_coordinate() > k:
-                out.append(f"wire {i} (label {k}) value {value} not confined to e_{k}")
+            value = self.values.cols[i - 1]
+            if not (value >> (k - 1)) & 1 or value.bit_length() > k:
+                shown = "".join(map(str, coords(value, n)))
+                out.append(f"wire {i} (label {k}) value {shown} not confined to e_{k}")
             for h in range(1, i):
                 j = self.labels[h - 1]
-                if j < k and value.get(j) != 0:
+                if j < k and (value >> (j - 1)) & 1:
                     out.append(
                         f"wire {i} (label {k}) value has coordinate {j} set; "
                         f"label {j} sits on lower wire {h}"
@@ -290,7 +305,7 @@ def clearing_states(m: BitMatrix, net) -> list:
 
 def reduction_states(nw: BitMatrix, net) -> list:
     """Wire states after each reduction layer (index 0 = initial state)."""
-    std = tuple(BitVector.unit(nw.n, k) for k in range(1, nw.n + 1))
+    std = tuple(1 << k for k in range(nw.n))
     return _stage_states(_reduction(nw, net), net, (std, std))
 
 
@@ -324,13 +339,12 @@ def oracle_sorting_run(net, values, labels, box_for, states, basis) -> list:
 def oracle_clearing(m: BitMatrix, net, states=None) -> Circuit:
     """Clearing stage through oracle_sorting_run and schedule."""
     w_basis, pi = northwest_basis(m)
-    inv_rows = matrix_inverse(BitMatrix.from_columns(w_basis)).packed_rows()
-    duals = tuple(BitVector(m.n, r) for r in inv_rows)
+    duals = matrix_inverse(BitMatrix(m.n, w_basis)).packed_rows()
     values = list(m.cols)
 
     def box_for(p, k):
         u, v = values[p - 1], values[p]
-        dual_k = duals[k - 1].bits
+        dual_k = duals[k - 1]
         if (dual_k & v).bit_count() & 1 == 0:
             return []
         if (dual_k & (u ^ v)).bit_count() & 1 == 0:
@@ -344,7 +358,7 @@ def oracle_clearing(m: BitMatrix, net, states=None) -> Circuit:
 def oracle_reduction(nw: BitMatrix, net, states=None) -> Circuit:
     """Reduction stage through oracle_sorting_run and schedule."""
     n = nw.n
-    std = tuple(BitVector.unit(n, k) for k in range(1, n + 1))
+    std = tuple(1 << k for k in range(n))
     values = list(nw.cols)
 
     def box_for(p, j):

@@ -37,20 +37,20 @@ from cnotline import (
     synthesize,
     triangular_reduction_circuit,
     up,
-    validate,
 )
-from cnotline.f2 import BitVector
 from cnotline.f2 import inverse as matrix_inverse
 
 from conftest import (
     add_target,
     box_gates,
     clearing_states,
+    coords,
     cyclic_matrix,
     oracle_permutation_matrix,
     random_invertible,
     random_northwest,
     reduction_states,
+    slice_violations,
     swap_target,
 )
 
@@ -131,7 +131,7 @@ def test_criterion_2_formula_suite(family_circuits, permutation_runs):
 
     for name, n, c, target in family_circuits:
         assert matrix_of(c) == target, f"{name} n={n} wrong matrix"
-        assert not validate(c)
+        assert not slice_violations(c)
         assert c.size == size_formula[name](n), f"{name} n={n} size {c.size}"
         cap = depth_cap(name, n)
         if name == "reverse":
@@ -282,8 +282,8 @@ def test_criterion_7_property_suites():
     # lexicographically minimal coset representative vs brute force
     for _ in range(300):
         n = rng.randint(2, 6)
-        a = BitVector(n, rng.randrange(1 << n))
-        spanning = [BitVector(n, rng.randrange(1 << n)) for _ in range(rng.randint(1, n))]
+        a = rng.randrange(1 << n)
+        spanning = [rng.randrange(1 << n) for _ in range(rng.randint(1, n))]
         best = lex_min_coset(a, spanning)
         coset = set()
         for picks in itertools.product((0, 1), repeat=len(spanning)):
@@ -292,7 +292,7 @@ def test_criterion_7_property_suites():
                 if take:
                     v = v ^ s
             coset.add(v)
-        oracle = min(coset, key=lambda v: tuple(reversed(v.coords())))
+        oracle = min(coset, key=lambda v: coords(v, n)[::-1])
         assert best == oracle
     print(
         f"criterion 7: PASS - scheduler preservation (200 programs), "

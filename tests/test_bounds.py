@@ -21,8 +21,8 @@ from cnotline import (
     swap_circuit,
     synthesize,
 )
-from cnotline.search import _bfs, _dense_levels, decode_state
-from conftest import oracle_rank, random_invertible, random_northwest
+from cnotline.search import _bfs, _dense_levels
+from conftest import decode_state, oracle_rank, random_invertible, random_northwest
 
 
 def test_reversal_example_n8():

@@ -17,12 +17,12 @@ from cnotline import (
     permutation_circuit,
     reverse_circuit,
     synthesize,
-    validate,
 )
-from cnotline import cli
+from cnotline import ResourceLimitError, cli
+from cnotline import circuit as circuit_mod
 from cnotline.cli import main
 from cnotline.constructions import FAMILIES
-from conftest import random_invertible, schedule_tokens
+from conftest import random_invertible, schedule_tokens, slice_violations
 
 
 def run(capsys, *argv):
@@ -59,7 +59,7 @@ def test_synth_emits_parseable_clean_circuit(capsys, argv, n):
     assert code == 0
     circuit = parse_circuit_text(out)
     assert circuit.n == n
-    assert not validate(circuit)
+    assert not slice_violations(circuit)
     assert "depth=" in err and "size=" in err and "density=" in err
 
 
@@ -476,6 +476,35 @@ def test_synth_permute_formula_notes_match_circuits(capsys):
         assert depth <= bound
 
 
+# SHA-256 over every n x n matrix, singular ones included, of each run's
+# exit code, stdout and stderr, generated before BitVector was removed;
+# they pin the order of the singularity and wire-count checks at n = 1
+SMALL_MATRIX_DIGESTS = {
+    ("synth", 1): "0f01c702c90e7f7a8e410b0bed38c07f97ec3e943a5380152617993e1fa4d426",
+    ("synth", 2): "c82b4395c6ef44034aa93854011e1a1239fadcfba8d26b1ff48e705eeefa9537",
+    ("synth", 3): "c4dce23f96a4c425a7cb2e19176d4ad799d091411522bda83be707f3d9bcf200",
+    ("bounds", 1): "59b708da37311ad337ec4d7d9b1e450620ed98e0d16708055cd61f702bd73983",
+    ("bounds", 2): "8b2218bd27d7a9a064cab6ab74653a6b3322d965a3e43210e58da1818c8c6dd7",
+    ("bounds", 3): "f4873bf58829624976ba5436738007a33422b9797ccbdfe0cb5c4cf9dd056d67",
+}
+
+
+@pytest.mark.parametrize("command,n", SMALL_MATRIX_DIGESTS)
+def test_smallest_matrices_pinned(capsys, tmp_path, command, n):
+    path = str(tmp_path / "m.matrix")
+    argv = {
+        "synth": ["synth", "--op", "matrix", "--matrix", path],
+        "bounds": ["bounds", "--machine", "--target", path],
+    }[command]
+    digest = hashlib.sha256()
+    for code in range(1 << (n * n)):
+        m = BitMatrix(n, tuple(code >> (j * n) & ((1 << n) - 1) for j in range(n)))
+        write_matrix(tmp_path, "m.matrix", m)
+        status, out, err = run(capsys, *argv)
+        digest.update(f"{status}\n{out}\x00{err}\x00".encode("ascii"))
+    assert digest.hexdigest() == SMALL_MATRIX_DIGESTS[command, n]
+
+
 def test_search_max_mode(capsys):
     code, out, _ = run(capsys, "search", "--n", "3", "--max")
     assert code == 0
@@ -502,11 +531,11 @@ def test_search_max_rejects_distance_flags(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("wires", [10**9, 10**12])
-def test_huge_circuit_header_fails_cleanly(capsys, tmp_path, wires):
-    # parsing takes memory from the gates, not from the header's wire count
+def _verify_and_render(capsys, tmp_path, text):
+    """verify and render results on a circuit text, with their seconds and
+    tracemalloc peak."""
     circuit = tmp_path / "c.circuit"
-    circuit.write_text(f"n {wires}\nu1 d3\n", encoding="ascii")
+    circuit.write_text(text, encoding="ascii")
     target = write_matrix(tmp_path, "t.matrix", BitMatrix.identity(2))
     start = time.perf_counter()
     tracemalloc.start()
@@ -516,7 +545,16 @@ def test_huge_circuit_header_fails_cleanly(capsys, tmp_path, wires):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert time.perf_counter() - start < 1.0
+    return verify, render, time.perf_counter() - start, peak
+
+
+@pytest.mark.parametrize("wires", [10**9, 10**12])
+def test_huge_circuit_header_fails_cleanly(capsys, tmp_path, wires):
+    # parsing takes memory from the gates, not from the header's wire count
+    verify, render, seconds, peak = _verify_and_render(
+        capsys, tmp_path, f"n {wires}\nu1 d3\n"
+    )
+    assert seconds < 1.0
     assert peak < 1 << 20
     assert verify == (2, "", f"error: circuit has {wires} wires but target is 2x2\n")
     assert render == (
@@ -525,6 +563,45 @@ def test_huge_circuit_header_fails_cleanly(capsys, tmp_path, wires):
         f"error: render would draw 1 slices on {wires} wires, more than the "
         f"limit of {cli.RENDER_CELL_LIMIT} slice-wire cells\n",
     )
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["u10000000\nd10000000\n" * 20, "u10000000000\n"],
+    ids=["40-lines", "one-gate"],
+)
+def test_far_gate_positions_refused_cleanly(capsys, tmp_path, body):
+    # parsing refuses before a mask reaches a far position: lines times
+    # (position + 1) would pass the cell limit
+    verify, render, seconds, peak = _verify_and_render(
+        capsys, tmp_path, "n 1000000000000\n" + body
+    )
+    assert seconds < 1.0
+    assert peak < 2 << 20
+    for code, out, err in (verify, render):
+        assert code == 3 and out == ""
+        assert err.startswith("error: line 2: gate u1000000") and err.count("\n") == 1
+        assert err.endswith(f"limit of {cli.SYNTH_CELL_LIMIT} slice-wire cells\n")
+
+
+def test_parse_cell_limit_boundary(monkeypatch):
+    # 20 slice lines times (top position 8 + 1) may equal the limit, but
+    # not pass it
+    text = circuit_to_text(reverse_circuit(9))
+    monkeypatch.setattr(circuit_mod, "CELL_LIMIT", 20 * 9)
+    assert parse_circuit_text(text) == reverse_circuit(9)
+    monkeypatch.setattr(circuit_mod, "CELL_LIMIT", 20 * 9 - 1)
+    with pytest.raises(ResourceLimitError, match=f"limit of {20 * 9 - 1} slice-wire"):
+        parse_circuit_text(text)
+
+
+def test_largest_add_synth_accepts_still_parses(capsys):
+    # (n + 4) * n passes the cell limit from n = 16383 on
+    assert run(capsys, "synth", "--op", "add", "--n", "16383")[0] == 3
+    code, out, err = run(capsys, "synth", "--op", "add", "--n", "16382")
+    assert code == 0
+    c = parse_circuit_text(out)
+    assert f"depth={c.depth} size={c.size} " in err and c.size == 4 * 16382 - 7
 
 
 def test_render_cell_limit_boundary(capsys, monkeypatch, tmp_path):

@@ -23,7 +23,6 @@ from cnotline import (
     rotation_block,
     schedule,
     swap_circuit,
-    validate,
 )
 from cnotline.constructions import FAMILIES
 from conftest import (
@@ -32,6 +31,7 @@ from conftest import (
     cyclic_matrix,
     oracle_permutation_circuit,
     oracle_permutation_matrix,
+    slice_violations,
     swap_target,
 )
 
@@ -80,7 +80,7 @@ def _family_test(name):
         assert c.size == size
         assert c.depth == depth if exact_depth else c.depth <= depth
         assert matrix_of(c) == FAMILY_TARGETS[name](n)
-        assert not validate(c)
+        assert not slice_violations(c)
 
     return test
 
@@ -203,7 +203,7 @@ def test_permutation_circuit_properties(rng):
         assert c.size == 3 * inversion_count(perm)
         assert c.depth <= 3 * n
         assert matrix_of(c) == oracle_permutation_matrix(perm)
-        assert not validate(c)
+        assert not slice_violations(c)
 
 
 def test_permutation_identity_is_empty():
@@ -221,7 +221,7 @@ def test_permutation_matrix_semantics():
     perm = [2, 3, 1]
     m = matrix_of(permutation_circuit(perm))
     for i, image in enumerate(perm, start=1):
-        assert m.column(image).bits == 1 << (i - 1)
+        assert m.cols[image - 1] == 1 << (i - 1)
 
 
 def test_permutation_rejects_bad_input():
@@ -277,10 +277,10 @@ def test_gather_postconditions(rng):
         state = matrix_of(c)
         for offset, p in enumerate(positions):
             w = window_start + offset
-            assert state.column(w).bits == 1 << (p - 1)
+            assert state.cols[w - 1] == 1 << (p - 1)
             assert state.packed_rows()[p - 1] == 1 << (w - 1)
         assert c.depth <= k + GATHER_DEPTH_PER_POSITION * m
-        assert not validate(c)
+        assert not slice_violations(c)
 
 
 def test_gather_depth_constant_is_pinned():
@@ -312,8 +312,8 @@ def test_gather_two_ends_reproduces_swap_window():
     state = matrix_of(c)
     k = ceil_half(n)
     assert window_start == k
-    assert state.column(k).bits == 1
-    assert state.column(k + 1).bits == 1 << (n - 1)
+    assert state.cols[k - 1] == 1
+    assert state.cols[k] == 1 << (n - 1)
 
 
 def test_gather_adjacent_positions_give_empty_circuit():
@@ -328,7 +328,7 @@ def test_gather_example_window():
     state = matrix_of(c)
     for offset, p in enumerate(positions):
         w = window_start + offset
-        assert state.column(w).bits == 1 << (p - 1)
+        assert state.cols[w - 1] == 1 << (p - 1)
         assert state.packed_rows()[p - 1] == 1 << (w - 1)
 
 

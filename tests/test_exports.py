@@ -13,6 +13,8 @@ def test_all_exports_resolve():
     missing = [name for name in cnotline.__all__ if not hasattr(cnotline, name)]
     assert missing == []
     assert len(set(cnotline.__all__)) == len(cnotline.__all__)
+    # code that catches it from the search module keeps working
+    assert cnotline.search.ResourceLimitError is cnotline.ResourceLimitError
 
 
 def test_traced_stages_resolve():

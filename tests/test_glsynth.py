@@ -21,7 +21,6 @@ from cnotline import (
     permutation_circuit,
     synthesize,
     triangular_reduction_circuit,
-    validate,
 )
 from cnotline.f2 import inverse as matrix_inverse
 from conftest import (
@@ -33,6 +32,7 @@ from conftest import (
     random_invertible,
     random_northwest,
     reduction_states,
+    slice_violations,
 )
 
 
@@ -41,9 +41,9 @@ def brute_lex_min(col, others):
     best = None
     for r in range(len(others) + 1):
         for combo in itertools.combinations(others, r):
-            acc = col.bits
+            acc = col
             for v in combo:
-                acc ^= v.bits
+                acc ^= v
             if best is None or acc < best:
                 best = acc
     return best
@@ -55,12 +55,10 @@ def test_northwest_basis_postconditions(rng):
         m = random_invertible(n, rng)
         w, pi = northwest_basis(m)
         assert sorted(pi) == list(range(1, n + 1))
-        assert all(w[j].top_coordinate() == n - j for j in range(n))
-        assert is_northwest_triangular(BitMatrix.from_columns(w))
+        assert all(w[j].bit_length() == n - j for j in range(n))
+        assert is_northwest_triangular(BitMatrix(n, w))
         for i in range(1, n + 1):
-            col = m.column(i)
-            others = [m.column(j) for j in range(i + 1, n + 1)]
-            assert w[pi[i - 1] - 1].bits == brute_lex_min(col, others)
+            assert w[pi[i - 1] - 1] == brute_lex_min(m.cols[i - 1], m.cols[i:])
 
 
 def test_northwest_basis_identity():
@@ -68,7 +66,7 @@ def test_northwest_basis_identity():
     w, pi = northwest_basis(BitMatrix.identity(n))
     # column i is already its own coset minimum, topped at coordinate i
     assert pi == tuple(n + 1 - i for i in range(1, n + 1))
-    assert [v.bits for v in w] == [1 << (n - 1 - j) for j in range(n)]
+    assert list(w) == [1 << (n - 1 - j) for j in range(n)]
 
 
 def test_northwest_basis_rejects_singular():
@@ -82,10 +80,8 @@ def test_clearing_duals_match_dual_functional(rng):
     for n in [2, 3, 5, 8, 13] + [rng.randint(2, 24) for _ in range(20)]:
         m = random_invertible(n, rng)
         w_basis, _ = northwest_basis(m)
-        rows = matrix_inverse(BitMatrix.from_columns(w_basis)).packed_rows()
-        assert rows == tuple(
-            dual_functional(w_basis, k).bits for k in range(1, n + 1)
-        )
+        rows = matrix_inverse(BitMatrix(n, w_basis)).packed_rows()
+        assert rows == tuple(dual_functional(w_basis, k) for k in range(1, n + 1))
 
 
 def test_clearing_reaches_northwest_form(rng):
@@ -96,7 +92,7 @@ def test_clearing_reaches_northwest_form(rng):
         c = clearing_circuit(m, net)
         assert is_northwest_triangular(apply(c, m))
         assert c.depth <= 2 * n
-        assert not validate(c)
+        assert not slice_violations(c)
 
 
 def test_clearing_invariants_layer_by_layer(rng):
@@ -117,7 +113,7 @@ def test_reduction_clears_to_identity(rng):
         c = triangular_reduction_circuit(nw, net)
         assert apply(c, nw) == BitMatrix.identity(n)
         assert c.depth <= 3 * n
-        assert not validate(c)
+        assert not slice_violations(c)
 
 
 def test_reduction_invariants_layer_by_layer(rng):
@@ -158,7 +154,7 @@ def test_synthesize_round_trip_sampled(rng):
             c = synthesize(m)
             assert matrix_of(c) == m
             assert c.depth <= 5 * n
-            assert not validate(c)
+            assert not slice_violations(c)
 
 
 def test_synthesize_identity_is_empty():

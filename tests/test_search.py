@@ -19,7 +19,6 @@ from cnotline import (
     rotate_circuit,
     slice_generators,
     up,
-    validate,
 )
 from cnotline import search
 from cnotline.search import (
@@ -28,10 +27,15 @@ from cnotline.search import (
     _packed_generators,
     _sorted_levels,
     _witness_from_levels,
-    decode_state,
     encode_state,
 )
-from conftest import from_lists, oracle_set_bfs, schedule_tokens
+from conftest import (
+    decode_state,
+    from_lists,
+    oracle_set_bfs,
+    schedule_tokens,
+    slice_violations,
+)
 
 # states at distance 0..5 from the identity in GL_6(2)
 BALL_6_5 = (1, 42, 618, 6428, 61390, 450824)
@@ -57,7 +61,7 @@ def test_slice_generator_counts():
 
 
 def test_slice_generators_n3_exact():
-    got = {frozenset(s.gates) for s in slice_generators(3)}
+    got = {frozenset(s.sorted_gates) for s in slice_generators(3)}
     assert got == {
         frozenset({up(1)}),
         frozenset({down(1)}),
@@ -69,7 +73,7 @@ def test_slice_generators_n3_exact():
 def test_slice_generators_are_wire_disjoint():
     for n in (4, 5, 6):
         for s in slice_generators(n):
-            wires = [w for g in s.gates for w in (g.position, g.position + 1)]
+            wires = [w for g in s.sorted_gates for w in (g.position, g.position + 1)]
             assert len(wires) == len(set(wires))
 
 
@@ -143,7 +147,7 @@ def test_distance_witness_is_a_minimum_depth_circuit():
         assert w is not None
         assert w.depth == result.value
         assert matrix_of(w) == target
-        assert not validate(w)
+        assert not slice_violations(w)
 
 
 def test_distance_never_exceeds_construction_depth():
@@ -399,7 +403,7 @@ def test_maximal_slice_convention_not_equivalent():
     for n in (2, 3, 4):
         slices = slice_generators(n)
         packed = _packed_generators(n)
-        sets = [s.gates for s in slices]
+        sets = [frozenset(s.sorted_gates) for s in slices]
         maximal = [
             p for s, p in zip(sets, packed) if not any(s < t for t in sets)
         ]
