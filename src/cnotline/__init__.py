@@ -37,7 +37,6 @@ from .circuit import (
 )
 from .constructions import (
     GATHER_DEPTH_PER_POSITION,
-    ComparatorNetwork,
     add_circuit,
     fired_comparators,
     gather_circuit,
@@ -85,7 +84,6 @@ __all__ = [
     "BoundReport",
     "Circuit",
     "CircuitMetrics",
-    "ComparatorNetwork",
     "CutBlocks",
     "GATHER_DEPTH_PER_POSITION",
     "Gate",

@@ -101,6 +101,4 @@ def reversal_bounds(n: int) -> tuple[int, int]:
     """
     if n < 3:
         raise ValueError(f"closed forms require n >= 3, got {n}")
-    if n % 2 == 0:
-        return 2 * n + 1, (n * n + 2 * n) // 2
-    return 2 * n + 1, (n * n + 2 * n - 1) // 2
+    return 2 * n + 1, n * n // 2 + n

@@ -77,13 +77,11 @@ def down(position: int) -> Gate:
 
 
 def parse_gate_token(token: str) -> Gate:
-    kind, digits = token[:1], token[1:]
-    if kind not in ("u", "d") or not digits.isdigit():
+    # leading zeros go before int() sees the digits; a position of 0 leaves none
+    kind, digits = token[:1], token[1:].lstrip("0")
+    if kind not in ("u", "d") or not digits.isdecimal():
         raise ValueError(f"bad gate token {token!r}")
-    pos = int(digits)
-    if pos < 1:
-        raise ValueError(f"bad gate token {token!r}")
-    return down(pos) if kind == "d" else up(pos)
+    return down(int(digits)) if kind == "d" else up(int(digits))
 
 
 @dataclass(frozen=True, init=False)
@@ -271,9 +269,13 @@ def parse_circuit_text(text: str) -> Circuit:
     if not lines:
         raise ValueError("empty circuit text")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
-        raise ValueError(f"bad header {lines[0]!r}, expected 'n <wires>'")
-    n = int(head[1])
+    try:
+        if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
+            raise ValueError
+        # int() refuses, unconverted, a count past the interpreter's digit limit
+        n = int(head[1])
+    except ValueError:
+        raise ValueError(f"bad header {lines[0]!r}, expected 'n <wires>'") from None
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
     # token -> bit p for up(p), shift + p for down(p): one sum gives both
@@ -316,8 +318,15 @@ def _line_code(
     top = CELL_LIMIT // depth  # depth * (p + 1) passes the limit iff p >= top
     gates = []
     used = 0
+    width = len(str(n))
     for tok in tokens:
-        g = parse_gate_token(tok)
+        # a position with more digits than n is off the line: int() never sees it
+        if len(tok[1:].lstrip("0")) > width and tok[1:].isdecimal() and tok[0] in "ud":
+            raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")
+        try:
+            g = parse_gate_token(tok)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         p = g.position
         if p >= n:
             raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")

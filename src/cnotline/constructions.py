@@ -11,7 +11,6 @@ straight into slice masks where the scheduler would put its gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .circuit import Circuit, Gate, TimeSlice, down, schedule, up
@@ -163,29 +162,12 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class ComparatorNetwork:
-    """Adjacent-wire sorting network: layers of non-conflicting positions."""
-
-    n: int
-    layers: tuple[Sequence[int], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    @property
-    def size(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-
-def odd_even_network(n: int) -> ComparatorNetwork:
-    """Odd-even transposition network: depth n (1 at n=2), size n(n-1)/2.
-    Its layers are ranges, so it takes O(n) memory, not O(n^2)."""
+def odd_even_network(n: int) -> tuple[range, ...]:
+    """Layers of the odd-even transposition network, each a range of
+    comparator positions: depth n (1 at n=2), size n(n-1)/2, O(n) memory."""
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
-    layers = tuple(range(1 + t % 2, n, 2) for t in range(1 if n == 2 else n))
-    return ComparatorNetwork(n, layers)
+    return tuple(range(1 + t % 2, n, 2) for t in range(1 if n == 2 else n))
 
 
 def _sorting_run(
@@ -232,18 +214,12 @@ def _sorting_run(
     return Circuit(len(labels), tuple(slices))
 
 
-def fired_comparators(
-    net: ComparatorNetwork, labels: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Comparators that actually swap when the network sorts the labels.
-
-    Returns one (possibly empty) tuple of positions per network layer.
-    """
+def fired_comparators(labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Comparators that actually swap when the odd-even network sorts the
+    labels: one (possibly empty) tuple of positions per layer."""
     lab = list(labels)
-    if len(lab) != net.n:
-        raise ValueError(f"expected {net.n} labels, got {len(lab)}")
     out = []
-    for layer in net.layers:
+    for layer in odd_even_network(len(lab)):
         fired = []
         for p in layer:
             if lab[p - 1] > lab[p]:
@@ -283,9 +259,8 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
-    layers = odd_even_network(n).layers
     swap = _BOX_GATES[("v", "u")]
-    return _sorting_run(layers, list(perm), [0] * n, lambda p, k: swap)
+    return _sorting_run(odd_even_network(n), list(perm), [0] * n, lambda p, k: swap)
 
 
 # Minimal gate sequences, in _sorting_run's form ("u" for up(p), "d" for

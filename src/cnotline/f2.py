@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class SingularMatrixError(ValueError):
     """Raised when an inverse of a singular matrix is requested."""
@@ -107,13 +109,12 @@ class BitMatrix:
 
     def packed_rows(self) -> tuple[int, ...]:
         """Rows packed into ints, bit j-1 of row i-1 holding entry (i, j)."""
-        rows = [0] * self.n
-        for j, c in enumerate(self.cols):
-            while c:
-                low = c & -c
-                rows[low.bit_length() - 1] |= 1 << j
-                c ^= low
-        return tuple(rows)
+        n, w = self.n, (self.n + 7) // 8  # w bytes per packed column or row
+        cols = np.frombuffer(b"".join(c.to_bytes(w, "little") for c in self.cols), np.uint8)
+        # bits[j, i] is entry (i, j); transposed, each row packs into w bytes
+        bits = np.unpackbits(cols.reshape(n, w), axis=1, bitorder="little")[:, :n]
+        rows = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+        return tuple(int.from_bytes(rows[k:k + w], "little") for k in range(0, len(rows), w))
 
     @cached_property
     def is_invertible(self) -> bool:

@@ -1,23 +1,22 @@
 """Synthesis of arbitrary invertible transformations in depth at most 5n.
 
-The pipeline undoes a matrix in two stages: a clearing stage drives the
-state to northwest-triangular form with depth-2 boxes riding a sorting
-network (depth at most 2n), and a reduction stage takes the triangular
-matrix to the identity with depth-3 boxes riding the network's reversal
-schedule (depth at most 3n).  Inverting both stages yields a circuit
-computing the matrix.  Each stage is a box rule for the network runner
-constructions._sorting_run, which writes the boxes straight into slice
-masks: no gate list is built and no schedule pass runs.  Both stages
-take their boxes from constructions._BOX_GATES, as permutation routing
-does.
+The pipeline undoes a matrix in two stages, both run on the odd-even
+transposition network of depth n (constructions.odd_even_network).  A
+clearing stage drives the state to northwest-triangular form with
+depth-2 boxes (depth at most 2n), and a reduction stage takes the
+triangular matrix to the identity with depth-3 boxes at the comparators
+that fire sorting the reversed labeling (depth at most 3n).  Inverting
+both stages yields a circuit computing the matrix.  Each stage is a box
+rule for constructions._sorting_run, which writes boxes from
+constructions._BOX_GATES straight into slice masks, as permutation
+routing does: no gate list is built and no schedule pass runs.
 """
 
 from __future__ import annotations
 
 from . import circuit as circuit_mod
 from .circuit import Circuit
-from .constructions import ComparatorNetwork, odd_even_network
-from .constructions import _BOX_GATES, _sorting_run
+from .constructions import _BOX_GATES, _sorting_run, odd_even_network
 from .f2 import BitMatrix, SingularMatrixError, _coset_min, is_northwest_triangular
 from .f2 import inverse as matrix_inverse
 
@@ -53,10 +52,8 @@ def northwest_basis(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(w), tuple(pi)
 
 
-def _clearing(m: BitMatrix, net: ComparatorNetwork) -> tuple:
+def _clearing(m: BitMatrix) -> tuple:
     """Values, labels and box of the clearing stage for _sorting_run."""
-    if net.n != m.n:
-        raise ValueError(f"network on {net.n} wires, matrix of dimension {m.n}")
     w_basis, pi = northwest_basis(m)
     # row k of the inverse of [w_1 ... w_n] is the dual functional of w_k
     inv_rows = matrix_inverse(BitMatrix(m.n, w_basis)).packed_rows()
@@ -76,25 +73,25 @@ def _clearing(m: BitMatrix, net: ComparatorNetwork) -> tuple:
     return values, list(pi), box
 
 
-def clearing_circuit(m: BitMatrix, net: ComparatorNetwork) -> Circuit:
-    """Circuit C with apply(C, m) northwest-triangular, depth <= 2 net.depth.
+def clearing_circuit(m: BitMatrix) -> Circuit:
+    """Circuit C with apply(C, m) northwest-triangular, depth at most 2n.
 
     Raises:
         SingularMatrixError: if m is singular.
     """
-    values, labels, box = _clearing(m, net)
-    return _sorting_run(net.layers, labels, values, box)
+    values, labels, box = _clearing(m)
+    return _sorting_run(odd_even_network(m.n), labels, values, box)
 
 
-def _reduction(nw: BitMatrix, net: ComparatorNetwork) -> tuple:
+def _reduction(nw: BitMatrix) -> tuple:
     """Values, labels and box of the reduction stage for _sorting_run; it
     swaps exactly at the comparators that fire sorting the reversal labeling."""
     n = nw.n
-    if net.n != n:
-        raise ValueError(f"network on {net.n} wires, matrix of dimension {n}")
     if not is_northwest_triangular(nw):
         raise ValueError("matrix is not northwest-triangular")
-    if not nw.is_invertible:
+    # being northwest-triangular, nw is invertible exactly when every
+    # anti-diagonal entry (n+1-j, j), the top bit of column j, is set
+    if any(c.bit_length() != n - i for i, c in enumerate(nw.cols)):
         raise SingularMatrixError(f"matrix of dimension {n} is singular")
     values = list(nw.cols)
     fold, swap = _BOX_GATES[("v", "u^v")], _BOX_GATES[("v", "u")]
@@ -106,17 +103,16 @@ def _reduction(nw: BitMatrix, net: ComparatorNetwork) -> tuple:
     return values, list(range(n, 0, -1)), box
 
 
-def triangular_reduction_circuit(nw: BitMatrix, net: ComparatorNetwork) -> Circuit:
-    """Circuit R with apply(R, nw) = I for invertible northwest-triangular nw.
-
-    Depth at most 3 times the network depth.
+def triangular_reduction_circuit(nw: BitMatrix) -> Circuit:
+    """Circuit R with apply(R, nw) = I for invertible northwest-triangular nw,
+    depth at most 3n.
 
     Raises:
         ValueError: if nw is not northwest-triangular.
         SingularMatrixError: if nw is singular.
     """
-    values, labels, box = _reduction(nw, net)
-    return _sorting_run(net.layers, labels, values, box)
+    values, labels, box = _reduction(nw)
+    return _sorting_run(odd_even_network(nw.n), labels, values, box)
 
 
 def synthesize(m: BitMatrix) -> Circuit:
@@ -127,16 +123,13 @@ def synthesize(m: BitMatrix) -> Circuit:
     circuit inverse(R) then inverse(C) computes m.
 
     Raises:
-        SingularMatrixError: if m is singular.
+        SingularMatrixError: if m is singular; northwest_basis finds it.
     """
-    if not m.is_invertible:
-        raise SingularMatrixError(f"matrix of dimension {m.n} is singular")
     if m == BitMatrix.identity(m.n):
         return Circuit(m.n)
-    net = odd_even_network(m.n)
-    clearing = clearing_circuit(m, net)
+    clearing = clearing_circuit(m)
     nw = circuit_mod.apply(clearing, m)
-    reduction = triangular_reduction_circuit(nw, net)
+    reduction = triangular_reduction_circuit(nw)
     return circuit_mod.concat(
         circuit_mod.inverse(reduction), circuit_mod.inverse(clearing)
     )

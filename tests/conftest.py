@@ -281,14 +281,14 @@ class LabeledWireState:
         return out
 
 
-def _stage_states(stage: tuple, net, basis: tuple) -> list:
+def _stage_states(stage: tuple, basis: tuple) -> list:
     """The state before the first layer and after each layer of a stage,
     the (values, labels, box) of glsynth._clearing or _reduction run one
     layer at a time through _sorting_run.  Layers after the labels are
     sorted repeat it."""
     values, labels, box = stage
     states = []
-    for layer in ((),) + net.layers:
+    for layer in ((),) + odd_even_network(len(values)):
         _sorting_run([layer], labels, values, box)
         states.append(
             LabeledWireState(BitMatrix(len(values), tuple(values)), tuple(labels), *basis)
@@ -296,30 +296,30 @@ def _stage_states(stage: tuple, net, basis: tuple) -> list:
     return states
 
 
-def clearing_states(m: BitMatrix, net) -> list:
+def clearing_states(m: BitMatrix) -> list:
     """Wire states after each clearing layer (index 0 = initial state)."""
     w_basis, _ = northwest_basis(m)
     duals = tuple(dual_functional(w_basis, k) for k in range(1, m.n + 1))
-    return _stage_states(_clearing(m, net), net, (w_basis, duals))
+    return _stage_states(_clearing(m), (w_basis, duals))
 
 
-def reduction_states(nw: BitMatrix, net) -> list:
+def reduction_states(nw: BitMatrix) -> list:
     """Wire states after each reduction layer (index 0 = initial state)."""
     std = tuple(1 << k for k in range(nw.n))
-    return _stage_states(_reduction(nw, net), net, (std, std))
+    return _stage_states(_reduction(nw), (std, std))
 
 
-def oracle_sorting_run(net, values, labels, box_for, states, basis) -> list:
+def oracle_sorting_run(values, labels, box_for, states, basis) -> list:
     """Gate-list network runner: the reference for the slice-mask runner.
 
-    Runs every layer of the network, asks box_for(p, k) for the Gate
+    Runs every layer of the odd-even network, asks box_for(p, k) for the Gate
     list of each swap and applies it to values as emitted; the caller
     packs the list with schedule.  When states is a list, the state
     before the first layer and after each layer is appended to it.
     """
     n = len(values)
     gates: list = []
-    for layer in ((),) + net.layers:
+    for layer in ((),) + odd_even_network(n):
         for p in layer:
             j, k = labels[p - 1], labels[p]
             if j < k:
@@ -336,7 +336,7 @@ def oracle_sorting_run(net, values, labels, box_for, states, basis) -> list:
     return gates
 
 
-def oracle_clearing(m: BitMatrix, net, states=None) -> Circuit:
+def oracle_clearing(m: BitMatrix, states=None) -> Circuit:
     """Clearing stage through oracle_sorting_run and schedule."""
     w_basis, pi = northwest_basis(m)
     duals = matrix_inverse(BitMatrix(m.n, w_basis)).packed_rows()
@@ -351,11 +351,11 @@ def oracle_clearing(m: BitMatrix, net, states=None) -> Circuit:
             return [down(p)]
         return [up(p), down(p)]
 
-    gates = oracle_sorting_run(net, values, list(pi), box_for, states, (w_basis, duals))
+    gates = oracle_sorting_run(values, list(pi), box_for, states, (w_basis, duals))
     return schedule(m.n, gates)
 
 
-def oracle_reduction(nw: BitMatrix, net, states=None) -> Circuit:
+def oracle_reduction(nw: BitMatrix, states=None) -> Circuit:
     """Reduction stage through oracle_sorting_run and schedule."""
     n = nw.n
     std = tuple(1 << k for k in range(n))
@@ -367,16 +367,15 @@ def oracle_reduction(nw: BitMatrix, net, states=None) -> Circuit:
         return [up(p), down(p), up(p)]
 
     labels = list(range(n, 0, -1))
-    return schedule(n, oracle_sorting_run(net, values, labels, box_for, states, (std, std)))
+    return schedule(n, oracle_sorting_run(values, labels, box_for, states, (std, std)))
 
 
 def oracle_synthesize(m: BitMatrix) -> Circuit:
     """The depth-5n pipeline through the oracle stages."""
     if m == BitMatrix.identity(m.n):
         return Circuit(m.n)
-    net = odd_even_network(m.n)
-    clearing = oracle_clearing(m, net)
-    reduction = oracle_reduction(apply(clearing, m), net)
+    clearing = oracle_clearing(m)
+    reduction = oracle_reduction(apply(clearing, m))
     return concat(inverse(reduction), inverse(clearing))
 
 
@@ -387,7 +386,7 @@ def oracle_permutation_circuit(perm) -> Circuit:
     def swap(p, k):
         return [up(p), down(p), up(p)]
 
-    gates = oracle_sorting_run(odd_even_network(n), [0] * n, list(perm), swap, None, ())
+    gates = oracle_sorting_run([0] * n, list(perm), swap, None, ())
     return schedule(n, gates)
 
 

@@ -293,8 +293,13 @@ def _is_gate_token(token):
     st.data(),
 )
 def test_property_rejects_bad_token(c, bad, data):
-    text, _, _ = _with_token(data.draw, c, lambda gates: (bad, False))
-    _rejects(text, f"bad gate token {bad!r}")
+    text, lineno, _ = _with_token(data.draw, c, lambda gates: (bad, False))
+    _rejects(text, f"line {lineno}: bad gate token {bad!r}")
+
+
+def test_leading_zeros_do_not_count_toward_digits():
+    # 5001 digits, past the 4300 int() converts, but this is u1, as u01 is
+    assert parse_circuit_text("n 3\nu" + "0" * 5000 + "1\n") == parse_circuit_text("n 3\nu1\n")
 
 
 @PROPERTY

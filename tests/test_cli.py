@@ -584,6 +584,22 @@ def test_far_gate_positions_refused_cleanly(capsys, tmp_path, body):
         assert err.endswith(f"limit of {cli.SYNTH_CELL_LIMIT} slice-wire cells\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("n 3\nu" + "7" * 5000 + "\n", "line 2: gate u" + "7" * 5000 + " does not fit on 3 wires"),
+        ("n " + "7" * 5000 + "\nu1\n", f"bad header {'n ' + '7' * 5000!r}, expected 'n <wires>'"),
+        ("n 3\nu1\nx1\n", "line 3: bad gate token 'x1'"),
+    ],
+    ids=["long-token", "long-header", "bad-token"],
+)
+def test_bad_input_names_its_line(capsys, tmp_path, text, message):
+    verify, render, _, _ = _verify_and_render(capsys, tmp_path, text)
+    for code, out, err in (verify, render):
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert "set_int_max_str_digits" not in err
+
+
 def test_parse_cell_limit_boundary(monkeypatch):
     # 20 slice lines times (top position 8 + 1) may equal the limit, but
     # not pass it

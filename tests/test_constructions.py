@@ -58,8 +58,8 @@ def test_pinned_reverse():
 
 
 def test_pinned_odd_even_network():
-    net = odd_even_network(7)
-    assert net.depth == 7 and net.size == 21
+    layers = odd_even_network(7)
+    assert len(layers) == 7 and sum(map(len, layers)) == 21
 
 
 FAMILY_TARGETS = {
@@ -116,20 +116,19 @@ def test_rotation_block_windows(rng):
 
 def test_odd_even_network_shape():
     for n in range(2, 11):
-        net = odd_even_network(n)
-        assert net.size == n * (n - 1) // 2
-        assert net.depth == (1 if n == 2 else n)
-        for layer in net.layers:
+        layers = odd_even_network(n)
+        assert sum(map(len, layers)) == n * (n - 1) // 2
+        assert len(layers) == (1 if n == 2 else n)
+        for layer in layers:
             assert all(1 <= p <= n - 1 for p in layer)
             assert all(b - a >= 2 for a, b in zip(layer, layer[1:]))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_odd_even_network_sorts_everything(n):
-    net = odd_even_network(n)
     for perm in itertools.permutations(range(1, n + 1)):
         labels = list(perm)
-        fired = fired_comparators(net, labels)
+        fired = fired_comparators(labels)
         work = list(perm)
         count = 0
         for layer in fired:

@@ -88,8 +88,7 @@ def test_clearing_reaches_northwest_form(rng):
     for _ in range(120):
         n = rng.randint(2, 9)
         m = random_invertible(n, rng)
-        net = odd_even_network(n)
-        c = clearing_circuit(m, net)
+        c = clearing_circuit(m)
         assert is_northwest_triangular(apply(c, m))
         assert c.depth <= 2 * n
         assert not slice_violations(c)
@@ -99,8 +98,8 @@ def test_clearing_invariants_layer_by_layer(rng):
     sizes = [2, 3, 4, 5] + [6] * 50
     for n in sizes:
         m = random_invertible(n, rng)
-        states = clearing_states(m, odd_even_network(n))
-        assert len(states) == odd_even_network(n).depth + 1
+        states = clearing_states(m)
+        assert len(states) == len(odd_even_network(n)) + 1
         for state in states:
             assert state.clearing_violations() == []
 
@@ -109,8 +108,7 @@ def test_reduction_clears_to_identity(rng):
     for _ in range(120):
         n = rng.randint(2, 9)
         nw = random_northwest(n, rng)
-        net = odd_even_network(n)
-        c = triangular_reduction_circuit(nw, net)
+        c = triangular_reduction_circuit(nw)
         assert apply(c, nw) == BitMatrix.identity(n)
         assert c.depth <= 3 * n
         assert not slice_violations(c)
@@ -120,17 +118,15 @@ def test_reduction_invariants_layer_by_layer(rng):
     sizes = [2, 3, 4, 5] + [6] * 50
     for n in sizes:
         nw = random_northwest(n, rng)
-        states = reduction_states(nw, odd_even_network(n))
-        assert len(states) == odd_even_network(n).depth + 1
+        states = reduction_states(nw)
+        assert len(states) == len(odd_even_network(n)) + 1
         for state in states:
             assert state.reduction_violations() == []
 
 
 def test_reduction_rejects_non_northwest():
     with pytest.raises(ValueError):
-        triangular_reduction_circuit(
-            BitMatrix.identity(3), odd_even_network(3)
-        )
+        triangular_reduction_circuit(BitMatrix.identity(3))
 
 
 def test_reduction_rejects_singular_northwest():
@@ -138,12 +134,33 @@ def test_reduction_rejects_singular_northwest():
     nw = BitMatrix(3, (0b111, 0b000, 0b001))
     assert is_northwest_triangular(nw)
     with pytest.raises(SingularMatrixError):
-        triangular_reduction_circuit(nw, odd_even_network(3))
+        triangular_reduction_circuit(nw)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_reduction_singular_exactly_when_echelon_says_so(n):
+    # every northwest-triangular matrix: column j holds n+1-j free bits
+    invertible = 0
+    for code in range(1 << (n * (n + 1) // 2)):
+        cols = []
+        for j in range(n):
+            cols.append(code & ((1 << (n - j)) - 1))
+            code >>= n - j
+        nw = BitMatrix(n, tuple(cols))
+        assert is_northwest_triangular(nw)
+        if nw.is_invertible:
+            assert apply(triangular_reduction_circuit(nw), nw) == BitMatrix.identity(n)
+            invertible += 1
+        else:
+            with pytest.raises(SingularMatrixError):
+                triangular_reduction_circuit(nw)
+    # the anti-diagonal is forced, the n(n-1)/2 bits above it are free
+    assert invertible == 2 ** (n * (n - 1) // 2)
 
 
 def test_reversal_layers_fire_everything():
     for n in range(2, 9):
-        layers = fired_comparators(odd_even_network(n), range(n, 0, -1))
+        layers = fired_comparators(range(n, 0, -1))
         assert sum(len(layer) for layer in layers) == n * (n - 1) // 2
 
 
@@ -165,6 +182,18 @@ def test_synthesize_identity_is_empty():
 def test_synthesize_rejects_singular():
     with pytest.raises(SingularMatrixError):
         synthesize(BitMatrix(4, (1, 2, 3, 8)))
+
+
+def test_synthesize_rejects_every_singular_4x4():
+    singular = 0
+    for code in range(1 << 16):
+        m = BitMatrix(4, tuple(code >> (4 * j) & 15 for j in range(4)))
+        if m.is_invertible:
+            continue
+        singular += 1
+        with pytest.raises(SingularMatrixError, match="^matrix of dimension 4 is singular$"):
+            synthesize(m)
+    assert singular == 45376
 
 
 def test_synthesize_anti_identity(rng):
@@ -236,15 +265,14 @@ def _stage_targets(n, rng):
 def test_stages_match_gate_list_oracle():
     rng = random.Random(70)
     for n in range(2, 71):
-        net = odd_even_network(n)
         for m in _stage_targets(n, rng):
             want = oracle_synthesize(m)
             assert circuit_to_text(synthesize(m)) == circuit_to_text(want)
-            want = oracle_clearing(m, net)
-            assert circuit_to_text(clearing_circuit(m, net)) == circuit_to_text(want)
+            want = oracle_clearing(m)
+            assert circuit_to_text(clearing_circuit(m)) == circuit_to_text(want)
         nw = random_northwest(n, rng)
-        want = oracle_reduction(nw, net)
-        assert circuit_to_text(triangular_reduction_circuit(nw, net)) == (
+        want = oracle_reduction(nw)
+        assert circuit_to_text(triangular_reduction_circuit(nw)) == (
             circuit_to_text(want)
         )
 
@@ -252,14 +280,13 @@ def test_stages_match_gate_list_oracle():
 def test_stage_states_match_oracle_layer_by_layer():
     rng = random.Random(12)
     for n in range(2, 14):
-        net = odd_even_network(n)
         # the reversal's clearing labels start sorted, so that run stops
         # before its first layer and repeats the initial state
         for m in _stage_targets(n, rng):
             want = []
-            oracle_clearing(m, net, want)
-            assert clearing_states(m, net) == want
+            oracle_clearing(m, want)
+            assert clearing_states(m) == want
         for nw in (random_northwest(n, rng), BitMatrix.anti_identity(n)):
             want = []
-            oracle_reduction(nw, net, want)
-            assert reduction_states(nw, net) == want
+            oracle_reduction(nw, want)
+            assert reduction_states(nw) == want
