@@ -248,6 +248,17 @@ def test_search_witness_file(capsys, tmp_path):
     assert matrix_of(circuit) == BitMatrix.anti_identity(3)
 
 
+def test_search_n4_reversal_witness_is_pinned(capsys, tmp_path):
+    # SHA-256 of the witness file, generated while a gate was still a
+    # Gate object and slice_generators built slices from gate tuples
+    witness = tmp_path / "w.circuit"
+    code, _, _ = run(capsys, "search", "--n", "4", "--reversal", "--witness", str(witness))
+    assert code == 0
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
+        "30043e76b891300df1de368bf6df9c6c7f6e5943a1a37728f83e2114046270f9"
+    )
+
+
 def test_search_depth_limit_incomplete(capsys):
     code, out, _ = run(
         capsys, "search", "--n", "4", "--reversal", "--depth-limit", "5"

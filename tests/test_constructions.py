@@ -1,5 +1,6 @@
 """Named circuit families: pinned depths, closed-form sizes, semantics."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -341,3 +342,37 @@ def test_constructions_reject_tiny_n():
     for build in (add_circuit, swap_circuit, rotate_circuit, reverse_circuit):
         with pytest.raises(ValueError):
             build(1)
+
+
+# SHA-256 of circuit_to_text at n = 2..69, concatenated, generated while
+# the families still built Gate objects for schedule and rotation_block
+PINNED_FAMILY_TEXT = {
+    "add": "ae0006a72a095234d5bd8c1beff3b56b32bb4ff741a9021b4bfc6c362d60aea6",
+    "swap": "20ad635b32302b16df7d7e4221b6e46f6bb3986aefd474c340835eca6e75c249",
+    "rotate": "a6e9833bf7c4164f1a169ad1dfdc9cdb27e91738606c9afdf7e3908b5799d270",
+    "reverse": "9224e8f49e5ae2bff97cdcb84015cbdb4a34b3b9b5000762ef9a7f0060a53bfe",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FAMILY_TEXT))
+def test_family_text_is_pinned(name):
+    build = FAMILIES[name][0]
+    digest = hashlib.sha256()
+    for n in range(2, 70):
+        digest.update(circuit_to_text(build(n)).encode("ascii"))
+    assert digest.hexdigest() == PINNED_FAMILY_TEXT[name]
+
+
+def test_gather_text_is_pinned():
+    # six (n, positions) drawn from random.Random(14), generated with the
+    # family pins above
+    rng = random.Random(14)
+    digest = hashlib.sha256()
+    for _ in range(6):
+        n = rng.randint(2, 40)
+        positions = sorted(rng.sample(range(1, n + 1), rng.randint(2, n)))
+        c, window_start = gather_circuit(n, positions)
+        digest.update(f"{window_start}\n{circuit_to_text(c)}".encode("ascii"))
+    assert digest.hexdigest() == (
+        "4e69e460e0d3f348882ccc3ad1a4d4278176f6aebc3e68b988371d26d88a6b14"
+    )

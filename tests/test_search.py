@@ -356,6 +356,37 @@ def test_dense_engine_results_are_pinned(cols, value, completed, digest):
         assert matrix_of(result.witness) == target
 
 
+# The first five targets of random_invertible(5, random.Random(14)) that
+# distance(5, T, 9) reaches, with their distance and the SHA-256 of the
+# witness text, generated while slice_generators built slices from gates
+PINNED_SEEDED_WITNESSES = [
+    ((4, 20, 23, 25, 21), 9,
+     "f79ab0353ef53622a979612ad5cedb12defd23e91b9bf58fd5eb41aaf5cf0e39"),
+    ((15, 29, 20, 4, 28), 8,
+     "63d99a6c27dc7271410caf4739353122000883fdc952c21ef0094e56b55e686e"),
+    ((14, 1, 12, 23, 19), 6,
+     "363cd4202c91d39d29c52266649106cf481de56b1de862a7bb87ce703e5b0017"),
+    ((24, 25, 29, 12, 2), 9,
+     "be4893176925d276e268f8b4ca911d80700393c97afdd8e643cf195ede73547f"),
+    ((26, 25, 6, 17, 21), 9,
+     "6963e51888919ae618630a8c30949b035609d0b6302a298e963facf3506694c7"),
+]
+
+
+@pytest.mark.parametrize(
+    "cols,value,digest",
+    PINNED_SEEDED_WITNESSES,
+    ids=["-".join(map(str, case[0])) for case in PINNED_SEEDED_WITNESSES],
+)
+def test_seeded_witnesses_are_pinned(cols, value, digest):
+    target = BitMatrix(5, cols)
+    result = distance(5, target, depth_limit=9, witness=True)
+    assert (result.value, result.completed) == (value, True)
+    text = circuit_to_text(result.witness)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+    assert matrix_of(result.witness) == target
+
+
 def test_n6_reversal_beyond_depth_six():
     result = distance(6, BitMatrix.anti_identity(6), depth_limit=6)
     assert (result.value, result.completed) == (6, False)
