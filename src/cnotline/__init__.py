@@ -19,7 +19,6 @@ from .bounds import (
 from .circuit import (
     Circuit,
     CircuitMetrics,
-    Gate,
     ResourceLimitError,
     TimeSlice,
     apply,
@@ -27,6 +26,7 @@ from .circuit import (
     concat,
     crossing_counts,
     down,
+    gate_token,
     inverse,
     matrix_of,
     metrics,
@@ -86,7 +86,6 @@ __all__ = [
     "CircuitMetrics",
     "CutBlocks",
     "GATHER_DEPTH_PER_POSITION",
-    "Gate",
     "ResourceLimitError",
     "SearchResult",
     "SingularMatrixError",
@@ -103,6 +102,7 @@ __all__ = [
     "down",
     "dual_functional",
     "fired_comparators",
+    "gate_token",
     "gather_circuit",
     "inverse",
     "inversion_count",

@@ -7,19 +7,20 @@ the matrix whose column j expresses the current value of wire j as a
 combination of the initial wire values, so running gates multiplies on
 the right by elementary matrices.
 
-A slice is held as two masks, bit p of up for gate up(p) and bit p of
-down for down(p); no Gate object is made per gate on the hot paths.
+A gate is the int 2p + d: up(p) = (p <- p + 1) is 2p and down(p) =
+(p + 1 <- p) is 2p + 1, so codes sort by position, up(p) first.  A slice
+holds two masks, bit p of up for up(p) and bit p of down for down(p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .f2 import BitMatrix
+from .f2 import BitMatrix, clip
 
 # Slice-wire cells a circuit may take: synth refuses a family whose depth
 # bound times n passes it, and parsing a gate whose position times the
@@ -31,85 +32,38 @@ class ResourceLimitError(RuntimeError):
     """Raised when a command would exceed its declared memory budget."""
 
 
-@dataclass(frozen=True, order=True)
-class Gate:
-    """CNOT (target <- source) between adjacent wires."""
-
-    target: int
-    source: int
-
-    def __post_init__(self) -> None:
-        if min(self.target, self.source) < 1:
-            raise ValueError(f"wires must be positive, got {self}")
-        if abs(self.target - self.source) != 1:
-            raise ValueError(f"gate must touch adjacent wires, got {self}")
-
-    @property
-    def position(self) -> int:
-        """Lower of the two wires; the gate crosses the cut at this position."""
-        return min(self.target, self.source)
-
-    @property
-    def is_downward(self) -> bool:
-        """True when the target sits below the source (larger wire index)."""
-        return self.target > self.source
-
-    @property
-    def token(self) -> str:
-        return f"d{self.source}" if self.target > self.source else f"u{self.target}"
-
-    def __str__(self) -> str:
-        return self.token
+def up(position: int) -> int:
+    """Code of gate up(p): wire p + 1 added into wire p."""
+    return 2 * position
 
 
-# Gates are immutable, so up and down hand out one shared Gate per
-# position instead of validating a fresh one for every gate emitted.
-@lru_cache(maxsize=4096)
-def up(position: int) -> Gate:
-    """Gate (position <- position + 1)."""
-    return Gate(position, position + 1)
+def down(position: int) -> int:
+    """Code of gate down(p): wire p added into wire p + 1."""
+    return 2 * position + 1
 
 
-@lru_cache(maxsize=4096)
-def down(position: int) -> Gate:
-    """Gate (position + 1 <- position)."""
-    return Gate(position + 1, position)
+def gate_token(g: int) -> str:
+    """Text token of gate code g: u<p> for up(p), d<p> for down(p)."""
+    return f"{'ud'[g & 1]}{g >> 1}"
 
 
-def parse_gate_token(token: str) -> Gate:
+def parse_gate_token(token: str) -> int:
     # leading zeros go before int() sees the digits; a position of 0 leaves none
     kind, digits = token[:1], token[1:].lstrip("0")
-    if kind not in ("u", "d") or not digits.isdecimal():
-        raise ValueError(f"bad gate token {token!r}")
-    return down(int(digits)) if kind == "d" else up(int(digits))
+    if kind in ("u", "d") and digits.isdecimal():
+        try:
+            return 2 * int(digits) + (kind == "d")
+        except ValueError:  # a position past the interpreter's digit limit
+            pass
+    raise ValueError(f"bad gate token {clip(repr(token))}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TimeSlice:
-    """Gates acting at once; TimeSlice(up=u, down=d) builds one from its masks."""
+    """Gates acting at once: bit p of up for up(p), of down for down(p)."""
 
-    up: int
-    down: int
-
-    def __init__(self, gates: Iterable[Gate] = (), up: int = 0, down: int = 0) -> None:
-        for g in gates:
-            if g.target > g.source:
-                down |= 1 << g.source
-            else:
-                up |= 1 << g.target
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "down", down)
-
-    @property
-    def sorted_gates(self) -> tuple[Gate, ...]:
-        """Gates by position, up(p) before down(p) where both occur."""
-        u, d = self.up, self.down
-        return tuple(
-            kind(p)
-            for p in range((u | d).bit_length())
-            for kind, mask in ((up, u), (down, d))
-            if mask >> p & 1
-        )
+    up: int = 0
+    down: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,8 +84,10 @@ class Circuit:
         for sl in self.slices:
             # a gate at position p needs wire p + 1, and sets bit p
             if (sl.up | sl.down).bit_length() > n:
-                g = next(g for g in sl.sorted_gates if g.position >= n)
-                raise ValueError(f"gate {g} does not fit on {n} wires")
+                off = (sl.up | sl.down) >> n
+                p = n - 1 + (off & -off).bit_length()  # the lowest gate off the line
+                g = 2 * p + 1 - (sl.up >> p & 1)
+                raise ValueError(f"gate {gate_token(g)} does not fit on {n} wires")
 
     @property
     def depth(self) -> int:
@@ -144,7 +100,7 @@ class Circuit:
     @cached_property
     def _gate_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Slice index, position and direction (1 for down) of every gate, in
-        slice and sorted_gates order, unpacking only mask bytes with a gate.
+        slice and gate code order, unpacking only mask bytes with a gate.
         Built once per circuit: verify's crossings and simulation share it."""
         width = (self.n + 7) // 8
         masks = b"".join(
@@ -183,8 +139,8 @@ def crossing_counts(circuit: Circuit) -> tuple[int, ...]:
     return tuple(np.bincount(pos, minlength=circuit.n)[1:].tolist())
 
 
-def schedule(n: int, gates: Iterable[Gate]) -> Circuit:
-    """Pack a gate sequence greedily into the earliest admissible slices.
+def schedule(n: int, gates: Iterable[int]) -> Circuit:
+    """Pack a sequence of gate codes greedily into the earliest admissible slices.
 
     Each gate lands in the slice right after the last slice touching
     either of its wires, so gates on shared wires keep their order and
@@ -196,18 +152,16 @@ def schedule(n: int, gates: Iterable[Gate]) -> Circuit:
     downs: list[int] = []
     depth = 0
     for g in gates:
-        # g.position and max inlined: this loop runs once per gate
-        t, src = g.target, g.source
-        p = t if t < src else src
-        if p >= n:
-            raise ValueError(f"gate {g} does not fit on {n} wires")
+        p = g >> 1
+        if not 0 < p < n:
+            raise ValueError(f"gate {gate_token(g)} does not fit on {n} wires")
         a, b = last[p], last[p + 1]
         s = a if a > b else b
         if s == depth:
             ups.append(0)
             downs.append(0)
             depth += 1
-        (ups if t < src else downs)[s] |= 1 << p
+        (downs if g & 1 else ups)[s] |= 1 << p
         last[p] = last[p + 1] = s + 1
     return Circuit(n, tuple(TimeSlice(up=u, down=d) for u, d in zip(ups, downs)))
 
@@ -249,8 +203,8 @@ def inverse(circuit: Circuit) -> Circuit:
 def circuit_to_text(circuit: Circuit) -> str:
     """Serialize: header "n <wires>", then one line of gate tokens per slice."""
     slice_index, pos, direction = circuit._gate_table
-    names = [f"{kind}{p}" for p in range(circuit.n) for kind in "ud"]
-    tokens = [names[k] for k in (2 * pos + direction).tolist()]
+    names = [gate_token(g) for g in range(2 * circuit.n)]
+    tokens = [names[g] for g in (2 * pos + direction).tolist()]
     ends = [0, *np.cumsum(np.bincount(slice_index, minlength=circuit.depth)).tolist()]
     lines = [f"n {circuit.n}"] + [" ".join(tokens[a:b]) for a, b in zip(ends, ends[1:])]
     return "\n".join(lines) + "\n"
@@ -275,7 +229,7 @@ def parse_circuit_text(text: str) -> Circuit:
         # int() refuses, unconverted, a count past the interpreter's digit limit
         n = int(head[1])
     except ValueError:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'n <wires>'") from None
+        raise ValueError(f"bad header {clip(repr(lines[0]))}, expected 'n <wires>'") from None
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
     # token -> bit p for up(p), shift + p for down(p): one sum gives both
@@ -309,7 +263,8 @@ def _line_code(
     """Check a slice line token by token; learn and sum the tokens' bits.
 
     Returns the code and the shift.  A line reaching past the shift at
-    least doubles it and forgets the bits learned under the old one.
+    least doubles it and forgets the bits learned under the old one.  It
+    keeps at most 4 * CELL_LIMIT binary digits of bits, whatever the text.
 
     Raises:
         ResourceLimitError: if depth slices of masks reaching a gate's
@@ -322,29 +277,31 @@ def _line_code(
     for tok in tokens:
         # a position with more digits than n is off the line: int() never sees it
         if len(tok[1:].lstrip("0")) > width and tok[1:].isdecimal() and tok[0] in "ud":
-            raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")
+            raise ValueError(f"line {lineno}: gate {clip(tok)} does not fit on {n} wires")
         try:
             g = parse_gate_token(tok)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        p = g.position
+        p = g >> 1
         if p >= n:
-            raise ValueError(f"line {lineno}: gate {tok} does not fit on {n} wires")
+            raise ValueError(f"line {lineno}: gate {gate_token(g)} does not fit on {n} wires")
         if p >= top:
             raise ResourceLimitError(
-                f"line {lineno}: gate {tok} would need {depth} slices on {p + 1} "
-                f"wires, more than the limit of {CELL_LIMIT} slice-wire cells"
+                f"line {lineno}: gate {gate_token(g)} would need {depth} slices on "
+                f"{p + 1} wires, more than the limit of {CELL_LIMIT} slice-wire cells"
             )
         wires = 3 << p
         if used & wires:
-            raise ValueError(f"line {lineno}: wire collision at {tok}")
+            raise ValueError(f"line {lineno}: wire collision at {gate_token(g)}")
         used |= wires
         gates.append(g)
     # the top position is bit_length - 2, and the shift must pass it
     if used.bit_length() - 1 > shift:
         shift = max(2 * shift, used.bit_length() - 1)
         bit_of.clear()
+    cap = 4 * CELL_LIMIT // (2 * shift + 1)  # a bit has at most 2 * shift + 1 digits
     code = 0
     for tok, g in zip(tokens, gates):
-        code |= bit_of.setdefault(tok, 1 << (g.position + shift * g.is_downward))
+        bit = 1 << ((g >> 1) + shift * (g & 1))
+        code |= bit_of.setdefault(tok, bit) if len(bit_of) < cap else bit
     return code, shift

@@ -28,7 +28,7 @@ from .constructions import (
     inversion_count,
     permutation_circuit,
 )
-from .f2 import BitMatrix, parse_matrix_text
+from .f2 import BitMatrix, clip, parse_matrix_text
 from .glsynth import synthesize
 from .render import render_circuit
 from .search import check_wire_count, distance, max_depth
@@ -52,7 +52,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError:
-        raise ValueError(f"{what} must be a list of integers, got {text!r}")
+        raise ValueError(f"{what} must be a list of integers, got {clip(repr(text))}") from None
 
 
 def _require_n(args: argparse.Namespace) -> int:

@@ -1,9 +1,10 @@
 """Named circuit families with proven depth bounds.
 
-Each construction emits its gates in an order chosen so that the greedy
-scheduler reproduces the intended depth; where a construction depends
-on reordering commuting gates, the emitted sequence is already the
-reordered one; FAMILIES holds their proven sizes and depths.  Permutation
+Each construction emits its gate codes (up(p) = 2p, down(p) = 2p + 1)
+in an order chosen so that the greedy scheduler reproduces the intended
+depth; where a construction depends on reordering commuting gates, the
+emitted sequence is already the reordered one; FAMILIES holds their
+proven sizes and depths.  Permutation
 routing and the synthesis stages in glsynth instead run a sorting network
 through _sorting_run, which writes each swap's box from _BOX_GATES
 straight into slice masks where the scheduler would put its gates.
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .circuit import Circuit, Gate, TimeSlice, down, schedule, up
+from .circuit import Circuit, TimeSlice, down, schedule, up
+from .f2 import clip
 
 # Measured nesting overhead of gather_circuit per gathered position; the
 # depth bound ceil(n/2) + GATHER_DEPTH_PER_POSITION * m is pinned by test.
@@ -72,10 +74,10 @@ def swap_circuit(n: int) -> Circuit:
     return schedule(n, gates)
 
 
-def rotation_block(lo: int, hi: int) -> tuple[list[Gate], list[Gate]]:
+def rotation_block(lo: int, hi: int) -> tuple[list[int], list[int]]:
     """The window rotation R(lo, hi) and its flipped-reversed twin R'.
 
-    Both gate lists send wire hi to the entering value of wire lo and
+    Both gate code lists send wire hi to the entering value of wire lo and
     wire i to the entering value of wire i+1 for lo <= i < hi, leaving
     wires outside the window fixed.  Each has size 4(hi - lo) - 1 and
     scheduled depth 2(hi - lo) + 3.
@@ -96,7 +98,8 @@ def rotation_block(lo: int, hi: int) -> tuple[list[Gate], list[Gate]]:
         + [down(i) for i in range(lo, hi)]
         + [down(i) for i in range(hi - 2, lo - 1, -1)]
     )
-    flipped = [Gate(lo + hi - g.target, lo + hi - g.source) for g in primary]
+    # mirroring wire w to lo + hi - w turns up(p) into down(lo + hi - 1 - p)
+    flipped = [2 * (lo + hi) - 1 - g for g in primary]
     return primary, flipped[::-1]
 
 
@@ -140,7 +143,7 @@ def reverse_circuit(n: int) -> Circuit:
     odd_round = [down(2 * i - 1) for i in range(1, n // 2 + 1)] + [
         up(2 * i) for i in range(1, (n - 1) // 2 + 1)
     ]
-    gates: list[Gate] = []
+    gates: list[int] = []
     for t in range(n + 1):
         gates += even_round if t % 2 == 0 else odd_round
     return schedule(n, gates)
@@ -258,7 +261,7 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
     """
     n = len(perm)
     if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
+        raise ValueError(f"{clip(repr(perm))} is not a permutation of 1..{n}")
     swap = _BOX_GATES[("v", "u")]
     return _sorting_run(odd_even_network(n), list(perm), [0] * n, lambda p, k: swap)
 
@@ -320,7 +323,7 @@ def gather_circuit(n: int, positions: Sequence[int]) -> tuple[Circuit, int]:
         (circuit, window_start)
     """
     window_start, moves = gather_moves(n, positions)
-    gates: list[Gate] = []
+    gates: list[int] = []
     for src, dst in moves:
         # a value below the window cascades down, one above it cascades up
         rng = range(src, dst) if src < dst else range(src - 1, dst - 1, -1)

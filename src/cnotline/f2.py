@@ -17,6 +17,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def clip(text: str) -> str:
+    """text for an error message: past 80 characters, its first 80 and its
+    length, so bad input is never echoed whole."""
+    if len(text) <= 80:
+        return text
+    return f"{text[:80]}... ({len(text)} characters)"
+
+
 class SingularMatrixError(ValueError):
     """Raised when an inverse of a singular matrix is requested."""
 
@@ -242,7 +250,7 @@ def parse_matrix_text(text: str) -> BitMatrix:
     try:
         n = int(head)
     except ValueError:
-        raise ValueError(f"bad dimension header {head!r}") from None
+        raise ValueError(f"bad dimension header {clip(repr(head))}") from None
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     body = [ln for ln in lines[1:] if ln.strip()]
@@ -252,7 +260,7 @@ def parse_matrix_text(text: str) -> BitMatrix:
     for i, ln in enumerate(body):
         ln = ln.strip()
         if len(ln) != n or ln.strip("01"):
-            raise ValueError(f"row {i + 1} is not {n} characters of 0/1: {ln!r}")
+            raise ValueError(f"row {i + 1} is not {n} characters of 0/1: {clip(repr(ln))}")
         # entry (i, j) is character j - 1, and bit j - 1 of the packed row
         rows.append(int(ln[::-1], 2))
     return transpose(BitMatrix(n, tuple(rows)))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, ResourceLimitError, TimeSlice, down, up
+from .circuit import Circuit, ResourceLimitError, TimeSlice
 from .f2 import BitMatrix
 
 # Largest n for the dense engine: its flag array has 2^(n^2) entries,
@@ -93,16 +93,16 @@ def slice_generators(n: int) -> list[TimeSlice]:
     check_wire_count(n)
     out: list[TimeSlice] = []
 
-    def extend(pos: int, chosen: tuple) -> None:
+    def extend(pos: int, up: int, down: int) -> None:
         if pos > n - 1:
-            if chosen:
-                out.append(TimeSlice(chosen))
+            if up | down:
+                out.append(TimeSlice(up, down))
             return
-        extend(pos + 1, chosen)
-        extend(pos + 2, chosen + (up(pos),))
-        extend(pos + 2, chosen + (down(pos),))
+        extend(pos + 1, up, down)
+        extend(pos + 2, up | 1 << pos, down)
+        extend(pos + 2, up, down | 1 << pos)
 
-    extend(1, ())
+    extend(1, 0, 0)
     return out
 
 

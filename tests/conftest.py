@@ -15,6 +15,7 @@ import pytest
 from cnotline import (
     BitMatrix,
     Circuit,
+    TimeSlice,
     apply,
     concat,
     down,
@@ -103,13 +104,44 @@ def oracle_permutation_matrix(perm) -> BitMatrix:
     return from_lists([[int(j == perm[i] - 1) for j in range(n)] for i in range(n)])
 
 
+def target(g: int) -> int:
+    """Wire gate code g writes: p for up(p) = 2p, p + 1 for down(p) = 2p + 1."""
+    return g // 2 + g % 2
+
+
+def source(g: int) -> int:
+    """Wire gate code g reads: p + 1 for up(p), p for down(p)."""
+    return g // 2 + 1 - g % 2
+
+
+def slice_of(gates) -> TimeSlice:
+    """The slice holding a collection of gate codes."""
+    up_mask = down_mask = 0
+    for g in gates:
+        bit = 1 << min(target(g), source(g))
+        if target(g) > source(g):
+            down_mask |= bit
+        else:
+            up_mask |= bit
+    return TimeSlice(up_mask, down_mask)
+
+
+def slice_gates(sl: TimeSlice) -> tuple:
+    """A slice's gate codes in oracle_slice_order."""
+    top = (sl.up | sl.down).bit_length()
+    return tuple(oracle_slice_order(
+        [up(p) for p in range(top) if sl.up >> p & 1]
+        + [down(p) for p in range(top) if sl.down >> p & 1]
+    ))
+
+
 def schedule_tokens(n: int, tokens) -> Circuit:
     """Schedule a sequence of gate tokens such as ("u1", "d2")."""
     return schedule(n, [parse_gate_token(t) for t in tokens])
 
 
 def box_gates(position: int, outputs: tuple) -> list:
-    """The Gate list of the _BOX_GATES box for outputs on (position, position + 1)."""
+    """The gate codes of the _BOX_GATES box for outputs on (position, position + 1)."""
     return [up(position) if kind == "u" else down(position) for kind in _BOX_GATES[outputs]]
 
 
@@ -168,7 +200,11 @@ def oracle_set_bfs(n: int, target_code: int, depth_limit: "int | None"):
 
 def oracle_slice_order(gates) -> list:
     """A slice's gates by position, up(p) before down(p) where both occur."""
-    return sorted(set(gates), key=lambda g: (min(g.target, g.source), g.target > g.source))
+    return sorted(set(gates), key=lambda g: (min(target(g), source(g)), target(g) > source(g)))
+
+
+def oracle_token(g: int) -> str:
+    return f"d{source(g)}" if target(g) > source(g) else f"u{target(g)}"
 
 
 def oracle_apply(n: int, slices, rows: list[list[int]]) -> list[list[int]]:
@@ -180,7 +216,7 @@ def oracle_apply(n: int, slices, rows: list[list[int]]) -> list[list[int]]:
     for gates in slices:
         for g in oracle_slice_order(gates):
             for row in out:
-                row[g.target - 1] ^= row[g.source - 1]
+                row[target(g) - 1] ^= row[source(g) - 1]
     return out
 
 
@@ -189,17 +225,14 @@ def oracle_crossings(n: int, slices) -> list[int]:
     counts = [0] * (n - 1)
     for gates in slices:
         for g in set(gates):
-            counts[min(g.target, g.source) - 1] += 1
+            counts[min(target(g), source(g)) - 1] += 1
     return counts
 
 
 def oracle_circuit_text(n: int, slices) -> str:
     lines = [f"n {n}"]
     for gates in slices:
-        lines.append(" ".join(
-            f"d{g.source}" if g.target > g.source else f"u{g.target}"
-            for g in oracle_slice_order(gates)
-        ))
+        lines.append(" ".join(oracle_token(g) for g in oracle_slice_order(gates)))
     return "\n".join(lines) + "\n"
 
 
@@ -214,9 +247,9 @@ def oracle_violations(slices) -> list[tuple]:
             continue
         owner: dict = {}
         for g in order:
-            for w in sorted((g.target, g.source)):
+            for w in sorted((target(g), source(g))):
                 if w in owner:
-                    out.append((idx, g, f"wire {w} already used by {owner[w].token}"))
+                    out.append((idx, g, f"wire {w} already used by {oracle_token(owner[w])}"))
                 else:
                     owner[w] = g
     return out
@@ -224,7 +257,7 @@ def oracle_violations(slices) -> list[tuple]:
 
 def slice_violations(c: Circuit) -> list[tuple]:
     """oracle_violations of a circuit's slices: empty for a sound circuit."""
-    return oracle_violations([sl.sorted_gates for sl in c.slices])
+    return oracle_violations([slice_gates(sl) for sl in c.slices])
 
 
 @dataclass(frozen=True)
@@ -312,8 +345,8 @@ def reduction_states(nw: BitMatrix) -> list:
 def oracle_sorting_run(values, labels, box_for, states, basis) -> list:
     """Gate-list network runner: the reference for the slice-mask runner.
 
-    Runs every layer of the odd-even network, asks box_for(p, k) for the Gate
-    list of each swap and applies it to values as emitted; the caller
+    Runs every layer of the odd-even network, asks box_for(p, k) for the gate
+    codes of each swap and applies it to values as emitted; the caller
     packs the list with schedule.  When states is a list, the state
     before the first layer and after each layer is appended to it.
     """
@@ -327,7 +360,7 @@ def oracle_sorting_run(values, labels, box_for, states, basis) -> list:
             labels[p - 1], labels[p] = k, j
             box = box_for(p, k)
             for g in box:
-                values[g.target - 1] ^= values[g.source - 1]
+                values[target(g) - 1] ^= values[source(g) - 1]
             gates += box
         if states is not None:
             states.append(

@@ -12,7 +12,6 @@ import pytest
 from cnotline import (
     BitMatrix,
     Circuit,
-    TimeSlice,
     add_circuit,
     apply,
     clearing_circuit,
@@ -50,6 +49,7 @@ from conftest import (
     random_invertible,
     random_northwest,
     reduction_states,
+    slice_of,
     slice_violations,
     swap_target,
 )
@@ -258,7 +258,7 @@ def test_criterion_7_property_suites():
             (up if rng.random() < 0.5 else down)(rng.randint(1, n - 1))
             for _ in range(rng.randint(0, 4 * n))
         ]
-        sequential = Circuit(n, tuple(TimeSlice(frozenset({g})) for g in gates))
+        sequential = Circuit(n, tuple(slice_of([g]) for g in gates))
         assert matrix_of(schedule(n, gates)) == matrix_of(sequential)
     # inverse identity, exhaustively over shallow circuits
     checked = 0

@@ -1,8 +1,9 @@
-"""Gate/slice/circuit semantics, scheduling, and the text format."""
+"""Gate code/slice/circuit semantics, scheduling, and the text format."""
 
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,12 @@ from hypothesis import strategies as st
 from cnotline import (
     BitMatrix,
     Circuit,
-    Gate,
-    TimeSlice,
     apply,
     circuit_to_text,
     concat,
     crossing_counts,
     down,
+    gate_token,
     inverse,
     matrix_of,
     metrics,
@@ -33,8 +33,13 @@ from conftest import (
     oracle_circuit_text,
     oracle_crossings,
     oracle_slice_order,
+    oracle_token,
     schedule_tokens,
+    slice_gates,
+    slice_of,
     slice_violations,
+    source,
+    target,
     to_lists,
 )
 
@@ -59,26 +64,40 @@ def sequential_matrix(n, gates):
     m = BitMatrix.identity(n)
     for g in gates:
         cols = list(m.cols)
-        cols[g.target - 1] ^= cols[g.source - 1]
+        cols[target(g) - 1] ^= cols[source(g) - 1]
         m = BitMatrix(n, tuple(cols))
     return m
 
 
 def test_gate_validation():
-    assert Gate(3, 4) == up(3) and Gate(4, 3) == down(3)
-    assert up(3).position == 3 and down(3).position == 3
-    assert down(3).is_downward and not up(3).is_downward
-    for target, source in [(2, 2), (1, 3), (0, 1), (1, 0), (-1, -2)]:
-        with pytest.raises(ValueError):
-            Gate(target, source)
+    # up(p) = (p <- p + 1) and down(p) = (p + 1 <- p) are the codes 2p, 2p + 1
+    assert (up(3), down(3)) == (6, 7)
+    assert (target(up(3)), source(up(3))) == (3, 4)
+    assert (target(down(3)), source(down(3))) == (4, 3)
+    # codes sort by position, up(p) before down(p)
+    assert sorted([down(2), up(3), up(2), down(1)]) == [down(1), up(2), down(2), up(3)]
+    for g in [-1, 0, 1, up(3), down(3)]:
+        with pytest.raises(ValueError, match=f"^gate {gate_token(g)} does not fit on 3 wires$"):
+            schedule(3, [g])
 
 
 def test_gate_token_round_trip():
     for g in [up(1), down(1), up(12), down(7)]:
-        assert parse_gate_token(g.token) == g
+        assert gate_token(g) == oracle_token(g)
+        assert parse_gate_token(gate_token(g)) == g
+    assert parse_gate_token("d007") == down(7)
     for bad in ["", "x3", "u", "u0", "d-1", "u1x"]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^bad gate token {re.escape(repr(bad))}$"):
             parse_gate_token(bad)
+
+
+@pytest.mark.parametrize("token", ["u" + "7" * 5000, "d" + "7" * 5000 + "x", "x" * 5000])
+def test_long_gate_token_error_is_clipped(token):
+    with pytest.raises(ValueError) as info:
+        parse_gate_token(token)
+    message = str(info.value)
+    assert message.startswith(f"bad gate token {repr(token)[:80]}... (")
+    assert len(message) < 200 and "set_int_max_str_digits" not in message
 
 
 def test_inverse_identity_exhaustive_small():
@@ -178,7 +197,7 @@ def test_metrics_density():
 
 def test_circuit_rejects_out_of_range_gates():
     with pytest.raises(ValueError):
-        Circuit(3, (TimeSlice(frozenset({up(3)})),))
+        Circuit(3, (slice_of([up(3)]),))
     with pytest.raises(ValueError):
         Circuit(1, ())
 
@@ -203,7 +222,7 @@ def circuits(draw, min_depth=0):
                 p += 2
         if not gates:
             gates.append(draw(st.sampled_from((up, down)))(draw(st.integers(1, n - 1))))
-        slices.append(TimeSlice(frozenset(gates)))
+        slices.append(slice_of(gates))
     return Circuit(n, tuple(slices))
 
 
@@ -221,7 +240,7 @@ def _with_token(draw, c, token_for):
     lines = circuit_to_text(c).splitlines()
     i = draw(st.integers(1, c.depth))
     tokens = lines[i].split()
-    token, last = token_for(c.slices[i - 1].sorted_gates)
+    token, last = token_for(slice_gates(c.slices[i - 1]))
     at = len(tokens) if last else draw(st.integers(0, len(tokens)))
     tokens.insert(at, token)
     lines[i] = " ".join(tokens)
@@ -241,9 +260,8 @@ def test_property_text_round_trip(c):
 def test_property_rejects_wire_collision(c, data):
     def colliding(gates):
         g = data.draw(st.sampled_from(gates))
-        pos = data.draw(st.sampled_from([
-            p for p in (g.position - 1, g.position, g.position + 1) if 1 <= p < c.n
-        ]))
+        at = min(target(g), source(g))
+        pos = data.draw(st.sampled_from([p for p in (at - 1, at, at + 1) if 1 <= p < c.n]))
         return data.draw(st.sampled_from("ud")) + str(pos), True
 
     text, lineno, token = _with_token(data.draw, c, colliding)
@@ -257,9 +275,8 @@ def test_property_rejects_collision_of_tokens_seen_before(c, data):
     # line, so the parser already knows every token when it meets the line
     def colliding(gates):
         g = data.draw(st.sampled_from(gates))
-        pos = data.draw(st.sampled_from([
-            p for p in (g.position - 1, g.position, g.position + 1) if 1 <= p < c.n
-        ]))
+        at = min(target(g), source(g))
+        pos = data.draw(st.sampled_from([p for p in (at - 1, at, at + 1) if 1 <= p < c.n]))
         return data.draw(st.sampled_from("ud")) + str(pos), True
 
     text, lineno, token = _with_token(data.draw, c, colliding)
@@ -350,34 +367,35 @@ def _gate_lists(max_position):
 
 
 def _holds_both_at_a_position(gates):
-    return bool({g.position for g in gates if g.is_downward}
-                & {g.position for g in gates if not g.is_downward})
+    return bool({source(g) for g in gates if target(g) > source(g)}
+                & {target(g) for g in gates if target(g) < source(g)})
 
 
 @PROPERTY
 @given(_gate_lists(70), _gate_lists(70))
 def test_property_time_slice_is_its_gate_set(a, b):
-    sl = TimeSlice(frozenset(a))
-    order = sl.sorted_gates
+    sl = slice_of(a)
+    order = slice_gates(sl)
     assert len(order) == len(set(a)) and set(order) == set(a)
-    assert [g.position for g in order] == sorted(g.position for g in set(a))
+    assert list(order) == sorted(set(a))
     if not _holds_both_at_a_position(a):
         assert order == tuple(oracle_slice_order(a))
-    other = TimeSlice(frozenset(b))
+    other = slice_of(b)
     assert (sl == other) == (frozenset(a) == frozenset(b))
     if sl == other:
         assert hash(sl) == hash(other)
-    assert sl == TimeSlice(frozenset(a[::-1]))
-    assert hash(sl) == hash(TimeSlice(frozenset(a[::-1])))
+    assert sl == slice_of(a[::-1])
+    assert hash(sl) == hash(slice_of(a[::-1]))
 
 
 @PROPERTY
 @given(_gate_lists(70), st.integers(1, 70))
 def test_property_shared_position_lists_up_first(a, p):
     # up(p) and down(p) share both wires, so which runs first changes what
-    # the slice computes; sorted_gates lists up(p) first
+    # the slice computes; gate codes and the oracle order list up(p) first
     a = a + [down(p), up(p)]
-    assert TimeSlice(frozenset(a)).sorted_gates == tuple(oracle_slice_order(a))
+    assert slice_gates(slice_of(a)) == tuple(sorted(set(a)))
+    assert sorted(set(a)) == oracle_slice_order(a)
 
 
 @st.composite
@@ -396,7 +414,7 @@ def raw_circuits(draw, shared_positions=False):
 
 
 def _check_against_oracles(n, slices, state_seed):
-    c = Circuit(n, tuple(TimeSlice(frozenset(gates)) for gates in slices))
+    c = Circuit(n, tuple(slice_of(gates) for gates in slices))
     rng = random.Random(state_seed)
     state = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
     assert to_lists(apply(c, state)) == oracle_apply(n, slices, to_lists(state))
@@ -422,4 +440,22 @@ def test_property_shared_position_circuits_match_list_oracles(raw, state_seed):
 
 def test_circuit_names_the_gate_off_the_line():
     with pytest.raises(ValueError, match=r"^gate d3 does not fit on 3 wires$"):
-        Circuit(3, (TimeSlice(frozenset({up(1)})), TimeSlice(frozenset({down(3)}))))
+        Circuit(3, (slice_of([up(1)]), slice_of([down(3)])))
+    # the lowest position off the line, and up(p) before down(p) there
+    for gates, token in [([up(5), down(4), up(1)], "d4"), ([down(3), up(3), up(6)], "u3")]:
+        with pytest.raises(ValueError, match=f"^gate {token} does not fit on 3 wires$"):
+            Circuit(3, (slice_of(gates),))
+
+
+def test_one_line_circuit_parse_memory_follows_its_text():
+    # 40 000 distinct tokens on one line of an 80 001-wire circuit: a table
+    # of every token's bit would hold about 40 000 * 80 000 bits
+    text = "n 80001\n" + " ".join(f"u{p}" for p in range(1, 80000, 2)) + "\n"
+    tracemalloc.start()
+    try:
+        c = parse_circuit_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.depth == 1 and c.size == 40000
+    assert peak < 20 << 20

@@ -598,8 +598,11 @@ def test_far_gate_positions_refused_cleanly(capsys, tmp_path, body):
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("n 3\nu" + "7" * 5000 + "\n", "line 2: gate u" + "7" * 5000 + " does not fit on 3 wires"),
-        ("n " + "7" * 5000 + "\nu1\n", f"bad header {'n ' + '7' * 5000!r}, expected 'n <wires>'"),
+        # long input is quoted by its first 80 characters and its length
+        ("n 3\nu" + "7" * 5000 + "\n",
+         "line 2: gate u" + "7" * 79 + "... (5001 characters) does not fit on 3 wires"),
+        ("n " + "7" * 5000 + "\nu1\n",
+         "bad header 'n " + "7" * 77 + "... (5004 characters), expected 'n <wires>'"),
         ("n 3\nu1\nx1\n", "line 3: bad gate token 'x1'"),
     ],
     ids=["long-token", "long-header", "bad-token"],
@@ -608,7 +611,37 @@ def test_bad_input_names_its_line(capsys, tmp_path, text, message):
     verify, render, _, _ = _verify_and_render(capsys, tmp_path, text)
     for code, out, err in (verify, render):
         assert (code, out, err) == (2, "", f"error: {message}\n")
-        assert "set_int_max_str_digits" not in err
+        assert "set_int_max_str_digits" not in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv,files,start",
+    [
+        (["synth", "--op", "permute", "--perm", " ".join(f"x{i}" for i in range(3000))],
+         {}, "error: --perm must be a list of integers, got 'x0 x1 x2"),
+        (["synth", "--op", "permute", "--perm", " ".join(["1"] * 3000)],
+         {}, "error: (1, 1, 1,"),
+        (["synth", "--op", "gather", "--n", "9", "--positions", "7" * 5000],
+         {}, "error: --positions must be a list of integers, got '777"),
+        (["bounds", "--target", "t.matrix"],
+         {"t.matrix": "7" * 5000 + "\n1\n"}, "error: bad dimension header '777"),
+        (["bounds", "--target", "t.matrix"],
+         {"t.matrix": "300\n" + "1" * 299 + "x\n" + ("0" * 300 + "\n") * 299},
+         "error: row 1 is not 300 characters of 0/1: '111"),
+        (["render", "--circuit", "c.circuit"],
+         {"c.circuit": "n 3\nu1\n" + "x" * 5000 + "\n"}, "error: line 3: bad gate token 'xxx"),
+    ],
+    ids=["perm-tokens", "perm-repeats", "positions", "matrix-header", "matrix-row",
+         "circuit-token"],
+)
+def test_long_bad_input_is_clipped_in_its_error(capsys, tmp_path, argv, files, start):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="ascii")
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(start) and err.count("\n") == 1 and len(err) < 200
+    assert " characters)" in err and "set_int_max_str_digits" not in err
 
 
 def test_parse_cell_limit_boundary(monkeypatch):

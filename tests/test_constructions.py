@@ -32,8 +32,11 @@ from conftest import (
     cyclic_matrix,
     oracle_permutation_circuit,
     oracle_permutation_matrix,
+    slice_gates,
     slice_violations,
+    source,
     swap_target,
+    target,
 )
 
 
@@ -253,13 +256,13 @@ def test_box_symbolic_outputs_and_depth(outputs, want_depth):
     """Run the box as symbol sets: XOR is symmetric difference."""
     position = 3
     gates = box_gates(position, outputs)
-    assert all(g.position == position for g in gates)
+    assert all(min(target(g), source(g)) == position for g in gates)
     c = schedule(position + 1, gates)
     assert c.depth == want_depth
     state = {position: frozenset("u"), position + 1: frozenset("v")}
     for sl in c.slices:
-        for g in sl.sorted_gates:
-            state[g.target] = state[g.target] ^ state[g.source]
+        for g in slice_gates(sl):
+            state[target(g)] = state[target(g)] ^ state[source(g)]
     for wire, token in zip((position, position + 1), outputs):
         if token != "free":
             assert state[wire] == SYMBOL[token]

@@ -34,7 +34,10 @@ from conftest import (
     from_lists,
     oracle_set_bfs,
     schedule_tokens,
+    slice_gates,
     slice_violations,
+    source,
+    target,
 )
 
 # states at distance 0..5 from the identity in GL_6(2)
@@ -61,7 +64,7 @@ def test_slice_generator_counts():
 
 
 def test_slice_generators_n3_exact():
-    got = {frozenset(s.sorted_gates) for s in slice_generators(3)}
+    got = {frozenset(slice_gates(s)) for s in slice_generators(3)}
     assert got == {
         frozenset({up(1)}),
         frozenset({down(1)}),
@@ -73,7 +76,7 @@ def test_slice_generators_n3_exact():
 def test_slice_generators_are_wire_disjoint():
     for n in (4, 5, 6):
         for s in slice_generators(n):
-            wires = [w for g in s.sorted_gates for w in (g.position, g.position + 1)]
+            wires = [w for g in slice_gates(s) for w in (target(g), source(g))]
             assert len(wires) == len(set(wires))
 
 
@@ -434,7 +437,7 @@ def test_maximal_slice_convention_not_equivalent():
     for n in (2, 3, 4):
         slices = slice_generators(n)
         packed = _packed_generators(n)
-        sets = [frozenset(s.sorted_gates) for s in slices]
+        sets = [frozenset(slice_gates(s)) for s in slices]
         maximal = [
             p for s, p in zip(sets, packed) if not any(s < t for t in sets)
         ]
