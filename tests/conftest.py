@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cnotline import (
     BitMatrix,
@@ -96,6 +97,21 @@ def random_northwest(n: int, rng: random.Random) -> BitMatrix:
 def decode_state(n: int, code: int) -> BitMatrix:
     """Matrix of a packed search state, entry (i, j) at bit (i-1)*n + (j-1)."""
     return from_lists([[code >> (i * n + j) & 1 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def raw_circuits(draw, shared_positions=False):
+    """(n, gate lists): slices may be empty or share wires; with
+    shared_positions a slice may hold up(p) and down(p) together."""
+    n = draw(st.integers(2, 12))
+    kinds = [(), (up,), (down,)] + ([(up, down)] if shared_positions else [])
+    slices = []
+    for _ in range(draw(st.integers(0, 6))):
+        gates = []
+        for p in range(1, n):
+            gates += [kind(p) for kind in draw(st.sampled_from(kinds))]
+        slices.append(draw(st.permutations(gates)))
+    return n, slices
 
 
 def oracle_permutation_matrix(perm) -> BitMatrix:
@@ -234,6 +250,31 @@ def oracle_circuit_text(n: int, slices) -> str:
     for gates in slices:
         lines.append(" ".join(oracle_token(g) for g in oracle_slice_order(gates)))
     return "\n".join(lines) + "\n"
+
+
+def oracle_render(n: int, slices) -> str:
+    """render_circuit over gate lists, wire by wire: a wire reading a gate
+    of the slice shows *, one only written by a gate +, and the row below
+    wire w shows | under a slice holding a gate at position w."""
+    margin = max(2, len(str(n)))
+    out = []
+    for w in range(1, n + 1):
+        row = f"{w:>{margin}} "
+        for gates in slices:
+            if any(source(g) == w for g in gates):
+                row += "-*--"
+            elif any(target(g) == w for g in gates):
+                row += "-+--"
+            else:
+                row += "----"
+        out.append(row + "-")
+        if w < n:
+            link = " " * (margin + 1)
+            for gates in slices:
+                hit = any(min(target(g), source(g)) == w for g in gates)
+                link += " |  " if hit else "    "
+            out.append(link.rstrip())
+    return "\n".join(out) + "\n"
 
 
 def oracle_violations(slices) -> list[tuple]:

@@ -34,6 +34,7 @@ from conftest import (
     oracle_crossings,
     oracle_slice_order,
     oracle_token,
+    raw_circuits,
     schedule_tokens,
     slice_gates,
     slice_of,
@@ -396,21 +397,6 @@ def test_property_shared_position_lists_up_first(a, p):
     a = a + [down(p), up(p)]
     assert slice_gates(slice_of(a)) == tuple(sorted(set(a)))
     assert sorted(set(a)) == oracle_slice_order(a)
-
-
-@st.composite
-def raw_circuits(draw, shared_positions=False):
-    """(n, gate lists): slices may be empty or share wires; with
-    shared_positions a slice may hold up(p) and down(p) together."""
-    n = draw(st.integers(2, 12))
-    kinds = [(), (up,), (down,)] + ([(up, down)] if shared_positions else [])
-    slices = []
-    for _ in range(draw(st.integers(0, 6))):
-        gates = []
-        for p in range(1, n):
-            gates += [kind(p) for kind in draw(st.sampled_from(kinds))]
-        slices.append(draw(st.permutations(gates)))
-    return n, slices
 
 
 def _check_against_oracles(n, slices, state_seed):
