@@ -49,9 +49,7 @@ from .constructions import (
     swap_circuit,
 )
 from .f2 import (
-    BitBlock,
     BitMatrix,
-    CutBlocks,
     SingularMatrixError,
     blocks,
     dual_functional,
@@ -79,12 +77,10 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitBlock",
     "BitMatrix",
     "BoundReport",
     "Circuit",
     "CircuitMetrics",
-    "CutBlocks",
     "GATHER_DEPTH_PER_POSITION",
     "ResourceLimitError",
     "SearchResult",

@@ -82,10 +82,10 @@ class Circuit:
             raise ValueError(f"need at least 2 wires, got {self.n}")
         n = self.n
         for sl in self.slices:
-            # a gate at position p needs wire p + 1, and sets bit p
-            if (sl.up | sl.down).bit_length() > n:
-                off = (sl.up | sl.down) >> n
-                p = n - 1 + (off & -off).bit_length()  # the lowest gate off the line
+            # gate p needs wires p and p + 1; a negative mask sets all high bits
+            w = sl.up | sl.down
+            if w & 1 or (off := w >> n):  # name the lowest gate off the line
+                p = 0 if w & 1 else n - 1 + (off & -off).bit_length()
                 g = 2 * p + 1 - (sl.up >> p & 1)
                 raise ValueError(f"gate {gate_token(g)} does not fit on {n} wires")
 

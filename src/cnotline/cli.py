@@ -23,6 +23,7 @@ from .circuit import (
 from .constructions import (
     FAMILIES,
     GATHER_DEPTH_PER_POSITION,
+    check_permutation,
     gather_circuit,
     gather_moves,
     inversion_count,
@@ -39,7 +40,7 @@ from .search import check_wire_count, distance, max_depth
 # which parsing shares, rotate, the costliest per cell, peaks near 300 MB.
 SYNTH_GATE_LIMIT = 1 << 20
 # render refuses a drawing of more wires times (depth + 1) cells; at the
-# limit, about 8 characters a cell, it peaks near 350 MB.
+# limit, 8 characters a cell held twice, it peaks near 340 MB.
 RENDER_CELL_LIMIT = 1 << 24
 
 
@@ -100,6 +101,7 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
             raise ValueError(
                 f"--n {args.n} does not match permutation length {len(perm)}"
             )
+        check_permutation(perm)
         n = len(perm)
         size = 3 * inversion_count(perm)
         _within_budget(op, size, 3 * n, n)

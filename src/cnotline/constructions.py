@@ -232,6 +232,12 @@ def fired_comparators(labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def check_permutation(perm: Sequence[int]) -> None:
+    """Raise ValueError unless perm lists 1..len(perm) in some order."""
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError(f"{clip(repr(perm))} is not a permutation of 1..{len(perm)}")
+
+
 def inversion_count(perm: Sequence[int]) -> int:
     """Number of pairs i < j with perm[i] > perm[j], by merge sort."""
 
@@ -259,9 +265,8 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
     inversion count of perm and the depth is at most 3n.  The run stops
     once the labels are sorted, so its work grows with the swaps.
     """
+    check_permutation(perm)
     n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{clip(repr(perm))} is not a permutation of 1..{n}")
     swap = _BOX_GATES[("v", "u")]
     return _sorting_run(odd_even_network(n), list(perm), [0] * n, lambda p, k: swap)
 

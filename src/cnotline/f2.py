@@ -29,27 +29,6 @@ class SingularMatrixError(ValueError):
     """Raised when an inverse of a singular matrix is requested."""
 
 
-@dataclass(frozen=True)
-class BitBlock:
-    """Rectangular block over GF(2), rows packed into ints.
-
-    Bit j-1 of rows[i-1] is entry (i, j).  Either dimension may be zero.
-    """
-
-    nrows: int
-    ncols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("block dimensions must be nonnegative")
-        if len(self.rows) != self.nrows:
-            raise ValueError(f"expected {self.nrows} rows, got {len(self.rows)}")
-        for r in self.rows:
-            if not 0 <= r < (1 << self.ncols):
-                raise ValueError("row has bits outside the column range")
-
-
 def _echelon_add(pivot_by_top: dict[int, int], r: int) -> int:
     """Reduce r by the pivots and keep a nonzero remainder as a new pivot.
 
@@ -157,9 +136,9 @@ def inverse(m: BitMatrix) -> BitMatrix:
     return BitMatrix(n, tuple(aug))
 
 
-def rank(m: "BitMatrix | BitBlock") -> int:
-    """Rank of a square matrix or a rectangular block."""
-    return len(_echelon(m.cols if isinstance(m, BitMatrix) else m.rows))
+def rank(vectors: Iterable[int]) -> int:
+    """Rank of packed vectors: rank(m.cols) for a matrix, rank(rows) for a block."""
+    return len(_echelon(vectors))
 
 
 def is_northwest_triangular(m: BitMatrix) -> bool:
@@ -197,36 +176,16 @@ def dual_functional(basis: Sequence[int], k: int) -> int:
     return inverse(BitMatrix(n, tuple(basis))).packed_rows()[k - 1]
 
 
-@dataclass(frozen=True)
-class CutBlocks:
-    """The four blocks of a square matrix split after row and column k.
-
-    top_left is k x k, top_right is k x (n-k), bottom_left is (n-k) x k,
-    bottom_right is (n-k) x (n-k).
-    """
-
-    n: int
-    k: int
-    top_left: BitBlock
-    top_right: BitBlock
-    bottom_left: BitBlock
-    bottom_right: BitBlock
-
-
-def blocks(m: BitMatrix, k: int) -> CutBlocks:
-    """Split a matrix into the four blocks around the cut after position k."""
-    n = m.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"cut position {k} out of range 1..{n - 1}")
-    rows = m.packed_rows()
-    low = (1 << k) - 1
-    return CutBlocks(
-        n=n,
-        k=k,
-        top_left=BitBlock(k, k, tuple(r & low for r in rows[:k])),
-        top_right=BitBlock(k, n - k, tuple(r >> k for r in rows[:k])),
-        bottom_left=BitBlock(n - k, k, tuple(r & low for r in rows[k:])),
-        bottom_right=BitBlock(n - k, n - k, tuple(r >> k for r in rows[k:])),
+def blocks(m: BitMatrix, k: int) -> tuple[tuple[int, ...], ...]:
+    """The blocks (W, X, Y, Z) of m split after row and column k, as packed
+    rows: W is k x k, X is k x (n-k), Y is (n-k) x k and Z is (n-k) x (n-k),
+    and in X and Z column k+1 sits at bit 0."""
+    if not 1 <= k <= m.n - 1:
+        raise ValueError(f"cut position {k} out of range 1..{m.n - 1}")
+    rows, low = m.packed_rows(), (1 << k) - 1
+    return tuple(
+        tuple(r >> k if right else r & low for r in half)
+        for half in (rows[:k], rows[k:]) for right in (False, True)
     )
 
 

@@ -22,7 +22,13 @@ from cnotline import (
     synthesize,
 )
 from cnotline.search import _bfs, _dense_levels
-from conftest import decode_state, oracle_rank, random_invertible, random_northwest
+from conftest import (
+    coords,
+    decode_state,
+    oracle_rank,
+    random_invertible,
+    random_northwest,
+)
 
 
 def test_reversal_example_n8():
@@ -59,15 +65,13 @@ def test_cut_bound_rejects_out_of_range_cut(n):
 
 def _oracle_cut_bound(m, k):
     """Cut bound from the four blocks, each ranked by the list oracle."""
-    b = blocks(m, k)
+    w, x, y, z = blocks(m, k)
 
-    def block_rank(block):
-        return oracle_rank(
-            [[(row >> j) & 1 for j in range(block.ncols)] for row in block.rows]
-        )
+    def block_rank(rows, ncols):
+        return oracle_rank([coords(r, ncols) for r in rows])
 
-    upward = max(k - block_rank(b.top_left), block_rank(b.bottom_left))
-    downward = max(block_rank(b.top_right), (m.n - k) - block_rank(b.bottom_right))
+    upward = max(k - block_rank(w, k), block_rank(y, k))
+    downward = max(block_rank(x, m.n - k), (m.n - k) - block_rank(z, m.n - k))
     return upward + downward
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cnotline import (
     BitMatrix,
     Circuit,
+    TimeSlice,
     apply,
     circuit_to_text,
     concat,
@@ -431,6 +432,18 @@ def test_circuit_names_the_gate_off_the_line():
     for gates, token in [([up(5), down(4), up(1)], "d4"), ([down(3), up(3), up(6)], "u3")]:
         with pytest.raises(ValueError, match=f"^gate {token} does not fit on 3 wires$"):
             Circuit(3, (slice_of(gates),))
+    # position 0 has no wire 0, and it is the lowest position of all
+    for sl, token in [(TimeSlice(up=1), "u0"), (TimeSlice(down=1), "d0"),
+                      (TimeSlice(up=3, down=1 << 5), "u0")]:
+        with pytest.raises(ValueError, match=f"^gate {token} does not fit on 4 wires$"):
+            Circuit(4, (slice_of([up(2)]), sl))
+    # a negative mask sets every bit from some position on
+    for sl, token in [(TimeSlice(up=-2), "u4"), (TimeSlice(up=2, down=-16), "d4"),
+                      (TimeSlice(down=-1), "d0")]:
+        with pytest.raises(ValueError, match=f"^gate {token} does not fit on 4 wires$"):
+            Circuit(4, (sl,))
+    with pytest.raises(ValueError, match=r"^gate u10{12} does not fit on 10{12} wires$"):
+        Circuit(10**12, (TimeSlice(up=-2),))
 
 
 def test_one_line_circuit_parse_memory_follows_its_text():

@@ -113,6 +113,17 @@ def test_synth_rejects_bad_permutation(capsys):
     assert "error:" in err
 
 
+def test_synth_checks_a_permutation_before_its_gate_budget(capsys):
+    # 3000, 2999, ..., 1001 has 1999000 inversions, past SYNTH_GATE_LIMIT
+    # if it were a permutation, so the budget must not be asked first
+    perm = " ".join(str(v) for v in range(3000, 1000, -1))
+    code, out, err = run(capsys, "synth", "--op", "permute", "--perm", perm)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: (3000, 2999, ") and len(err) < 200
+    assert err.endswith(" is not a permutation of 1..2000\n")
+    assert err.count("\n") == 1
+
+
 def test_synth_matrix_rejects_singular(capsys, tmp_path):
     target = write_matrix(tmp_path, "t.matrix", BitMatrix(3, (1, 1, 4)))
     code, _, err = run(capsys, "synth", "--op", "matrix", "--matrix", target)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnotline import (
-    BitBlock,
     BitMatrix,
     SingularMatrixError,
     blocks,
@@ -40,7 +39,7 @@ def test_rank_matches_gaussian_oracle(rng):
     for _ in range(200):
         n = rng.randint(1, 8)
         m = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
-        assert rank(m) == oracle_rank(to_lists(m))
+        assert rank(m.cols) == oracle_rank(to_lists(m))
 
 
 def test_block_rank_matches_oracle(rng):
@@ -48,10 +47,9 @@ def test_block_rank_matches_oracle(rng):
         nrows = rng.randint(0, 6)
         ncols = rng.randint(0, 6)
         rows = tuple(rng.randrange(1 << ncols) if ncols else 0 for _ in range(nrows))
-        block = BitBlock(nrows, ncols, rows)
-        lists = [[(r >> j) & 1 for j in range(ncols)] for r in rows]
+        lists = [coords(r, ncols) for r in rows]
         want = oracle_rank(lists) if nrows and ncols else 0
-        assert rank(block) == want
+        assert rank(rows) == want
 
 
 def test_inverse_round_trip(rng):
@@ -76,7 +74,7 @@ def test_identity_and_anti_identity():
     eye = BitMatrix.identity(n)
     rev = BitMatrix.anti_identity(n)
     assert all(to_lists(eye)[i][i] == 1 for i in range(n))
-    assert rank(eye) == n
+    assert rank(eye.cols) == n
     assert all(to_lists(rev)[i][n - 1 - i] == 1 for i in range(n))
     assert oracle_product(to_lists(rev), to_lists(rev)) == to_lists(eye)
 
@@ -143,29 +141,23 @@ def test_blocks_partition_and_assemble(rng):
         n = rng.randint(2, 8)
         k = rng.randint(1, n - 1)
         m = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
-        cut = blocks(m, k)
+        w, x, y, z = blocks(m, k)
         lists = to_lists(m)
-        for block, rows, cols in (
-            (cut.top_left, lists[:k], slice(k)),
-            (cut.top_right, lists[:k], slice(k, n)),
-            (cut.bottom_left, lists[k:], slice(k)),
-            (cut.bottom_right, lists[k:], slice(k, n)),
+        # each block's width follows from k: W and Y hold columns 1..k, X
+        # and Z columns k+1..n with column k+1 at bit 0
+        for block, rows, cols, ncols in (
+            (w, lists[:k], slice(k), k),
+            (x, lists[:k], slice(k, n), n - k),
+            (y, lists[k:], slice(k), k),
+            (z, lists[k:], slice(k, n), n - k),
         ):
             want = [row[cols] for row in rows]
-            assert (block.nrows, block.ncols) == (len(want), len(want[0]))
-            assert [coords(r, block.ncols) for r in block.rows] == want
-        assert rank(cut.top_left) == oracle_rank(
-            [row[:k] for row in lists[:k]]
-        )
-        assert rank(cut.bottom_left) == oracle_rank(
-            [row[:k] for row in lists[k:]]
-        )
-        assert rank(cut.top_right) == oracle_rank(
-            [row[k:] for row in lists[:k]]
-        )
-        assert rank(cut.bottom_right) == oracle_rank(
-            [row[k:] for row in lists[k:]]
-        )
+            assert len(block) == len(want)
+            assert all(0 <= r < 1 << ncols for r in block)
+            assert [coords(r, ncols) for r in block] == want
+            assert rank(block) == oracle_rank(want)
+        with pytest.raises(ValueError, match="out of range"):
+            blocks(m, rng.choice((0, n, -1, n + 1)))
 
 
 def test_matrix_text_round_trip(rng):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from cnotline import (
     synthesize,
     up,
 )
+from cnotline import render
 from cnotline.constructions import FAMILIES
 from conftest import (
     oracle_render,
@@ -108,8 +110,12 @@ PINNED_FAMILY_RENDER = {
 }
 
 
+@pytest.mark.parametrize("chunk_bytes", [render._CHUNK_BYTES, 1])
 @pytest.mark.parametrize("name", sorted(PINNED_FAMILY_RENDER))
-def test_family_render_is_pinned(name):
+def test_family_render_is_pinned(name, chunk_bytes, monkeypatch):
+    # a chunk of 1 byte draws 8 wires at a time, so the rows of up to 5
+    # chunks must join seamlessly
+    monkeypatch.setattr(render, "_CHUNK_BYTES", chunk_bytes)
     build = FAMILIES[name][0]
     digest = hashlib.sha256()
     for n in range(2, 41):
@@ -136,3 +142,14 @@ def test_seeded_render_is_pinned():
     assert digest.hexdigest() == (
         "86f0d8ee78ee0c74282e2256e4f23bb2ee77f180b6b0f9021e80b78c38c1c787"
     )
+
+
+def test_render_time_is_linear_in_cells():
+    # 2048 wires by 2051 slices, about 29 MB of text, in about 0.1 s on a
+    # 2-vCPU Xeon; shifting whole slice masks for every cell takes about 3 s
+    # there, so the bound catches a drawing that is not linear in its cells
+    c = add_circuit(2048)
+    start = time.perf_counter()
+    text = render_circuit(c)
+    assert time.perf_counter() - start < 1.5
+    assert text.count("*") == c.size
