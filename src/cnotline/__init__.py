@@ -20,7 +20,6 @@ from .circuit import (
     Circuit,
     CircuitMetrics,
     ResourceLimitError,
-    TimeSlice,
     apply,
     circuit_to_text,
     concat,
@@ -85,7 +84,6 @@ __all__ = [
     "ResourceLimitError",
     "SearchResult",
     "SingularMatrixError",
-    "TimeSlice",
     "add_circuit",
     "apply",
     "blocks",

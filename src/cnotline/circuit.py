@@ -8,15 +8,14 @@ combination of the initial wire values, so running gates multiplies on
 the right by elementary matrices.
 
 A gate is the int 2p + d: up(p) = (p <- p + 1) is 2p and down(p) =
-(p + 1 <- p) is 2p + 1, so codes sort by position, up(p) first.  A slice
-holds two masks, bit p of up for up(p) and bit p of down for down(p).
+(p + 1 <- p) is 2p + 1, so codes sort by position, up(p) first.  A
+circuit holds two masks per slice, bit p of up for up(p), of down for down(p).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,6 +25,9 @@ from .f2 import BitMatrix, clip
 # bound times n passes it, and parsing a gate whose position times the
 # file's line count does.
 CELL_LIMIT = 1 << 28
+
+# Mask bytes read at once per direction; a chunk unpacked to bits takes 1 MB.
+_CHUNK_BYTES = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -59,63 +61,65 @@ def parse_gate_token(token: str) -> int:
 
 
 @dataclass(frozen=True)
-class TimeSlice:
-    """Gates acting at once: bit p of up for up(p), of down for down(p)."""
-
-    up: int = 0
-    down: int = 0
-
-
-@dataclass(frozen=True)
 class Circuit:
-    """Ordered time slices on n wires.
+    """Time slices on n wires: bit p of ups[i] is up(p) in slice i, of downs[i] down(p).
 
-    The constructor is permissive: it checks only that gate wires fit on
-    the line, not that slices are nonempty and wire-disjoint.
+    The constructor checks only that the tuples match in length and that gates
+    fit on the line, not that slices are nonempty and wire-disjoint.
     """
 
     n: int
-    slices: tuple[TimeSlice, ...] = ()
+    ups: tuple[int, ...] = ()
+    downs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 wires, got {self.n}")
+        if len(self.ups) != len(self.downs):
+            raise ValueError(f"{len(self.ups)} up masks but {len(self.downs)} down masks")
         n = self.n
-        for sl in self.slices:
+        for u, d in zip(self.ups, self.downs):
             # gate p needs wires p and p + 1; a negative mask sets all high bits
-            w = sl.up | sl.down
+            w = u | d
             if w & 1 or (off := w >> n):  # name the lowest gate off the line
                 p = 0 if w & 1 else n - 1 + (off & -off).bit_length()
-                g = 2 * p + 1 - (sl.up >> p & 1)
+                g = 2 * p + 1 - (u >> p & 1)
                 raise ValueError(f"gate {gate_token(g)} does not fit on {n} wires")
 
     @property
     def depth(self) -> int:
-        return len(self.slices)
+        return len(self.ups)
 
     @property
     def size(self) -> int:
-        return sum(sl.up.bit_count() + sl.down.bit_count() for sl in self.slices)
+        return sum(map(int.bit_count, self.ups)) + sum(map(int.bit_count, self.downs))
 
-    @cached_property
-    def _gate_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Slice index, position and direction (1 for down) of every gate, in
-        slice and gate code order, unpacking only mask bytes with a gate.
-        Built once per circuit: verify's crossings and simulation share it."""
-        width = (self.n + 7) // 8
-        masks = b"".join(
-            m.to_bytes(width, "little") for sl in self.slices for m in (sl.up, sl.down)
-        )
-        raw = np.frombuffer(masks, dtype=np.uint8).reshape(-1, 2, width)
-        ups, downs = raw[:, 0].reshape(-1), raw[:, 1].reshape(-1)
-        held = np.flatnonzero(ups | downs)
-        # entry (k, i, d) of the stack: direction d at bit i of mask byte held[k]
-        unpacked = [np.unpackbits(m[held, None], axis=1, bitorder="little")
-                    for m in (ups, downs)]
-        found = np.flatnonzero(np.stack(unpacked, axis=2).view(bool))
-        slice_of, byte_of = np.divmod(held, width)
-        k = found >> 4
-        return slice_of[k], 8 * byte_of[k] + (found >> 1 & 7), found & 1
+
+def _mask_planes(circuit: Circuit) -> Iterator[np.ndarray]:
+    """Little-endian mask bytes through bit n, a chunk of slices at a time (one
+    empty chunk for none): (d, i, j) is byte j of slice i's up (d = 0) or down mask."""
+    width = circuit.n // 8 + 1
+    step = max(1, _CHUNK_BYTES // width)
+    for start in range(0, circuit.depth or 1, step):
+        raw = bytearray()  # grown in place: a join would first list a bytes object per mask
+        for m in circuit.ups[start:start + step] + circuit.downs[start:start + step]:
+            raw += m.to_bytes(width, "little")
+        yield np.frombuffer(raw, np.uint8).reshape(2, -1, width)
+
+
+def _chunk_gates(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The code of every gate of a _mask_planes chunk, in slice and code order,
+    and the gate count of each slice, unpacking only mask bytes with a gate."""
+    _, depth, width = planes.shape
+    ups, downs = planes.reshape(2, -1)
+    held = np.flatnonzero(ups | downs)
+    # entry (k, i, d) of the stack: direction d at bit i of mask byte held[k]
+    unpacked = [np.unpackbits(m[held, None], axis=1, bitorder="little") for m in (ups, downs)]
+    found = np.flatnonzero(np.stack(unpacked, axis=2).view(bool))
+    slice_of, byte_of = np.divmod(held, width)
+    k = found >> 4
+    # 2p + d with p = 8 * byte + i, and found & 15 = 2i + d
+    return byte_of[k] << 4 | found & 15, np.bincount(slice_of[k], minlength=depth)
 
 
 @dataclass(frozen=True)
@@ -135,8 +139,9 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
 
 def crossing_counts(circuit: Circuit) -> tuple[int, ...]:
     """Number of gates across each of the n-1 cuts between adjacent wires."""
-    _, pos, _ = circuit._gate_table
-    return tuple(np.bincount(pos, minlength=circuit.n)[1:].tolist())
+    counts = sum(np.unpackbits(planes, axis=2, bitorder="little").sum(axis=(0, 1))
+                 for planes in _mask_planes(circuit))
+    return tuple(counts[1:circuit.n].tolist())
 
 
 def schedule(n: int, gates: Iterable[int]) -> Circuit:
@@ -163,14 +168,14 @@ def schedule(n: int, gates: Iterable[int]) -> Circuit:
             depth += 1
         (downs if g & 1 else ups)[s] |= 1 << p
         last[p] = last[p + 1] = s + 1
-    return Circuit(n, tuple(TimeSlice(up=u, down=d) for u, d in zip(ups, downs)))
+    return Circuit(n, tuple(ups), tuple(downs))
 
 
 def concat(first: Circuit, second: Circuit) -> Circuit:
     """The circuit running first, then second (no repacking)."""
     if first.n != second.n:
         raise ValueError(f"wire count mismatch: {first.n} vs {second.n}")
-    return Circuit(first.n, first.slices + second.slices)
+    return Circuit(first.n, first.ups + second.ups, first.downs + second.downs)
 
 
 def apply(circuit: Circuit, state: BitMatrix) -> BitMatrix:
@@ -183,10 +188,10 @@ def apply(circuit: Circuit, state: BitMatrix) -> BitMatrix:
     if state.n != circuit.n:
         raise ValueError(f"state dimension {state.n} does not match {circuit.n} wires")
     cols = list(state.cols)
-    _, pos, direction = circuit._gate_table
-    # down(p) adds column p - 1 (wire p) into column p, up(p) the reverse
-    for t, s in zip((pos - 1 + direction).tolist(), (pos - direction).tolist()):
-        cols[t] ^= cols[s]
+    for codes, _ in map(_chunk_gates, _mask_planes(circuit)):
+        # gate g adds column g // 2 - g % 2 into column (g + 1) // 2 - 1
+        for t, s in zip(((codes + 1 >> 1) - 1).tolist(), ((codes >> 1) - (codes & 1)).tolist()):
+            cols[t] ^= cols[s]
     return BitMatrix(circuit.n, tuple(cols))
 
 
@@ -197,16 +202,17 @@ def matrix_of(circuit: Circuit) -> BitMatrix:
 
 def inverse(circuit: Circuit) -> Circuit:
     """Circuit undoing this one: slices reversed, each gate self-inverse."""
-    return Circuit(circuit.n, tuple(reversed(circuit.slices)))
+    return Circuit(circuit.n, circuit.ups[::-1], circuit.downs[::-1])
 
 
 def circuit_to_text(circuit: Circuit) -> str:
     """Serialize: header "n <wires>", then one line of gate tokens per slice."""
-    slice_index, pos, direction = circuit._gate_table
     names = [gate_token(g) for g in range(2 * circuit.n)]
-    tokens = [names[g] for g in (2 * pos + direction).tolist()]
-    ends = [0, *np.cumsum(np.bincount(slice_index, minlength=circuit.depth)).tolist()]
-    lines = [f"n {circuit.n}"] + [" ".join(tokens[a:b]) for a, b in zip(ends, ends[1:])]
+    lines = [f"n {circuit.n}"]
+    for codes, counts in map(_chunk_gates, _mask_planes(circuit)):
+        tokens = [names[g] for g in codes.tolist()]
+        ends = [0, *np.cumsum(counts).tolist()]
+        lines += [" ".join(tokens[a:b]) for a, b in zip(ends, ends[1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -237,7 +243,7 @@ def parse_circuit_text(text: str) -> Circuit:
     # follows the gates, not the header.
     bit_of: dict[str, int] = {}
     shift = low = 0
-    slices = []
+    ups, downs = [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         tokens = ln.split()
         if not tokens:
@@ -252,8 +258,9 @@ def parse_circuit_text(text: str) -> Circuit:
         if code.bit_count() != len(tokens) or u & d or w & (w >> 1):
             # a repeated token or a shared wire: raises
             _line_code(tokens, n, lineno, bit_of, shift, len(lines) - 1)
-        slices.append(TimeSlice(up=u, down=d))
-    return Circuit(n, tuple(slices))
+        ups.append(u)
+        downs.append(d)
+    return Circuit(n, tuple(ups), tuple(downs))
 
 
 def _line_code(

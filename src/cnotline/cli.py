@@ -37,7 +37,7 @@ from .search import check_wire_count, distance, max_depth
 
 # synth refuses a family past either limit, counting gates and depth
 # bound times n (a slice holds two n-bit masks); at the cell limit,
-# which parsing shares, rotate, the costliest per cell, peaks near 300 MB.
+# which parsing shares, rotate, the costliest per cell, peaks near 130 MB.
 SYNTH_GATE_LIMIT = 1 << 20
 # render refuses a drawing of more wires times (depth + 1) cells; at the
 # limit, 8 characters a cell held twice, it peaks near 340 MB.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .circuit import Circuit, TimeSlice, down, schedule, up
+from .circuit import Circuit, down, schedule, up
 from .f2 import clip
 
 # Measured nesting overhead of gather_circuit per gathered position; the
@@ -121,11 +121,10 @@ def rotate_circuit(n: int) -> Circuit:
     # trade places.  The tail therefore starts before the head is done.
     shift = 2 if n % 2 == 0 else 3
     depth = max(head.depth, tail.depth + shift)
-    empty = (TimeSlice(),)
-    heads = head.slices + empty * (depth - head.depth)
-    tails = empty * shift + tail.slices + empty * (depth - shift - tail.depth)
-    merged = (TimeSlice(up=h.up | t.up, down=h.down | t.down) for h, t in zip(heads, tails))
-    return Circuit(n, tuple(merged))
+    pad = (0,) * depth  # the padded head is depth long, so each map stops there
+    ups = map(int.__or__, head.ups + pad[head.depth:], pad[:shift] + tail.ups + pad)
+    downs = map(int.__or__, head.downs + pad[head.depth:], pad[:shift] + tail.downs + pad)
+    return Circuit(n, tuple(ups), tuple(downs))
 
 
 def reverse_circuit(n: int) -> Circuit:
@@ -213,8 +212,7 @@ def _sorting_run(
             values[p - 1], values[p] = u, v
             last[p - 1] = last[p] = s
     depth = max(last, default=0)
-    slices = (TimeSlice(up=u, down=d) for u, d in zip(ups[:depth], downs))
-    return Circuit(len(labels), tuple(slices))
+    return Circuit(len(labels), tuple(ups[:depth]), tuple(downs[:depth]))
 
 
 def fired_comparators(labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, _mask_planes
 
 _GLYPHS = np.frombuffer(b"-+**", np.uint8)  # a wire's symbol by 2 * source + target
 _CHUNK_BYTES = 1 << 22  # drawing bytes built at once, a chunk of wires at a time
@@ -19,11 +19,7 @@ _CHUNK_BYTES = 1 << 22  # drawing bytes built at once, a chunk of wires at a tim
 def render_circuit(circuit: Circuit) -> str:
     n, depth = circuit.n, circuit.depth
     margin = max(2, len(str(n)))
-    width = n // 8 + 1  # mask bytes through bit n, the bit above wire n
-    masks = bytearray()  # grown in place: a join would first list a bytes object per mask
-    for s in circuit.slices:
-        masks += s.up.to_bytes(width, "little") + s.down.to_bytes(width, "little")
-    planes = np.frombuffer(masks, np.uint8).reshape(depth, 2, width).swapaxes(0, 1)
+    planes = np.concatenate(list(_mask_planes(circuit)), axis=1)  # bytes through bit n
     step = max(1, _CHUNK_BYTES // (64 * (depth + 1)))  # mask bytes of wires per chunk
     rows: list[str] = []
     for c in range(0, (n + 7) // 8, step):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, ResourceLimitError, TimeSlice
+from .circuit import Circuit, ResourceLimitError
 from .f2 import BitMatrix
 
 # Largest n for the dense engine: its flag array has 2^(n^2) entries,
@@ -83,20 +83,20 @@ class SearchResult:
         return sum(self.level_sizes)
 
 
-def slice_generators(n: int) -> list[TimeSlice]:
-    """Every nonempty set of wire-disjoint adjacent gates on n wires.
+def slice_generators(n: int) -> list[tuple[int, int]]:
+    """Every nonempty set of wire-disjoint adjacent gates on n wires, as (up, down) masks.
 
     The count follows g(n-1) - 1 with g(0)=1, g(1)=3 and
     g(t) = g(t-1) + 2 g(t-2): a position is either skipped or carries
     one of two gate directions, blocking its neighbor.
     """
     check_wire_count(n)
-    out: list[TimeSlice] = []
+    out: list[tuple[int, int]] = []
 
     def extend(pos: int, up: int, down: int) -> None:
         if pos > n - 1:
             if up | down:
-                out.append(TimeSlice(up, down))
+                out.append((up, down))
             return
         extend(pos + 1, up, down)
         extend(pos + 2, up | 1 << pos, down)
@@ -120,7 +120,7 @@ def _packed_generators(n: int) -> list[tuple[int, int]]:
     # up(p) reads column p + 1, bit p of a packed row, and down(p) bit
     # p - 1; multiplying by rows copies a row pattern into every row
     rows = sum(1 << (i * n) for i in range(n))
-    return [(sl.up * rows, (sl.down >> 1) * rows) for sl in slice_generators(n)]
+    return [(up * rows, (down >> 1) * rows) for up, down in slice_generators(n)]
 
 
 def _neighbors(frontier: np.ndarray, up_mask: np.integer, down_mask: np.integer) -> np.ndarray:
@@ -181,7 +181,7 @@ def _witness_from_levels(n: int, levels: list[np.ndarray], target_code: int) -> 
     slices = slice_generators(n)
     gens = _packed_generators(n)
     code = target_code
-    picked: list[TimeSlice] = []
+    picked: list[tuple[int, int]] = []
     for lvl in range(len(levels) - 2, -1, -1):
         prev_level = levels[lvl]
         for slice_, (up_mask, down_mask) in zip(slices, gens):
@@ -192,7 +192,7 @@ def _witness_from_levels(n: int, levels: list[np.ndarray], target_code: int) -> 
                 break
         else:
             raise AssertionError("BFS level structure is inconsistent")
-    return Circuit(n, tuple(reversed(picked)))
+    return Circuit(n, tuple(u for u, _ in picked[::-1]), tuple(d for _, d in picked[::-1]))
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from cnotline import (
     BitMatrix,
     Circuit,
-    TimeSlice,
     apply,
     concat,
     down,
@@ -130,8 +129,8 @@ def source(g: int) -> int:
     return g // 2 + 1 - g % 2
 
 
-def slice_of(gates) -> TimeSlice:
-    """The slice holding a collection of gate codes."""
+def slice_of(gates) -> tuple[int, int]:
+    """The (up, down) masks of the slice holding a collection of gate codes."""
     up_mask = down_mask = 0
     for g in gates:
         bit = 1 << min(target(g), source(g))
@@ -139,16 +138,23 @@ def slice_of(gates) -> TimeSlice:
             down_mask |= bit
         else:
             up_mask |= bit
-    return TimeSlice(up_mask, down_mask)
+    return up_mask, down_mask
 
 
-def slice_gates(sl: TimeSlice) -> tuple:
-    """A slice's gate codes in oracle_slice_order."""
-    top = (sl.up | sl.down).bit_length()
+def slice_gates(sl: tuple[int, int]) -> tuple:
+    """The gate codes of a slice's (up, down) masks in oracle_slice_order."""
+    up_mask, down_mask = sl
+    top = (up_mask | down_mask).bit_length()
     return tuple(oracle_slice_order(
-        [up(p) for p in range(top) if sl.up >> p & 1]
-        + [down(p) for p in range(top) if sl.down >> p & 1]
+        [up(p) for p in range(top) if up_mask >> p & 1]
+        + [down(p) for p in range(top) if down_mask >> p & 1]
     ))
+
+
+def circuit_of(n: int, slices) -> Circuit:
+    """The circuit of a sequence of (up, down) slice masks."""
+    slices = list(slices)
+    return Circuit(n, tuple(u for u, _ in slices), tuple(d for _, d in slices))
 
 
 def schedule_tokens(n: int, tokens) -> Circuit:
@@ -298,7 +304,7 @@ def oracle_violations(slices) -> list[tuple]:
 
 def slice_violations(c: Circuit) -> list[tuple]:
     """oracle_violations of a circuit's slices: empty for a sound circuit."""
-    return oracle_violations([slice_gates(sl) for sl in c.slices])
+    return oracle_violations([slice_gates(sl) for sl in zip(c.ups, c.downs)])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import pytest
 
 from cnotline import (
     BitMatrix,
-    Circuit,
     add_circuit,
     apply,
     clearing_circuit,
@@ -42,6 +41,7 @@ from cnotline.f2 import inverse as matrix_inverse
 from conftest import (
     add_target,
     box_gates,
+    circuit_of,
     clearing_states,
     coords,
     cyclic_matrix,
@@ -258,7 +258,7 @@ def test_criterion_7_property_suites():
             (up if rng.random() < 0.5 else down)(rng.randint(1, n - 1))
             for _ in range(rng.randint(0, 4 * n))
         ]
-        sequential = Circuit(n, tuple(slice_of([g]) for g in gates))
+        sequential = circuit_of(n, [slice_of([g]) for g in gates])
         assert matrix_of(schedule(n, gates)) == matrix_of(sequential)
     # inverse identity, exhaustively over shallow circuits
     checked = 0
@@ -266,7 +266,7 @@ def test_criterion_7_property_suites():
         gens = slice_generators(n)
         for depth in range(4):
             for combo in itertools.product(gens, repeat=depth):
-                c = Circuit(n, combo)
+                c = circuit_of(n, combo)
                 assert matrix_of(inverse(c)) == matrix_inverse(matrix_of(c))
                 checked += 1
     # stage invariants hold layer by layer

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cnotline import (
     BitMatrix,
     Circuit,
-    TimeSlice,
+    add_circuit,
     apply,
     circuit_to_text,
     concat,
@@ -24,15 +24,19 @@ from cnotline import (
     metrics,
     parse_circuit_text,
     parse_gate_token,
+    render_circuit,
     schedule,
     slice_generators,
     up,
 )
+from cnotline import circuit as circuit_module
 from cnotline.f2 import inverse as matrix_inverse
 from conftest import (
+    circuit_of,
     oracle_apply,
     oracle_circuit_text,
     oracle_crossings,
+    oracle_render,
     oracle_slice_order,
     oracle_token,
     raw_circuits,
@@ -51,7 +55,7 @@ def all_circuits(n, max_depth):
     gens = slice_generators(n)
     for d in range(max_depth + 1):
         for combo in itertools.product(gens, repeat=d):
-            yield Circuit(n, combo)
+            yield circuit_of(n, combo)
 
 
 def random_gates(n, count, rng):
@@ -111,7 +115,7 @@ def test_inverse_identity_exhaustive_small():
 
 def test_inverse_reverses_slices():
     c = schedule_tokens(3, ["u1", "d2", "u2"])
-    assert list(inverse(c).slices) == list(reversed(c.slices))
+    assert inverse(c).ups == c.ups[::-1] and inverse(c).downs == c.downs[::-1]
 
 
 def test_scheduler_preserves_semantics(rng):
@@ -199,9 +203,15 @@ def test_metrics_density():
 
 def test_circuit_rejects_out_of_range_gates():
     with pytest.raises(ValueError):
-        Circuit(3, (slice_of([up(3)]),))
+        circuit_of(3, [slice_of([up(3)])])
     with pytest.raises(ValueError):
         Circuit(1, ())
+
+
+def test_circuit_refuses_unequal_mask_tuples():
+    for ups, downs in [((2,), ()), ((), (2,)), ((2, 4), (0,))]:
+        with pytest.raises(ValueError, match=f"^{len(ups)} up masks but {len(downs)} down masks$"):
+            Circuit(4, ups, downs)
 
 
 # Property tests run a fixed example sequence, so a failure reproduces.
@@ -225,7 +235,7 @@ def circuits(draw, min_depth=0):
         if not gates:
             gates.append(draw(st.sampled_from((up, down)))(draw(st.integers(1, n - 1))))
         slices.append(slice_of(gates))
-    return Circuit(n, tuple(slices))
+    return circuit_of(n, slices)
 
 
 def _rejects(text, message):
@@ -242,7 +252,7 @@ def _with_token(draw, c, token_for):
     lines = circuit_to_text(c).splitlines()
     i = draw(st.integers(1, c.depth))
     tokens = lines[i].split()
-    token, last = token_for(slice_gates(c.slices[i - 1]))
+    token, last = token_for(slice_gates((c.ups[i - 1], c.downs[i - 1])))
     at = len(tokens) if last else draw(st.integers(0, len(tokens)))
     tokens.insert(at, token)
     lines[i] = " ".join(tokens)
@@ -401,7 +411,7 @@ def test_property_shared_position_lists_up_first(a, p):
 
 
 def _check_against_oracles(n, slices, state_seed):
-    c = Circuit(n, tuple(slice_of(gates) for gates in slices))
+    c = circuit_of(n, [slice_of(gates) for gates in slices])
     rng = random.Random(state_seed)
     state = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
     assert to_lists(apply(c, state)) == oracle_apply(n, slices, to_lists(state))
@@ -425,25 +435,93 @@ def test_property_shared_position_circuits_match_list_oracles(raw, state_seed):
     _check_against_oracles(*raw, state_seed)
 
 
+def _chunk_crossing_slices(n, step, rng):
+    """Gate lists for 3 * step + 2 slices, any of which may share wires or
+    hold up(p) and down(p) together; the first and last slice and the two
+    on either side of each chunk edge are empty."""
+    depth = 3 * step + 2
+    empty = {0, depth - 1} | {e + d for e in range(step, depth, step) for d in (-1, 0)}
+    kinds = [(), (), (up,), (down,), (up, down)]
+    slices = []
+    for i in range(depth):
+        gates = [] if i in empty else [k(p) for p in range(1, n) for k in rng.choice(kinds)]
+        if i not in empty and not gates:
+            gates = [rng.choice((up, down))(rng.randint(1, n - 1))]
+        rng.shuffle(gates)
+        slices.append(gates)
+    return slices
+
+
+# (n, slices per chunk): None keeps the default chunk, 65 536 slices at n = 2
+@pytest.mark.parametrize("n,step", [(2, None), (3, 4), (8, 5), (9, 7), (17, 3), (40, 6)])
+def test_circuits_across_chunks_match_list_oracles(n, step, monkeypatch):
+    # the property tests draw at most 8 slices, all inside one chunk
+    width = n // 8 + 1
+    if step is None:
+        step = circuit_module._CHUNK_BYTES // width
+    else:
+        monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", step * width)
+    rng = random.Random(16 + n)
+    slices = _chunk_crossing_slices(n, step, rng)
+    c = circuit_of(n, [slice_of(gates) for gates in slices])
+    state = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
+    assert circuit_to_text(c) == oracle_circuit_text(n, slices)
+    assert to_lists(apply(c, state)) == oracle_apply(n, slices, to_lists(state))
+    assert crossing_counts(c) == tuple(oracle_crossings(n, slices))
+    assert render_circuit(c) == oracle_render(n, slices)
+
+
+def _traced(run):
+    """run()'s result, the memory it left allocated and its peak, in bytes."""
+    tracemalloc.start()
+    try:
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_deep_circuit_memory_follows_its_masks():
+    # 200 000 one-gate slices on 2 wires: two tuples of small ints hold 16
+    # bytes a slice; a dataclass object per slice held 96
+    depth = 200_000
+    text = "n 2\n" + "u1\n" * depth
+    c, held, _ = _traced(lambda: parse_circuit_text(text))
+    assert c.depth == depth and held <= 32 * depth
+    # crossings and simulation read the masks a chunk at a time, where a
+    # whole-circuit gate table peaked at 47 MB
+    (crossings, m), _, peak = _traced(lambda: (crossing_counts(c), matrix_of(c)))
+    assert crossings == (depth,) and m == BitMatrix.identity(2)
+    assert peak < 10 << 20
+
+
+def test_sparse_wide_circuit_text_memory():
+    # 63 993 gates in 16 003 slices on 16 000 wires: copying every mask to
+    # bytes at once peaked at 153 MB
+    c = add_circuit(16000)
+    text, _, peak = _traced(lambda: circuit_to_text(c))
+    assert text.count("\n") == c.depth + 1 and len(text.split()) == 2 + c.size
+    assert peak < 40 << 20
+
+
 def test_circuit_names_the_gate_off_the_line():
     with pytest.raises(ValueError, match=r"^gate d3 does not fit on 3 wires$"):
-        Circuit(3, (slice_of([up(1)]), slice_of([down(3)])))
+        circuit_of(3, [slice_of([up(1)]), slice_of([down(3)])])
     # the lowest position off the line, and up(p) before down(p) there
     for gates, token in [([up(5), down(4), up(1)], "d4"), ([down(3), up(3), up(6)], "u3")]:
         with pytest.raises(ValueError, match=f"^gate {token} does not fit on 3 wires$"):
-            Circuit(3, (slice_of(gates),))
+            circuit_of(3, [slice_of(gates)])
     # position 0 has no wire 0, and it is the lowest position of all
-    for sl, token in [(TimeSlice(up=1), "u0"), (TimeSlice(down=1), "d0"),
-                      (TimeSlice(up=3, down=1 << 5), "u0")]:
+    for sl, token in [((1, 0), "u0"), ((0, 1), "d0"), ((3, 1 << 5), "u0")]:
         with pytest.raises(ValueError, match=f"^gate {token} does not fit on 4 wires$"):
-            Circuit(4, (slice_of([up(2)]), sl))
+            circuit_of(4, [slice_of([up(2)]), sl])
     # a negative mask sets every bit from some position on
-    for sl, token in [(TimeSlice(up=-2), "u4"), (TimeSlice(up=2, down=-16), "d4"),
-                      (TimeSlice(down=-1), "d0")]:
+    for sl, token in [((-2, 0), "u4"), ((2, -16), "d4"), ((0, -1), "d0")]:
         with pytest.raises(ValueError, match=f"^gate {token} does not fit on 4 wires$"):
-            Circuit(4, (sl,))
+            circuit_of(4, [sl])
     with pytest.raises(ValueError, match=r"^gate u10{12} does not fit on 10{12} wires$"):
-        Circuit(10**12, (TimeSlice(up=-2),))
+        Circuit(10**12, (-2,), (0,))
 
 
 def test_one_line_circuit_parse_memory_follows_its_text():

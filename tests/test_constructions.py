@@ -260,7 +260,7 @@ def test_box_symbolic_outputs_and_depth(outputs, want_depth):
     c = schedule(position + 1, gates)
     assert c.depth == want_depth
     state = {position: frozenset("u"), position + 1: frozenset("v")}
-    for sl in c.slices:
+    for sl in zip(c.ups, c.downs):
         for g in slice_gates(sl):
             state[target(g)] = state[target(g)] ^ state[source(g)]
     for wire, token in zip((position, position + 1), outputs):

@@ -19,6 +19,7 @@ from cnotline import (
 from cnotline import render
 from cnotline.constructions import FAMILIES
 from conftest import (
+    circuit_of,
     oracle_render,
     random_invertible,
     raw_circuits,
@@ -85,12 +86,12 @@ PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=
 def test_render_matches_list_oracle(raw):
     # slices may share wires; a wire both read and written shows *
     n, slices = raw
-    c = Circuit(n, tuple(slice_of(gates) for gates in slices))
+    c = circuit_of(n, [slice_of(gates) for gates in slices])
     assert render_circuit(c) == oracle_render(n, slices)
 
 
 def test_render_oracle_agrees_on_a_shared_wire():
-    c = Circuit(3, (slice_of([up(1), up(2)]),))
+    c = circuit_of(3, [slice_of([up(1), up(2)])])
     assert render_circuit(c) == oracle_render(3, [[up(1), up(2)]]) == (
         " 1 -+---\n"
         "    |\n"

@@ -116,7 +116,7 @@ def test_packed_slice_application_matches_apply(rng):
             m = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
             code = encode_state(m)
             stepped = code ^ ((code & um) >> 1) ^ ((code & dm) << 1)
-            assert decode_state(n, stepped) == apply(Circuit(n, (s,)), m)
+            assert decode_state(n, stepped) == apply(Circuit(n, (s[0],), (s[1],)), m)
 
 
 @pytest.mark.parametrize("n,want", [(2, 3), (3, 8), (4, 10)])
