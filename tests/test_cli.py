@@ -193,7 +193,9 @@ def test_bounds_machine_rejects_singular(capsys, tmp_path, n):
 
 
 def _pinned_case(name):
-    """(circuit, target) for one of the cases in PINNED_REPORTS."""
+    """(circuit, target) for one of the cases in PINNED_REPORTS; no circuit has 1 wire."""
+    if name == "id1":
+        return None, BitMatrix.identity(1)
     if name == "random128":
         m = random_invertible(128, random.Random(128))
         return synthesize(m), m
@@ -206,38 +208,52 @@ def _pinned_case(name):
     return reverse_circuit(9), BitMatrix.anti_identity(9)
 
 
-# SHA-256 of the stdout of `verify` and of `bounds --machine`.  A changed
-# hash means the printed crossings, cut bounds or aggregates moved.
+# SHA-256 of the stdout of `verify`, of `bounds --machine` and of `bounds`.
+# A changed hash means the printed crossings, cut bounds or aggregates moved.
 PINNED_REPORTS = {
     "random128": (
         "e0ea1fa841eecea12139edc6be8513e7366d4563acb0dd7624ce28b911727321",
         "6688e5d931c10600480224096f62f9ddf01fa6efb30470ecc1116cddbc1c48b1",
+        "bbede0c92f9843f9f286f250ed943edd5629aa15b31c8435560802baecf6d1f1",
     ),
     "perm256": (
         "490421c12a022e9ba60c2f7ce04525e7f06c122a4036fe7a0b939a4467b15201",
         "864d734149dc7a8e31eb78743cd2860ed4ddf9ea1b35e2bb46035e081d8dfd1f",
+        "e57882f8d975a7cb5c04920c5bf678b27dfb55c822ac49b35953fdd4b4a834c5",
     ),
     "anti9": (
         "2780e3d456abac8941032cb8c1f9723b57e85e1f3e77aaf28a6154f18318f50c",
         "03e2756e391760d9906544548037ecc240fc4fc86500531d6631bcea8b225d98",
+        "d492e42b3e4dcbb2af2277f2958413e1baa2b09a5c9155897a3bda4eed92c409",
+    ),
+    # no cuts: the human per-cut line holds no numbers and ends in padding
+    "id1": (
+        None,
+        "8124b828bbd237157c5ce9c779318cec4395d1af715ad530f4e09a7d2eb6e6f2",
+        "7b2791eccb7534b5cddb128d4a85868515f296f548f5012ee2da8a1361a4a9b3",
     ),
 }
+
+
+def _stdout_digest(capsys, *argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    return hashlib.sha256(out.encode("ascii")).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_verify_and_bounds_output_is_pinned(capsys, tmp_path, name):
     c, m = _pinned_case(name)
-    circuit = write_circuit(tmp_path, "c.circuit", c)
     target = write_matrix(tmp_path, "t.matrix", m)
-    got = []
-    for argv in (
-        ("verify", "--circuit", circuit, "--target", target),
-        ("bounds", "--target", target, "--machine"),
-    ):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        got.append(hashlib.sha256(out.encode("ascii")).hexdigest())
-    assert tuple(got) == PINNED_REPORTS[name]
+    verify = None if c is None else _stdout_digest(
+        capsys, "verify", "--circuit", write_circuit(tmp_path, "c.circuit", c), "--target", target
+    )
+    got = (
+        verify,
+        _stdout_digest(capsys, "bounds", "--target", target, "--machine"),
+        _stdout_digest(capsys, "bounds", "--target", target),
+    )
+    assert got == PINNED_REPORTS[name]
 
 
 def test_search_reversal_distance(capsys):
