@@ -34,10 +34,9 @@ from .f2 import BitMatrix, _echelon_add
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-cut crossing bounds plus the aggregated depth and size bounds."""
+    """Crossing bound of cut k at per_cut[k - 1], plus the aggregated depth and size bounds."""
 
-    method: str
-    per_cut: tuple[tuple[int, int], ...]
+    per_cut: tuple[int, ...]
     depth_lb: int
     size_lb: int
 
@@ -55,13 +54,13 @@ def _ranks_past_cuts(vectors: Sequence[int]) -> list[int]:
     return out
 
 
-def _cut_bounds(m: BitMatrix) -> list[int]:
+def _cut_bounds(m: BitMatrix) -> tuple[int, ...]:
     """Crossing bound of every cut, cut k at index k-1 (see module doc)."""
     if not m.is_invertible:
         raise ValueError(f"matrix of dimension {m.n} is singular")
     rank_y = _ranks_past_cuts(m.cols)
     rank_x = _ranks_past_cuts(m.packed_rows())
-    return [y + x for y, x in zip(rank_y, rank_x)]
+    return tuple(y + x for y, x in zip(rank_y, rank_x))
 
 
 def cut_lower_bound(m: BitMatrix, k: int) -> int:
@@ -81,17 +80,10 @@ def matrix_lower_bounds(m: BitMatrix) -> BoundReport:
     Gates at cuts k-1 and k all occupy wire k in distinct slices, so the
     depth bound is the best sum of two adjacent cut bounds.
     """
-    n = m.n
-    per_cut = tuple(enumerate(_cut_bounds(m), start=1))
-    by_cut = dict(per_cut)
-    by_cut[0] = by_cut[n] = 0
-    depth_lb = max(by_cut[w - 1] + by_cut[w] for w in range(1, n + 1))
-    return BoundReport(
-        method="rank-cut",
-        per_cut=per_cut,
-        depth_lb=depth_lb,
-        size_lb=sum(v for _, v in per_cut),
-    )
+    per_cut = _cut_bounds(m)
+    padded = (0, *per_cut, 0)
+    depth_lb = max(a + b for a, b in zip(padded, padded[1:]))
+    return BoundReport(per_cut, depth_lb, sum(per_cut))
 
 
 def reversal_bounds(n: int) -> tuple[int, int]:

@@ -139,9 +139,12 @@ def metrics(circuit: Circuit) -> CircuitMetrics:
 
 def crossing_counts(circuit: Circuit) -> tuple[int, ...]:
     """Number of gates across each of the n-1 cuts between adjacent wires."""
-    counts = sum(np.unpackbits(planes, axis=2, bitorder="little").sum(axis=(0, 1))
-                 for planes in _mask_planes(circuit))
-    return tuple(counts[1:circuit.n].tolist())
+    counts = np.zeros((circuit.n // 8 + 1, 8), np.uint64)  # row j: bits of mask byte j
+    for planes in _mask_planes(circuit):
+        held = np.flatnonzero(planes.any(axis=(0, 1)))  # the byte columns with a gate
+        bits = np.unpackbits(planes[:, :, held], axis=2, bitorder="little")
+        counts[held] += bits.sum(axis=(0, 1)).reshape(-1, 8)
+    return tuple(counts.reshape(-1)[1:circuit.n].tolist())
 
 
 def schedule(n: int, gates: Iterable[int]) -> Circuit:
@@ -267,11 +270,12 @@ def _line_code(
     tokens: list[str], n: int, lineno: int, bit_of: dict[str, int], shift: int,
     depth: int,
 ) -> tuple[int, int]:
-    """Check a slice line token by token; learn and sum the tokens' bits.
+    """Check a slice line token by token; build its code and learn its tokens' bits.
 
     Returns the code and the shift.  A line reaching past the shift at
     least doubles it and forgets the bits learned under the old one.  It
     keeps at most 4 * CELL_LIMIT binary digits of bits, whatever the text.
+    Wires and masks are marked in bytes, so the work is linear in the line.
 
     Raises:
         ResourceLimitError: if depth slices of masks reaching a gate's
@@ -279,7 +283,8 @@ def _line_code(
     """
     top = CELL_LIMIT // depth  # depth * (p + 1) passes the limit iff p >= top
     gates = []
-    used = 0
+    # bit w of wires: wire w is in use; bit p of masks[d]: gate 2p + d
+    wires, masks = bytearray(), (bytearray(), bytearray())
     width = len(str(n))
     for tok in tokens:
         # a position with more digits than n is off the line: int() never sees it
@@ -297,18 +302,23 @@ def _line_code(
                 f"line {lineno}: gate {gate_token(g)} would need {depth} slices on "
                 f"{p + 1} wires, more than the limit of {CELL_LIMIT} slice-wire cells"
             )
-        wires = 3 << p
-        if used & wires:
+        i, pair = p >> 3, 3 << (p & 7)  # wires p and p + 1 reach into byte i + 1
+        if len(wires) < i + 2:
+            for marks in (wires, *masks):
+                marks.extend(bytes(i + 2 - len(marks)))
+        if (wires[i] | wires[i + 1] << 8) & pair:
             raise ValueError(f"line {lineno}: wire collision at {gate_token(g)}")
-        used |= wires
+        wires[i] |= pair & 255
+        wires[i + 1] |= pair >> 8
+        masks[g & 1][i] |= 1 << (p & 7)
         gates.append(g)
-    # the top position is bit_length - 2, and the shift must pass it
-    if used.bit_length() - 1 > shift:
-        shift = max(2 * shift, used.bit_length() - 1)
+    last = max(gates) >> 1  # the shift must pass the top position
+    if last >= shift:
+        shift = max(2 * shift, last + 1)
         bit_of.clear()
+    code = int.from_bytes(masks[0], "little") | int.from_bytes(masks[1], "little") << shift
     cap = 4 * CELL_LIMIT // (2 * shift + 1)  # a bit has at most 2 * shift + 1 digits
-    code = 0
     for tok, g in zip(tokens, gates):
-        bit = 1 << ((g >> 1) + shift * (g & 1))
-        code |= bit_of.setdefault(tok, bit) if len(bit_of) < cap else bit
+        if tok not in bit_of and len(bit_of) < cap:
+            bit_of[tok] = 1 << ((g >> 1) + shift * (g & 1))
     return code, shift

@@ -81,9 +81,9 @@ def _within_budget(op: str, gates: int, depth: int, n: int) -> None:
 def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
     """Build the requested circuit plus its diagnostic bound lines.
 
-    Every family but matrix is refused before it is built when its size
-    passes SYNTH_GATE_LIMIT or its depth bound times n passes
-    SYNTH_CELL_LIMIT.
+    Every op is refused before it is built when its depth bound times n
+    passes SYNTH_CELL_LIMIT, and every op but matrix when its size passes
+    SYNTH_GATE_LIMIT.
     """
     op = args.op
     if op in FAMILIES:
@@ -113,6 +113,8 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
         m = parse_matrix_text(_read(args.matrix))
         if args.n is not None and args.n != m.n:
             raise ValueError(f"--n {args.n} does not match matrix dimension {m.n}")
+        # cells only: a gate bound of 2.5 n^2 would refuse n >= 649
+        _within_budget(op, 0, 5 * m.n, m.n)
         c = synthesize(m)
         return c, [f"depth bound 5n = {5 * m.n}"]
     if op == "gather":
@@ -152,7 +154,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"depth={stats.depth} size={stats.size}")
     if target.is_invertible:
         report = matrix_lower_bounds(target)
-        for (k, bound), seen in zip(report.per_cut, crossing_counts(circuit)):
+        for k, (bound, seen) in enumerate(zip(report.per_cut, crossing_counts(circuit)), 1):
             print(f"cut {k}: crossings={seen} lower_bound={bound}")
     else:
         print("target is singular: no circuit can compute it")
@@ -175,27 +177,20 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     target = parse_matrix_text(_read(args.target))
     report = matrix_lower_bounds(target)
-    is_reversal = target == BitMatrix.anti_identity(target.n) and target.n >= 3
+    n = target.n
+    reversal = reversal_bounds(n) if n >= 3 and target == BitMatrix.anti_identity(n) else ()
+    fields = [("n", n), ("method", "rank-cut"), ("depth_lb", report.depth_lb),
+              ("size_lb", report.size_lb)]
     if args.machine:
-        print(f"n={target.n}")
-        print(f"method={report.method}")
-        print(f"depth_lb={report.depth_lb}")
-        print(f"size_lb={report.size_lb}")
-        for k, bound in report.per_cut:
-            print(f"cut_{k}={bound}")
-        if is_reversal:
-            depth_lb, size_lb = reversal_bounds(target.n)
-            print(f"reversal_depth_lb={depth_lb}")
-            print(f"reversal_size_lb={size_lb}")
-        return 0
-    print(f"{'n':<10}{target.n}")
-    print(f"{'method':<10}{report.method}")
-    print(f"{'depth_lb':<10}{report.depth_lb}")
-    print(f"{'size_lb':<10}{report.size_lb}")
-    print(f"{'per-cut':<10}{' '.join(str(b) for _, b in report.per_cut)}")
-    if is_reversal:
-        depth_lb, size_lb = reversal_bounds(target.n)
-        print(f"reversal closed form: depth_lb {depth_lb}, size_lb {size_lb}")
+        fields += [(f"cut_{k}", bound) for k, bound in enumerate(report.per_cut, 1)]
+        fields += zip(("reversal_depth_lb", "reversal_size_lb"), reversal)
+    else:
+        fields.append(("per-cut", " ".join(map(str, report.per_cut))))
+    line = "{}={}" if args.machine else "{:<10}{}"
+    for field in fields:
+        print(line.format(*field))
+    if reversal and not args.machine:
+        print("reversal closed form: depth_lb {}, size_lb {}".format(*reversal))
     return 0
 
 

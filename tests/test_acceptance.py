@@ -211,8 +211,8 @@ def test_criterion_5_lower_bound_soundness(
         assert c.depth >= report.depth_lb
         assert c.size >= report.size_lb
         seen = crossing_counts(c)
-        for (k, bound) in report.per_cut:
-            assert seen[k - 1] >= bound, f"cut {k}: {seen[k - 1]} < {bound}"
+        for k, (bound, crossings) in enumerate(zip(report.per_cut, seen, strict=True), 1):
+            assert crossings >= bound, f"cut {k}: {crossings} < {bound}"
     for n in range(3, 33):
         depth_lb, size_lb = reversal_bounds(n)
         assert depth_lb == 2 * n + 1

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -185,6 +186,20 @@ def test_circuit_text_example():
 def test_parse_circuit_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_circuit_text(text)
+
+
+@pytest.mark.parametrize(
+    "line,n,message",
+    [
+        ("u1 u1 x9", 10, "wire collision at u1"),
+        ("d2 u1 u9", 10, "wire collision at u1"),
+        ("u9 u1 d1", 5, "gate u9 does not fit on 5 wires"),
+    ],
+)
+def test_parse_names_the_first_bad_token_of_a_line(line, n, message):
+    # tokens are checked in line order, so the first fault is the one named
+    with pytest.raises(ValueError, match=f"^line 2: {message}$"):
+        parse_circuit_text(f"n {n}\n{line}\n")
 
 
 def test_crossing_counts_by_position():
@@ -438,13 +453,18 @@ def test_property_shared_position_circuits_match_list_oracles(raw, state_seed):
 def _chunk_crossing_slices(n, step, rng):
     """Gate lists for 3 * step + 2 slices, any of which may share wires or
     hold up(p) and down(p) together; the first and last slice and the two
-    on either side of each chunk edge are empty."""
+    on either side of each chunk edge are empty.  Past 64 wires a slice
+    holds gates at the positions of one mask byte, so whole bytes stay empty."""
     depth = 3 * step + 2
     empty = {0, depth - 1} | {e + d for e in range(step, depth, step) for d in (-1, 0)}
     kinds = [(), (), (up,), (down,), (up, down)]
     slices = []
     for i in range(depth):
-        gates = [] if i in empty else [k(p) for p in range(1, n) for k in rng.choice(kinds)]
+        span = range(1, n)
+        if n > 64:
+            j = rng.randrange(n // 8 + 1)
+            span = range(max(1, 8 * j), min(n, 8 * j + 8))
+        gates = [] if i in empty else [k(p) for p in span for k in rng.choice(kinds)]
         if i not in empty and not gates:
             gates = [rng.choice((up, down))(rng.randint(1, n - 1))]
         rng.shuffle(gates)
@@ -453,7 +473,9 @@ def _chunk_crossing_slices(n, step, rng):
 
 
 # (n, slices per chunk): None keeps the default chunk, 65 536 slices at n = 2
-@pytest.mark.parametrize("n,step", [(2, None), (3, 4), (8, 5), (9, 7), (17, 3), (40, 6)])
+@pytest.mark.parametrize(
+    "n,step", [(2, None), (3, 4), (8, 5), (9, 7), (17, 3), (40, 6), (203, 4)]
+)
 def test_circuits_across_chunks_match_list_oracles(n, step, monkeypatch):
     # the property tests draw at most 8 slices, all inside one chunk
     width = n // 8 + 1
@@ -536,3 +558,15 @@ def test_one_line_circuit_parse_memory_follows_its_text():
         tracemalloc.stop()
     assert c.depth == 1 and c.size == 40000
     assert peak < 20 << 20
+
+
+def test_one_line_circuit_parse_time_is_linear_in_its_line():
+    # 300 000 gates on one line of a 600 001-wire circuit: building wire-wide
+    # ints for every token took 8 s
+    gates = 300_000
+    tokens = (f"{'ud'[i % 2]}{2 * i + 1}" for i in range(gates))
+    text = f"n {2 * gates + 1}\n" + " ".join(tokens) + "\n"
+    start = time.perf_counter()
+    c = parse_circuit_text(text)
+    assert time.perf_counter() - start < 3.0
+    assert c.size == gates and circuit_to_text(c) == text

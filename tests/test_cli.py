@@ -703,6 +703,23 @@ def test_render_cell_limit_boundary(capsys, monkeypatch, tmp_path):
     assert err.endswith(f"more than the limit of {9 * 21 - 1} slice-wire cells\n")
 
 
+def test_synth_matrix_cell_limit_boundary(capsys, monkeypatch, tmp_path):
+    # 8 wires times the 5n = 40 slice depth bound may equal the limit, but
+    # not pass it; no gate limit applies
+    target = write_matrix(tmp_path, "t.matrix", BitMatrix.anti_identity(8))
+    monkeypatch.setattr(cli, "SYNTH_CELL_LIMIT", 5 * 8 * 8)
+    monkeypatch.setattr(cli, "SYNTH_GATE_LIMIT", 1)
+    code, out, _ = run(capsys, "synth", "--op", "matrix", "--matrix", target)
+    assert code == 0 and matrix_of(parse_circuit_text(out)) == BitMatrix.anti_identity(8)
+    monkeypatch.setattr(cli, "SYNTH_CELL_LIMIT", 5 * 8 * 8 - 1)
+    code, out, err = run(capsys, "synth", "--op", "matrix", "--matrix", target)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: synth --op matrix would build 40 slices on 8 wires, more than "
+        f"the limit of {5 * 8 * 8 - 1} slice-wire cells\n"
+    )
+
+
 def test_search_target_dimension_mismatch(capsys, tmp_path):
     target = write_matrix(tmp_path, "t.matrix", BitMatrix.identity(4))
     code, _, err = run(capsys, "search", "--n", "3", "--target", target)
