@@ -303,9 +303,9 @@ def _line_code(
                 f"{p + 1} wires, more than the limit of {CELL_LIMIT} slice-wire cells"
             )
         i, pair = p >> 3, 3 << (p & 7)  # wires p and p + 1 reach into byte i + 1
-        if len(wires) < i + 2:
+        if len(wires) < i + 2:  # 64 bytes past the need, so a rising line rarely grows them
             for marks in (wires, *masks):
-                marks.extend(bytes(i + 2 - len(marks)))
+                marks.extend(bytes(i + 64 - len(marks)))
         if (wires[i] | wires[i + 1] << 8) & pair:
             raise ValueError(f"line {lineno}: wire collision at {gate_token(g)}")
         wires[i] |= pair & 255
