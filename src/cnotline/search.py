@@ -9,12 +9,12 @@ with the same generators.
 One loop, `_bfs`, walks the levels out from the identity to the
 target or the depth limit.  Two generators yield them as sorted arrays:
 
-- n <= DENSE_LIMIT (5): `_dense_levels` marks states in a 2^(n^2) flag
-  array.  It sorts each level and expands it in cache-sized chunks,
-  so each chunk's flag lookups stay in a narrow window.  It is the
-  fastest engine wherever that array fits: on a 2-CPU machine a full
-  n = 5 sweep takes 1.4-1.8 s and 135 MB, against 18-19 s and 153 MB
-  for the sorted engine.
+- n <= DENSE_LIMIT (5): `_dense_levels` flags unvisited states in a
+  2^(n^2) array and holds int32 codes.  It sorts each level and expands
+  it in cache-sized chunks, so each chunk's flag lookups stay in a
+  narrow window.  It is the fastest engine wherever that array fits: on
+  a 2-CPU machine `search --n 5 --max` takes 0.7-1.1 s and 99 MB, against
+  10-11 s and 155 MB for a full sweep on the sorted engine.
 - n = 6..8 distance searches: `_sorted_levels` keeps each level as a
   sorted array of unique uint64 codes.  The neighbours of level L lie
   in levels L-1, L and L+1, so only those levels are ever consulted,
@@ -47,10 +47,10 @@ SORTED_LIMIT = 1 << 25
 # Neighbour codes generated per chunk of a sorted level (16 MB).
 _CHUNK_CODES = 1 << 21
 
-# Frontier codes the dense engine expands at once: its three work
-# buffers (about 0.5 MB) stay in cache while every generator reuses them.
-# 2^14..2^15 measured fastest for a full n = 5 sweep; _CHUNK_CODES
-# divided by the generator count (about 2^17) was 15-30 % slower.
+# Frontier codes the dense engine expands at once: its int32 buffers, one
+# per gate term and one for neighbours (1.1 MB at n = 5), stay in cache.
+# 2^14..2^15 measured fastest for a full n = 5 sweep; 2^16..2^17 (about
+# _CHUNK_CODES per generator) were 10-15 % slower.
 _DENSE_CHUNK = 1 << 15
 
 
@@ -123,10 +123,35 @@ def _packed_generators(n: int) -> list[tuple[int, int]]:
     return [(up * rows, (down >> 1) * rows) for up, down in slice_generators(n)]
 
 
-def _neighbors(frontier: np.ndarray, up_mask: np.integer, down_mask: np.integer) -> np.ndarray:
-    # NumPy 2 will not shift uint64 by int64, so shift by the array's dtype
-    one = frontier.dtype.type(1)
-    return frontier ^ ((frontier & up_mask) >> one) ^ ((frontier & down_mask) << one)
+def _gate_terms(n: int, dtype: type) -> tuple[list, list[tuple[int, ...]]]:
+    """Each gate's term of a packed state, and each slice as its gates.
+
+    Gate 2p + d is terms[2p + d - 2] = (d, mask) with a dtype mask: its
+    term in state s is (s >> 1 if d == 0 else s << 1) & mask.  gens lists
+    slice_generators(n), in order, as the indices of their gates' terms,
+    and a slice takes s to s XOR its terms (the _packed_generators map).
+    """
+    rows = sum(1 << (i * n) for i in range(n))
+    terms = [(d, dtype((1 << (p - 1 + d)) * rows)) for p in range(1, n) for d in (0, 1)]
+    gens = [tuple(2 * p + d - 2 for p in range(1, n) for d in (0, 1) if sl[d] >> p & 1)
+            for sl in slice_generators(n)]
+    return terms, gens
+
+
+def _term_values(block: np.ndarray, terms: list, out: np.ndarray) -> np.ndarray:
+    """Fill out[t] with gate term t of every code in block."""
+    # a Python int shift keeps the dtype; NumPy 2 will not shift uint64 by int64
+    shifted = (block >> 1, block << 1)
+    for t, (d, mask) in enumerate(terms):
+        np.bitwise_and(shifted[d], mask, out=out[t])
+    return out
+
+
+def _apply_slice(block: np.ndarray, values: np.ndarray, gates: tuple, out: np.ndarray) -> None:
+    """out = block XOR the rows of values that gates index."""
+    np.bitwise_xor(block, values[gates[0]], out=out)
+    for t in gates[1:]:
+        np.bitwise_xor(out, values[t], out=out)
 
 
 def _contains(level: np.ndarray, code: int) -> bool:
@@ -136,41 +161,33 @@ def _contains(level: np.ndarray, code: int) -> bool:
 
 
 def _dense_levels(n: int):
-    """Yield each BFS level as a sorted int64 array, marking visited
-    states in a flag array over all 2^(n^2) codes."""
-    gens = [(np.int64(u), np.int64(d)) for u, d in _packed_generators(n)]
-    visited = np.zeros(1 << (n * n), dtype=bool)
-    frontier = np.array([encode_state(BitMatrix.identity(n))], dtype=np.int64)
-    visited[frontier] = True
+    """Yield each BFS level as a sorted int32 array, flagging unvisited
+    states in an array over all 2^(n^2) codes.  int32 holds every code
+    shifted by one: n^2 <= 25 bits, so s << 1 stays below 2^26."""
+    terms, gens = _gate_terms(n, np.int32)
+    unvisited = np.ones(1 << (n * n), dtype=bool)
+    frontier = np.array([encode_state(BitMatrix.identity(n))], dtype=np.int32)
+    unvisited[frontier] = False
     yield frontier
-    one = np.int64(1)
-    nb_buf = np.empty(_DENSE_CHUNK, dtype=np.int64)
-    tmp_buf = np.empty(_DENSE_CHUNK, dtype=np.int64)
+    bufs = np.empty((len(terms) + 1, _DENSE_CHUNK), dtype=np.int32)  # terms, neighbours
     new_buf = np.empty(_DENSE_CHUNK, dtype=bool)
     while True:
         parts = []
         for lo in range(0, frontier.size, _DENSE_CHUNK):
             block = frontier[lo : lo + _DENSE_CHUNK]
-            k = block.size
-            nb, tmp, new = nb_buf[:k], tmp_buf[:k], new_buf[:k]
-            for up_mask, down_mask in gens:
-                # nb = _neighbors(block, up_mask, down_mask), without temporaries
-                np.bitwise_and(block, up_mask, out=nb)
-                np.right_shift(nb, one, out=nb)
-                np.bitwise_xor(nb, block, out=nb)
-                np.bitwise_and(block, down_mask, out=tmp)
-                np.left_shift(tmp, one, out=tmp)
-                np.bitwise_xor(nb, tmp, out=nb)
-                np.take(visited, nb, out=new)
-                np.logical_not(new, out=new)
+            values = _term_values(block, terms, bufs[:-1, : block.size])
+            nb, new = bufs[-1, : block.size], new_buf[: block.size]
+            for gates in gens:
+                _apply_slice(block, values, gates, nb)
+                np.take(unvisited, nb, out=new)
                 fresh = np.compress(new, nb)
                 if fresh.size:
-                    visited[fresh] = True
+                    unvisited[fresh] = False
                     parts.append(fresh)
         if not parts:
             return
         # sorted, the next level's chunks share their top rows, so each
-        # chunk's visited lookups fall in a narrow window of the flags
+        # chunk's flag lookups fall in a narrow window of the flags
         frontier = np.concatenate(parts)
         frontier.sort()
         yield frontier
@@ -196,8 +213,8 @@ def _witness_from_levels(n: int, levels: list[np.ndarray], target_code: int) -> 
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """codes sorted, each once (np.unique is far slower on uint64)."""
-    codes = np.sort(codes)
+    """codes, sorted in place, each once (np.unique is far slower on uint64)."""
+    codes.sort()
     keep = np.empty(codes.size, dtype=bool)
     keep[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=keep[1:])
@@ -227,7 +244,7 @@ def _sorted_levels(n: int, keep_levels: bool):
             built would exceed SORTED_LIMIT states.
     """
     # uint64 because at n = 8 entry (8, 8) packs to bit 63
-    gens = [(np.uint64(u), np.uint64(d)) for u, d in _packed_generators(n)]
+    terms, gens = _gate_terms(n, np.uint64)
     chunk = max(1, _CHUNK_CODES // len(gens))
     prev = np.empty(0, dtype=np.uint64)
     cur = np.array([encode_state(BitMatrix.identity(n))], dtype=np.uint64)
@@ -238,9 +255,12 @@ def _sorted_levels(n: int, keep_levels: bool):
         nxt = np.empty(0, dtype=np.uint64)
         for lo in range(0, cur.size, chunk):
             block = cur[lo : lo + chunk]
-            fresh = _sorted_unique(
-                np.concatenate([_neighbors(block, u, d) for u, d in gens])
-            )
+            values = _term_values(block, terms, np.empty((len(terms), block.size), np.uint64))
+            images = np.empty((len(gens), block.size), dtype=np.uint64)
+            for g, gates in enumerate(gens):
+                _apply_slice(block, values, gates, images[g])
+            fresh = _sorted_unique(images.reshape(-1))
+            del values, images  # 20 MB a chunk at n = 6, freed before the merge
             for known in (prev, cur, nxt):
                 fresh = _drop_members(fresh, known)
             if held + nxt.size + fresh.size > SORTED_LIMIT:

@@ -3,6 +3,8 @@
 import functools
 import hashlib
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +24,13 @@ from cnotline import (
 )
 from cnotline import search
 from cnotline.search import (
+    _apply_slice,
     _bfs,
     _dense_levels,
+    _gate_terms,
     _packed_generators,
     _sorted_levels,
+    _term_values,
     _witness_from_levels,
     encode_state,
 )
@@ -117,6 +122,47 @@ def test_packed_slice_application_matches_apply(rng):
             code = encode_state(m)
             stepped = code ^ ((code & um) >> 1) ^ ((code & dm) << 1)
             assert decode_state(n, stepped) == apply(Circuit(n, (s[0],), (s[1],)), m)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gate_terms_compose_to_packed_generators(n):
+    # the engines' dtypes: int32 holds every code at n <= 5; at n = 8 bit
+    # 63 is entry (8, 8), which the uint64 << 1 of a down term drops
+    dtype = np.int32 if n <= search.DENSE_LIMIT else np.uint64
+    rng = random.Random(n)
+    codes = [rng.getrandbits(n * n) for _ in range(1000)]
+    if n == 8:
+        codes[::4] = [code | 1 << 63 for code in codes[::4]]
+    block = np.array(codes, dtype=dtype)
+    terms, gens = _gate_terms(n, dtype)
+    assert len(terms) == 2 * (n - 1)
+    values = _term_values(block, terms, np.empty((len(terms), block.size), dtype))
+    packed = _packed_generators(n)
+    assert len(gens) == len(packed)
+    got = np.empty_like(block)
+    for gates, (up_mask, down_mask) in zip(gens, packed):
+        _apply_slice(block, values, gates, got)
+        want = [c ^ ((c & up_mask) >> 1) ^ ((c & down_mask) << 1) for c in codes]
+        assert got.tolist() == want
+
+
+def test_dense_levels_are_int32():
+    _, levels, sizes = _bfs(_dense_levels(3), None, None, True)
+    assert sum(sizes) == gl_order(3)
+    assert {level.dtype for level in levels} == {np.dtype(np.int32)}
+
+
+def test_dense_sweep_memory():
+    # int32 codes and per-gate term buffers: the int64 engine peaked at
+    # 107 MB here, most of it in the levels and their concatenation
+    tracemalloc.start()
+    try:
+        result = max_depth(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.visited_count) == (13, gl_order(5))
+    assert peak < 85 << 20
 
 
 @pytest.mark.parametrize("n,want", [(2, 3), (3, 8), (4, 10)])
