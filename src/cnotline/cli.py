@@ -1,7 +1,7 @@
 """Command-line front end: synth, verify, render, bounds, and search.
 
 Exit codes: 0 success or verification PASS, 1 verification FAIL,
-2 usage or input error, 3 refused resource budget.
+2 usage or input error, 3 refused resource budget or out of memory.
 """
 
 from __future__ import annotations
@@ -288,6 +288,10 @@ def main(argv: "list[str] | None" = None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a budget the machine refused; numpy names the allocation that failed
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

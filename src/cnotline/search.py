@@ -7,7 +7,8 @@ minimum circuit depths, and witnesses can be walked back level by level
 with the same generators.
 
 One loop, `_bfs`, walks the levels out from the identity to the
-target or the depth limit.  Two generators yield them as sorted arrays:
+target or the depth limit.  Two generators yield them as sorted arrays
+of codes, each with its count of states:
 
 - n <= DENSE_LIMIT (5): `_dense_levels` flags unvisited states in a
   2^(n^2) array and holds int32 codes.  It sorts each level and expands
@@ -16,12 +17,17 @@ target or the depth limit.  Two generators yield them as sorted arrays:
   a 2-CPU machine `search --n 5 --max` takes 0.7-1.1 s and 99 MB, against
   10-11 s and 155 MB for a full sweep on the sorted engine.
 - n = 6..8 distance searches: `_sorted_levels` keeps each level as a
-  sorted array of unique uint64 codes.  The neighbours of level L lie
-  in levels L-1, L and L+1, so only those levels are ever consulted,
-  through np.searchsorted.  Repeats are dropped by sorting and
-  comparing neighbours, because np.unique (numpy 2.4) takes about 3 s
-  on 3 M uint64 codes against 0.06 s for the sort.  It refuses to hold
-  more than SORTED_LIMIT states at once.
+  sorted array of unique uint64 keys, one per mirror pair {s, J s J}
+  (J reverses the wires; the key is the smaller code), so a level holds
+  about half as many codes as states and sorts and searches half as
+  many.  J-conjugation keeps depth and maps slices to slices, so keys
+  expand to keys without a matrix inverse.  The neighbours of level L
+  lie in levels L-1, L and L+1, so only those levels are ever
+  consulted, through np.searchsorted.  Repeats are dropped by sorting
+  and comparing neighbours, because np.unique (numpy 2.4) takes about
+  3 s on 3 M uint64 codes against 0.06 s for the sort.  It refuses to
+  hold more than SORTED_LIMIT states (not keys) at once.  Pairing
+  measured no faster in the dense engine, which keeps one code per state.
 
 A full sweep of GL_6(2), 20 158 709 760 matrices, fits in neither.
 """
@@ -40,8 +46,8 @@ from .f2 import BitMatrix
 DENSE_LIMIT = 5
 
 # The sorted engine keeps at most this many states in its levels at once
-# (256 MB of uint64 codes), which is enough for depth_limit=7 at n = 6:
-# the ball B_7 there has 21 771 335 states.
+# (about 128 MB of uint64 keys), which is enough for depth_limit=7 at
+# n = 6: the ball B_7 there has 21 771 335 states.
 SORTED_LIMIT = 1 << 25
 
 # Neighbour codes generated per chunk of a sorted level (16 MB).
@@ -160,15 +166,43 @@ def _contains(level: np.ndarray, code: int) -> bool:
     return bool(at < level.size and int(level[at]) == code)
 
 
+# _mirror's swaps after the byte swap: nibbles, bit pairs, then bits
+_SWAPS = ((np.uint64(0x0F0F0F0F0F0F0F0F), 4), (np.uint64(0x3333333333333333), 2),
+          (np.uint64(0x5555555555555555), 1))
+
+
+def _mirror(codes: np.ndarray, n: int) -> np.ndarray:
+    """J s J for each uint64 code s: the circuit flipped top to bottom.
+
+    Entry (i, j) moves to (n+1-i, n+1-j), bit b to bit n^2 - 1 - b, so
+    this reverses the 64 bits (bytes, then nibbles, pairs and bits) and
+    shifts the n^2 code bits back down.
+    """
+    out = codes.byteswap()
+    for mask, k in _SWAPS:
+        low = out & mask
+        out >>= k
+        out &= mask
+        low <<= k
+        out |= low
+    out >>= 64 - n * n
+    return out
+
+
+def _key(n: int, code: int) -> int:
+    """The sorted engine's code for a state: the smaller of s and J s J."""
+    return min(code, int(_mirror(np.array([code], dtype=np.uint64), n)[0]))
+
+
 def _dense_levels(n: int):
-    """Yield each BFS level as a sorted int32 array, flagging unvisited
-    states in an array over all 2^(n^2) codes.  int32 holds every code
-    shifted by one: n^2 <= 25 bits, so s << 1 stays below 2^26."""
+    """Yield each BFS level as (sorted int32 codes, state count), flagging
+    unvisited states in an array over all 2^(n^2) codes.  int32 holds
+    every code shifted by one: n^2 <= 25 bits, so s << 1 stays below 2^26."""
     terms, gens = _gate_terms(n, np.int32)
     unvisited = np.ones(1 << (n * n), dtype=bool)
     frontier = np.array([encode_state(BitMatrix.identity(n))], dtype=np.int32)
     unvisited[frontier] = False
-    yield frontier
+    yield frontier, 1
     bufs = np.empty((len(terms) + 1, _DENSE_CHUNK), dtype=np.int32)  # terms, neighbours
     new_buf = np.empty(_DENSE_CHUNK, dtype=bool)
     while True:
@@ -190,11 +224,17 @@ def _dense_levels(n: int):
         # chunk's flag lookups fall in a narrow window of the flags
         frontier = np.concatenate(parts)
         frontier.sort()
-        yield frontier
+        yield frontier, frontier.size
 
 
-def _witness_from_levels(n: int, levels: list[np.ndarray], target_code: int) -> Circuit:
-    """Walk the BFS levels backward from the target, one slice per level."""
+def _witness_from_levels(
+    n: int, levels: list[np.ndarray], target_code: int, paired: bool = False
+) -> Circuit:
+    """Walk the BFS levels backward from the target, one slice per level.
+
+    paired says the levels hold _key codes, as _sorted_levels yields
+    them; the walk still steps through real states.
+    """
     slices = slice_generators(n)
     gens = _packed_generators(n)
     code = target_code
@@ -203,7 +243,7 @@ def _witness_from_levels(n: int, levels: list[np.ndarray], target_code: int) -> 
         prev_level = levels[lvl]
         for slice_, (up_mask, down_mask) in zip(slices, gens):
             back = code ^ ((code & up_mask) >> 1) ^ ((code & down_mask) << 1)
-            if _contains(prev_level, back):
+            if _contains(prev_level, _key(n, back) if paired else back):
                 picked.append(slice_)
                 code = back
                 break
@@ -231,7 +271,15 @@ def _drop_members(codes: np.ndarray, level: np.ndarray) -> np.ndarray:
 
 
 def _sorted_levels(n: int, keep_levels: bool):
-    """Yield each BFS level as a sorted uint64 array.
+    """Yield each BFS level as (sorted uint64 keys, state count).
+
+    A level keeps one key per mirror pair, min(s, J s J) (see _key), so
+    it holds about half as many codes as states; its count is 2 keys
+    less the fixed points s = J s J.  J-conjugation keeps depth and maps
+    each slice S to another, S' = J S J, so the keys next to a key k are
+    min(k S, (J k J) S') for every slice S: a block of keys and its
+    mirror are expanded with the same gate terms, the mirror's taken in
+    reverse order, and no image is bit-reversed.
 
     Each level is built from the current one a chunk at a time.  A
     chunk's neighbours lie in the previous, current or next level, so
@@ -248,47 +296,60 @@ def _sorted_levels(n: int, keep_levels: bool):
     chunk = max(1, _CHUNK_CODES // len(gens))
     prev = np.empty(0, dtype=np.uint64)
     cur = np.array([encode_state(BitMatrix.identity(n))], dtype=np.uint64)
-    depth, total = 0, 1
-    yield cur
+    depth, prev_states, cur_states, total = 0, 0, 1, 1
+    yield cur, cur_states
     while True:
-        held = total if keep_levels else prev.size + cur.size
+        held = total if keep_levels else prev_states + cur_states
         nxt = np.empty(0, dtype=np.uint64)
+        nxt_states = 0
         for lo in range(0, cur.size, chunk):
             block = cur[lo : lo + chunk]
-            values = _term_values(block, terms, np.empty((len(terms), block.size), np.uint64))
+            mirrored = _mirror(block, n)
+            shape = (len(terms), block.size)
+            values = _term_values(block, terms, np.empty(shape, np.uint64))
+            # gate term t of J s J is term 2n - 3 - t of s mirrored
+            mvalues = _term_values(mirrored, terms, np.empty(shape, np.uint64))[::-1]
             images = np.empty((len(gens), block.size), dtype=np.uint64)
+            other = np.empty(block.size, dtype=np.uint64)
             for g, gates in enumerate(gens):
                 _apply_slice(block, values, gates, images[g])
+                _apply_slice(mirrored, mvalues, gates, other)
+                np.minimum(images[g], other, out=images[g])
             fresh = _sorted_unique(images.reshape(-1))
-            del values, images  # 20 MB a chunk at n = 6, freed before the merge
+            del mirrored, values, mvalues, images, other  # freed before the merge
             for known in (prev, cur, nxt):
                 fresh = _drop_members(fresh, known)
-            if held + nxt.size + fresh.size > SORTED_LIMIT:
+            fresh_states = 2 * fresh.size - int(np.count_nonzero(_mirror(fresh, n) == fresh))
+            if held + nxt_states + fresh_states > SORTED_LIMIT:
                 raise ResourceLimitError(
                     f"level {depth + 1} of the n={n} search would hold more "
                     f"than {SORTED_LIMIT} states at once; lower the depth limit"
                 )
             nxt = np.concatenate([nxt, fresh])
+            nxt_states += fresh_states
             # two sorted runs: the stable sort (timsort) merges them in one pass
             nxt.sort(kind="stable")
         if not nxt.size:
             return
         prev, cur = cur, nxt
-        depth, total = depth + 1, total + cur.size
-        yield cur
+        prev_states, cur_states = cur_states, nxt_states
+        depth, total = depth + 1, total + cur_states
+        yield cur, cur_states
 
 
 def _bfs(levels, target_code: "int | None", depth_limit: "int | None", keep_levels: bool):
-    """Walk the sorted levels, the identity's first, to the target or limit.
+    """Walk the levels, the identity's first, to the target or limit.
 
-    Returns (distance or None, levels or None, level_sizes).  distance
-    is None when the target was not reached within the limit; for a
-    full sweep (no target) len(level_sizes) - 1 is the eccentricity.
+    levels yields (sorted codes, state count) pairs and target_code is
+    looked up in the codes as the engine stores it.  Returns (distance
+    or None, levels or None, level_sizes), level_sizes counting states.
+    distance is None when the target was not reached within the limit;
+    for a full sweep (no target) len(level_sizes) - 1 is the eccentricity.
     """
     kept = [] if keep_levels else None
     sizes = []
-    for level in levels:
-        sizes.append(level.size)
+    for level, states in levels:
+        sizes.append(states)
         if keep_levels:
             kept.append(level)
         if target_code is not None and _contains(level, target_code):
@@ -336,14 +397,18 @@ def distance(
             f"2^{n * n} states; pass a depth limit"
         )
     target_code = encode_state(target)
-    levels = _dense_levels(n) if n <= DENSE_LIMIT else _sorted_levels(n, witness)
-    dist, kept, sizes = _bfs(levels, target_code, depth_limit, witness)
+    paired = n > DENSE_LIMIT
+    if paired:
+        levels, lookup = _sorted_levels(n, witness), _key(n, target_code)
+    else:
+        levels, lookup = _dense_levels(n), target_code
+    dist, kept, sizes = _bfs(levels, lookup, depth_limit, witness)
     if dist is None:
         limit = depth_limit if depth_limit is not None else len(sizes) - 1
         return SearchResult(n, "distance-to-target", limit, False, sizes)
     built = None
     if witness:
-        built = _witness_from_levels(n, kept, target_code)
+        built = _witness_from_levels(n, kept, target_code, paired)
     return SearchResult(n, "distance-to-target", dist, True, sizes, built)
 
 

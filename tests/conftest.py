@@ -220,6 +220,30 @@ def oracle_set_bfs(n: int, target_code: int, depth_limit: "int | None"):
     return None, levels, tuple(sizes)
 
 
+def oracle_mirror(n: int, code: int) -> int:
+    """J s J for a packed state s, J the wire reversal: the n^2-bit
+    string of s read backwards, since entry (i, j) goes to (n+1-i, n+1-j)."""
+    return int(format(code, f"0{n * n}b")[::-1], 2)
+
+
+def oracle_keys(n: int, level) -> np.ndarray:
+    """A level of states as the sorted engine keeps it: min(s, J s J),
+    each once, as a sorted uint64 array."""
+    keys = {min(int(code), oracle_mirror(n, int(code))) for code in level}
+    return np.array(sorted(keys), dtype=np.uint64)
+
+
+def oracle_mirror_slice(n: int, sl: tuple[int, int]) -> tuple[int, int]:
+    """J S J for a slice's (up, down) masks: up(p) becomes down(n-p) and
+    down(p) becomes up(n-p)."""
+    up_mask, down_mask = sl
+
+    def flip(mask):
+        return sum(1 << (n - p) for p in range(1, n) if mask >> p & 1)
+
+    return flip(down_mask), flip(up_mask)
+
+
 def oracle_slice_order(gates) -> list:
     """A slice's gates by position, up(p) before down(p) where both occur."""
     return sorted(set(gates), key=lambda g: (min(target(g), source(g)), target(g) > source(g)))

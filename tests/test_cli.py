@@ -355,6 +355,23 @@ def test_search_refused_past_state_limit_exits_three(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("exc", [
+    MemoryError(),
+    MemoryError("Unable to allocate 372. MiB for an array with shape (48758784,) "
+                "and data type uint64"),
+])
+def test_search_out_of_memory_exits_three(capsys, monkeypatch, exc):
+    # a machine too small for a depth-7 n = 6 search: one error line, no traceback
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "distance", refuse)
+    code, out, err = run(capsys, "search", "--n", "6", "--reversal", "--depth-limit", "7")
+    assert (code, out) == (3, "")
+    want = f"error: out of memory: {exc}" if str(exc) else "error: out of memory"
+    assert err == want + "\n"
+
+
 def test_synth_refuses_past_gate_limit_exits_three(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "synth", "--op", "add", "--n", "100000000")

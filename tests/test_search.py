@@ -28,6 +28,7 @@ from cnotline.search import (
     _bfs,
     _dense_levels,
     _gate_terms,
+    _mirror,
     _packed_generators,
     _sorted_levels,
     _term_values,
@@ -37,6 +38,9 @@ from cnotline.search import (
 from conftest import (
     decode_state,
     from_lists,
+    oracle_keys,
+    oracle_mirror,
+    oracle_mirror_slice,
     oracle_set_bfs,
     schedule_tokens,
     slice_gates,
@@ -144,6 +148,67 @@ def test_gate_terms_compose_to_packed_generators(n):
         _apply_slice(block, values, gates, got)
         want = [c ^ ((c & up_mask) >> 1) ^ ((c & down_mask) << 1) for c in codes]
         assert got.tolist() == want
+
+
+def _seeded_codes(n, count=1000):
+    """Seeded n^2-bit codes, a quarter of them with the top bit n^2 - 1 set."""
+    rng = random.Random(100 + n)
+    codes = [rng.getrandbits(n * n) for _ in range(count)]
+    codes[::4] = [code | 1 << (n * n - 1) for code in codes[::4]]
+    return codes
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mirror_matches_string_reversal(n):
+    # at n = 8 the top bit is bit 63 of the uint64
+    codes = _seeded_codes(n)
+    block = np.array(codes, dtype=np.uint64)
+    got = _mirror(block, n)
+    assert got.tolist() == [oracle_mirror(n, code) for code in codes]
+    assert block.tolist() == codes
+    assert _mirror(got, n).tolist() == codes
+    identity = encode_state(BitMatrix.identity(n))
+    assert _mirror(np.array([identity], dtype=np.uint64), n).tolist() == [identity]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mirror_maps_each_slice_to_its_reflection(n):
+    # mirror(s S) = mirror(s) S' for S' = J S J, a slice again; the sorted
+    # engine applies S' as S's gate terms of mirror(s) in reverse order
+    codes = _seeded_codes(n)
+    block = np.array(codes, dtype=np.uint64)
+    mirrored = _mirror(block, n)
+    terms, gens = _gate_terms(n, np.uint64)
+    values = _term_values(mirrored, terms, np.empty((len(terms), block.size), np.uint64))
+    slices = slice_generators(n)
+    packed = _packed_generators(n)
+    got = np.empty_like(block)
+    for sl, (up_mask, down_mask), gates in zip(slices, packed, gens):
+        up_bar, down_bar = packed[slices.index(oracle_mirror_slice(n, sl))]
+        want = [oracle_mirror(n, c ^ ((c & up_mask) >> 1) ^ ((c & down_mask) << 1))
+                for c in codes]
+        assert [
+            m ^ ((m & up_bar) >> 1) ^ ((m & down_bar) << 1)
+            for m in map(int, mirrored)
+        ] == want
+        _apply_slice(mirrored, values[::-1], gates, got)
+        assert got.tolist() == want
+
+
+def _transpose_code(n, code):
+    return sum((code >> (i * n + j) & 1) << (j * n + i) for i in range(n) for j in range(n))
+
+
+def test_gl4_depth_is_invariant_under_mirror_and_transpose():
+    # the gate of orbit levels (one code per symmetry class): every state
+    # of GL_4(2) sits at the dense engine's depth of its J-conjugate and
+    # of its transpose
+    _, levels, sizes = _bfs(_dense_levels(4), None, None, True)
+    assert sum(sizes) == gl_order(4)
+    depth = {int(code): d for d, level in enumerate(levels) for code in level}
+    for code, d in depth.items():
+        assert depth[oracle_mirror(4, code)] == d
+        assert depth[_transpose_code(4, code)] == d
 
 
 def test_dense_levels_are_int32():
@@ -294,9 +359,10 @@ def test_sorted_engine_matches_dense_levels(
     dist_d, levels_d, sizes_d = _bfs(_dense_levels(n), 0, limit, True)
     _, levels_o, sizes_o = _oracle_levels(n, limit)
     assert dist_s is dist_d is None
-    assert sizes_s == sizes_d == sizes_o == tuple(len(level) for level in levels_s)
+    assert sizes_s == sizes_d == sizes_o == tuple(len(level) for level in levels_d)
     _same_levels(levels_d, levels_o)
-    _same_levels(levels_s, levels_o)
+    # the sorted engine keeps one key per mirror pair and counts states
+    _same_levels(levels_s, [oracle_keys(n, level) for level in levels_o])
     if n < 5:
         # these limits lie past the diameter, so the whole group is swept
         assert sum(sizes_s) == gl_order(n)
@@ -329,14 +395,18 @@ def test_sorted_engine_matches_set_oracle(monkeypatch, chunk_codes, n, tokens, l
     code = encode_state(target)
     dist, levels, sizes = oracle_set_bfs(n, code, limit)
     assert dist is not None
-    assert _bfs(_sorted_levels(n, False), code, limit, False)[2] == sizes
-    got_dist, got_levels, got_sizes = _bfs(_sorted_levels(n, True), code, limit, True)
+    # the sorted engine looks a state up by its key, min(s, J s J)
+    key = min(code, oracle_mirror(n, code))
+    assert _bfs(_sorted_levels(n, False), key, limit, False)[2] == sizes
+    got_dist, got_levels, got_sizes = _bfs(_sorted_levels(n, True), key, limit, True)
     assert (got_dist, got_sizes) == (dist, sizes)
-    _same_levels(got_levels, levels)
+    _same_levels(got_levels, [oracle_keys(n, level) for level in levels])
     result = distance(n, target, limit, witness=True)
     assert (result.value, result.visited_count) == (dist, sum(sizes))
     want = _witness_from_levels(n, levels, code)
     assert circuit_to_text(result.witness) == circuit_to_text(want)
+    paired = _witness_from_levels(n, got_levels, code, paired=True)
+    assert circuit_to_text(paired) == circuit_to_text(want)
 
 
 # SHA-256 of witness text, generated with the set-based engine this
