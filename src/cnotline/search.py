@@ -18,16 +18,14 @@ of codes, each with its count of states:
   10-11 s and 155 MB for a full sweep on the sorted engine.
 - n = 6..8 distance searches: `_sorted_levels` keeps each level as a
   sorted array of unique uint64 keys, one per mirror pair {s, J s J}
-  (J reverses the wires; the key is the smaller code), so a level holds
-  about half as many codes as states and sorts and searches half as
-  many.  J-conjugation keeps depth and maps slices to slices, so keys
-  expand to keys without a matrix inverse.  The neighbours of level L
-  lie in levels L-1, L and L+1, so only those levels are ever
-  consulted, through np.searchsorted.  Repeats are dropped by sorting
-  and comparing neighbours, because np.unique (numpy 2.4) takes about
-  3 s on 3 M uint64 codes against 0.06 s for the sort.  It refuses to
-  hold more than SORTED_LIMIT states (not keys) at once.  Pairing
-  measured no faster in the dense engine, which keeps one code per state.
+  (J reverses the wires), so it sorts and searches about half as many
+  codes as the level has states; in the dense engine pairing measured
+  no faster.  The neighbours of level L lie in levels L-1, L and L+1,
+  so only those levels are ever consulted, through np.searchsorted.
+  Repeats are dropped by sorting and comparing neighbours, because
+  np.unique (numpy 2.4) takes about 3 s on 3 M uint64 codes against
+  0.06 s for the sort.  It refuses to hold more than SORTED_LIMIT
+  states at once.
 
 A full sweep of GL_6(2), 20 158 709 760 matrices, fits in neither.
 """
@@ -273,13 +271,12 @@ def _drop_members(codes: np.ndarray, level: np.ndarray) -> np.ndarray:
 def _sorted_levels(n: int, keep_levels: bool):
     """Yield each BFS level as (sorted uint64 keys, state count).
 
-    A level keeps one key per mirror pair, min(s, J s J) (see _key), so
-    it holds about half as many codes as states; its count is 2 keys
-    less the fixed points s = J s J.  J-conjugation keeps depth and maps
-    each slice S to another, S' = J S J, so the keys next to a key k are
-    min(k S, (J k J) S') for every slice S: a block of keys and its
-    mirror are expanded with the same gate terms, the mirror's taken in
-    reverse order, and no image is bit-reversed.
+    A level keeps one key per mirror pair, min(s, J s J) (see _key); its
+    state count is 2 keys less the fixed points s = J s J.  J-conjugation
+    keeps depth and maps each slice S to a slice S' = J S J, so the keys
+    next to a key k are min(k S, (J k J) S') over the slices S: a block
+    and its mirror are expanded with the same gate terms, the mirror's
+    read in reverse order, and no image is bit-reversed.
 
     Each level is built from the current one a chunk at a time.  A
     chunk's neighbours lie in the previous, current or next level, so
