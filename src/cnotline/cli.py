@@ -201,31 +201,25 @@ def _cmd_search(args: argparse.Namespace) -> int:
         if args.witness is not None:
             raise ValueError("--witness applies only to distance searches")
         result = max_depth(args.n)
-        print(f"n={result.n} mode={result.mode}")
-        print(f"max_depth = {result.value}")
-        print(f"visited_count = {result.visited_count}")
-        return 0
-    # before the target is built: a huge n would cost n^2 bits
-    check_wire_count(args.n)
-    if args.reversal:
-        target = BitMatrix.anti_identity(args.n)
     else:
-        target = parse_matrix_text(_read(args.target))
-        if target.n != args.n:
-            raise ValueError(
-                f"--n {args.n} does not match target dimension {target.n}"
-            )
-    result = distance(
-        args.n, target, args.depth_limit, witness=args.witness is not None
-    )
+        # before the target is built: a huge n would cost n^2 bits
+        check_wire_count(args.n)
+        if args.reversal:
+            target = BitMatrix.anti_identity(args.n)
+        else:
+            target = parse_matrix_text(_read(args.target))
+            if target.n != args.n:
+                raise ValueError(
+                    f"--n {args.n} does not match target dimension {target.n}"
+                )
+        result = distance(
+            args.n, target, args.depth_limit, witness=args.witness is not None
+        )
     print(f"n={result.n} mode={result.mode}")
-    if not result.completed:
-        print(f"distance > {result.value}")
-        print(f"visited_count = {result.visited_count}")
-        return 0
-    print(f"distance = {result.value}")
+    name = "max_depth" if args.max else "distance"
+    print(f"{name} {'=' if result.completed else '>'} {result.value}")
     print(f"visited_count = {result.visited_count}")
-    if args.witness is not None:
+    if result.witness is not None:
         with open(args.witness, "w", encoding="ascii") as handle:
             handle.write(circuit_to_text(result.witness))
         print(f"witness written to {args.witness}")

@@ -3,8 +3,8 @@
 States are matrices packed into n^2-bit integers; one BFS step applies
 every legal time slice at once.  Since a slice is an involution, the
 Cayley graph is undirected, the BFS tree from the identity gives true
-minimum circuit depths, and witnesses can be walked back level by level
-with the same generators.
+minimum circuit depths, and witnesses are walked back level by level
+with the engines' gate terms.
 
 One loop, `_bfs`, walks the levels out from the identity to the
 target or the depth limit.  Two generators yield them as sorted arrays
@@ -115,25 +115,13 @@ def encode_state(m: BitMatrix) -> int:
     return sum(row << (i * m.n) for i, row in enumerate(m.packed_rows()))
 
 
-def _packed_generators(n: int) -> list[tuple[int, int]]:
-    """Per-generator (upward-source, downward-source) column mask pair.
-
-    Applying a slice to packed state s is
-    s ^ ((s & up_mask) >> 1) ^ ((s & down_mask) << 1).
-    """
-    # up(p) reads column p + 1, bit p of a packed row, and down(p) bit
-    # p - 1; multiplying by rows copies a row pattern into every row
-    rows = sum(1 << (i * n) for i in range(n))
-    return [(up * rows, (down >> 1) * rows) for up, down in slice_generators(n)]
-
-
 def _gate_terms(n: int, dtype: type) -> tuple[list, list[tuple[int, ...]]]:
     """Each gate's term of a packed state, and each slice as its gates.
 
     Gate 2p + d is terms[2p + d - 2] = (d, mask) with a dtype mask: its
     term in state s is (s >> 1 if d == 0 else s << 1) & mask.  gens lists
     slice_generators(n), in order, as the indices of their gates' terms,
-    and a slice takes s to s XOR its terms (the _packed_generators map).
+    and a slice takes s to s XOR its terms.
     """
     rows = sum(1 << (i * n) for i in range(n))
     terms = [(d, dtype((1 << (p - 1 + d)) * rows)) for p in range(1, n) for d in (0, 1)]
@@ -158,10 +146,13 @@ def _apply_slice(block: np.ndarray, values: np.ndarray, gates: tuple, out: np.nd
         np.bitwise_xor(out, values[t], out=out)
 
 
-def _contains(level: np.ndarray, code: int) -> bool:
-    """Whether a sorted level holds code."""
-    at = np.searchsorted(level, level.dtype.type(code))
-    return bool(at < level.size and int(level[at]) == code)
+def _members(codes: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Whether the sorted level holds each code, as a bool array."""
+    if not level.size:
+        return np.zeros(codes.shape, dtype=bool)
+    at = np.searchsorted(level, codes)
+    np.minimum(at, level.size - 1, out=at)
+    return level[at] == codes
 
 
 # _mirror's swaps after the byte swap: nibbles, bit pairs, then bits
@@ -187,9 +178,9 @@ def _mirror(codes: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _key(n: int, code: int) -> int:
-    """The sorted engine's code for a state: the smaller of s and J s J."""
-    return min(code, int(_mirror(np.array([code], dtype=np.uint64), n)[0]))
+def _keys(codes: np.ndarray, n: int) -> np.ndarray:
+    """The sorted engine's code for each uint64 state: the smaller of s and J s J."""
+    return np.minimum(codes, _mirror(codes, n))
 
 
 def _dense_levels(n: int):
@@ -228,25 +219,27 @@ def _dense_levels(n: int):
 def _witness_from_levels(
     n: int, levels: list[np.ndarray], target_code: int, paired: bool = False
 ) -> Circuit:
-    """Walk the BFS levels backward from the target, one slice per level.
-
-    paired says the levels hold _key codes, as _sorted_levels yields
-    them; the walk still steps through real states.
+    """Walk the BFS levels backward from the target, one slice per level,
+    taking the first slice in slice_generators order whose image the
+    level below holds.  paired says the levels hold _keys codes, as
+    _sorted_levels yields them; the walk still steps through real states.
     """
+    dtype = levels[0].dtype
+    terms, gens = _gate_terms(n, dtype.type)
     slices = slice_generators(n)
-    gens = _packed_generators(n)
-    code = target_code
+    code = np.array([target_code], dtype=dtype)
     picked: list[tuple[int, int]] = []
-    for lvl in range(len(levels) - 2, -1, -1):
-        prev_level = levels[lvl]
-        for slice_, (up_mask, down_mask) in zip(slices, gens):
-            back = code ^ ((code & up_mask) >> 1) ^ ((code & down_mask) << 1)
-            if _contains(prev_level, _key(n, back) if paired else back):
-                picked.append(slice_)
-                code = back
-                break
-        else:
+    for level in levels[-2::-1]:
+        values = _term_values(code, terms, np.empty((len(terms), 1), dtype))
+        backs = np.empty((len(gens), 1), dtype=dtype)
+        for g, gates in enumerate(gens):
+            _apply_slice(code, values, gates, backs[g])
+        hits = _members(_keys(backs, n) if paired else backs, level)
+        if not hits.any():
             raise AssertionError("BFS level structure is inconsistent")
+        g = int(hits.argmax())
+        picked.append(slices[g])
+        code = backs[g]
     return Circuit(n, tuple(u for u, _ in picked[::-1]), tuple(d for _, d in picked[::-1]))
 
 
@@ -259,19 +252,10 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def _drop_members(codes: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """The sorted codes that the sorted level does not hold."""
-    if not level.size:
-        return codes
-    at = np.searchsorted(level, codes)
-    np.minimum(at, level.size - 1, out=at)
-    return codes[level[at] != codes]
-
-
 def _sorted_levels(n: int, keep_levels: bool):
     """Yield each BFS level as (sorted uint64 keys, state count).
 
-    A level keeps one key per mirror pair, min(s, J s J) (see _key); its
+    A level keeps one key per mirror pair, min(s, J s J) (see _keys); its
     state count is 2 keys less the fixed points s = J s J.  J-conjugation
     keeps depth and maps each slice S to a slice S' = J S J, so the keys
     next to a key k are min(k S, (J k J) S') over the slices S: a block
@@ -315,7 +299,7 @@ def _sorted_levels(n: int, keep_levels: bool):
             fresh = _sorted_unique(images.reshape(-1))
             del mirrored, values, mvalues, images, other  # freed before the merge
             for known in (prev, cur, nxt):
-                fresh = _drop_members(fresh, known)
+                fresh = fresh[~_members(fresh, known)]
             fresh_states = 2 * fresh.size - int(np.count_nonzero(_mirror(fresh, n) == fresh))
             if held + nxt_states + fresh_states > SORTED_LIMIT:
                 raise ResourceLimitError(
@@ -349,8 +333,9 @@ def _bfs(levels, target_code: "int | None", depth_limit: "int | None", keep_leve
         sizes.append(states)
         if keep_levels:
             kept.append(level)
-        if target_code is not None and _contains(level, target_code):
-            return len(sizes) - 1, kept, tuple(sizes)
+        if target_code is not None:
+            if _members(np.array([target_code], level.dtype), level)[0]:
+                return len(sizes) - 1, kept, tuple(sizes)
         if depth_limit is not None and len(sizes) - 1 >= depth_limit:
             break
     return None, kept, tuple(sizes)
@@ -396,7 +381,8 @@ def distance(
     target_code = encode_state(target)
     paired = n > DENSE_LIMIT
     if paired:
-        levels, lookup = _sorted_levels(n, witness), _key(n, target_code)
+        levels = _sorted_levels(n, witness)
+        lookup = int(_keys(np.array([target_code], dtype=np.uint64), n)[0])
     else:
         levels, lookup = _dense_levels(n), target_code
     dist, kept, sizes = _bfs(levels, lookup, depth_limit, witness)

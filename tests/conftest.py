@@ -30,7 +30,7 @@ from cnotline import (
 from cnotline.constructions import _BOX_GATES, _sorting_run
 from cnotline.f2 import inverse as matrix_inverse
 from cnotline.glsynth import _clearing, _reduction
-from cnotline.search import _packed_generators, encode_state
+from cnotline.search import encode_state, slice_generators
 
 
 def coords(v: int, n: int) -> list[int]:
@@ -184,15 +184,31 @@ def swap_target(n: int) -> BitMatrix:
     return BitMatrix(n, tuple(cols))
 
 
+def packed_generators(n: int) -> list[tuple[int, int]]:
+    """Each slice of slice_generators(n) as its (upward-source,
+    downward-source) column masks over a packed state s, which the slice
+    takes to s ^ ((s & up_mask) >> 1) ^ ((s & down_mask) << 1).
+
+    up(p) adds column p + 1 (bit p of each row) into column p, and
+    down(p) adds column p (bit p - 1) into column p + 1.
+    """
+    return [
+        (sum(1 << (i * n + p) for i in range(n) for p in range(1, n) if up >> p & 1),
+         sum(1 << (i * n + p - 1) for i in range(n) for p in range(1, n) if down >> p & 1))
+        for up, down in slice_generators(n)
+    ]
+
+
 def oracle_set_bfs(n: int, target_code: int, depth_limit: "int | None"):
     """Set-based BFS over packed states: the reference for the search engines.
 
-    It shares only the state packing and the generators with the
-    library, and keeps every visited state in one Python set.  Returns
+    It shares only encode_state and slice_generators with the library,
+    applies each slice with packed_generators' masks, and keeps every
+    visited state in one Python set.  Returns
     (distance or None, levels as sorted uint64 arrays, level sizes),
     the shape the engines return with keep_levels set.
     """
-    gens = _packed_generators(n)
+    gens = packed_generators(n)
     start = encode_state(BitMatrix.identity(n))
     visited = {start}
     frontier = {start}

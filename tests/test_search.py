@@ -28,8 +28,9 @@ from cnotline.search import (
     _bfs,
     _dense_levels,
     _gate_terms,
+    _keys,
+    _members,
     _mirror,
-    _packed_generators,
     _sorted_levels,
     _term_values,
     _witness_from_levels,
@@ -42,6 +43,7 @@ from conftest import (
     oracle_mirror,
     oracle_mirror_slice,
     oracle_set_bfs,
+    packed_generators,
     schedule_tokens,
     slice_gates,
     slice_violations,
@@ -120,7 +122,7 @@ def test_packed_slice_application_matches_apply(rng):
 
     for n in (3, 4, 5):
         slices = slice_generators(n)
-        packed = _packed_generators(n)
+        packed = packed_generators(n)
         for s, (um, dm) in zip(slices, packed):
             m = BitMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
             code = encode_state(m)
@@ -141,7 +143,7 @@ def test_gate_terms_compose_to_packed_generators(n):
     terms, gens = _gate_terms(n, dtype)
     assert len(terms) == 2 * (n - 1)
     values = _term_values(block, terms, np.empty((len(terms), block.size), dtype))
-    packed = _packed_generators(n)
+    packed = packed_generators(n)
     assert len(gens) == len(packed)
     got = np.empty_like(block)
     for gates, (up_mask, down_mask) in zip(gens, packed):
@@ -169,6 +171,22 @@ def test_mirror_matches_string_reversal(n):
     assert _mirror(got, n).tolist() == codes
     identity = encode_state(BitMatrix.identity(n))
     assert _mirror(np.array([identity], dtype=np.uint64), n).tolist() == [identity]
+    # the sorted engine's key of each state
+    assert _keys(block, n).tolist() == [min(code, oracle_mirror(n, code)) for code in codes]
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 8])
+def test_members_matches_python_in(n):
+    # each engine's dtype; at n = 8 a quarter of the codes have bit 63 set
+    dtype = np.int32 if n <= search.DENSE_LIMIT else np.uint64
+    top = (1 << n * n) - 1
+    codes = _seeded_codes(n)
+    held = sorted({code for code in random.Random(n).sample(codes, 300) if 0 < code < top})
+    # 0 lies below the first entry and top above the last
+    probes = codes + [0, top, held[0], held[-1]]
+    for level in ([], held):
+        got = _members(np.array(probes, dtype=dtype), np.array(level, dtype=dtype))
+        assert got.tolist() == [code in level for code in probes]
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -181,7 +199,7 @@ def test_mirror_maps_each_slice_to_its_reflection(n):
     terms, gens = _gate_terms(n, np.uint64)
     values = _term_values(mirrored, terms, np.empty((len(terms), block.size), np.uint64))
     slices = slice_generators(n)
-    packed = _packed_generators(n)
+    packed = packed_generators(n)
     got = np.empty_like(block)
     for sl, (up_mask, down_mask), gates in zip(slices, packed, gens):
         up_bar, down_bar = packed[slices.index(oracle_mirror_slice(n, sl))]
@@ -409,6 +427,31 @@ def test_sorted_engine_matches_set_oracle(monkeypatch, chunk_codes, n, tokens, l
     assert circuit_to_text(paired) == circuit_to_text(want)
 
 
+@pytest.mark.parametrize(
+    "n,tokens", [(5, "u1 d3 u2 d4 u1 u3"), (6, "u1 d3 u5 d2 u4 u1 d5")], ids=["dense", "paired"]
+)
+def test_witness_walk_refuses_a_level_without_the_predecessor(n, tokens):
+    code = encode_state(matrix_of(schedule_tokens(n, tokens.split())))
+    paired = n > search.DENSE_LIMIT
+    if paired:
+        key = min(code, oracle_mirror(n, code))
+        dist, levels, _ = _bfs(_sorted_levels(n, True), key, 6, True)
+    else:
+        dist, levels, _ = _bfs(_dense_levels(n), code, 6, True)
+    assert dist == 3
+    assert levels[0].dtype == (np.uint64 if paired else np.int32)
+    assert _witness_from_levels(n, levels, code, paired).depth == dist
+    # drop from the level below the target every state one slice away from it
+    backs = {code ^ ((code & um) >> 1) ^ ((code & dm) << 1) for um, dm in packed_generators(n)}
+    if paired:
+        backs = {min(back, oracle_mirror(n, back)) for back in backs}
+    below = levels[dist - 1]
+    levels[dist - 1] = np.array([c for c in below.tolist() if c not in backs], below.dtype)
+    assert levels[dist - 1].size < below.size
+    with pytest.raises(AssertionError, match="BFS level structure is inconsistent"):
+        _witness_from_levels(n, levels, code, paired)
+
+
 # SHA-256 of witness text, generated with the set-based engine this
 # sorted engine replaced
 PINNED_WITNESSES = [
@@ -552,7 +595,7 @@ def test_maximal_slice_convention_not_equivalent():
     reproduces the published depth table."""
     for n in (2, 3, 4):
         slices = slice_generators(n)
-        packed = _packed_generators(n)
+        packed = packed_generators(n)
         sets = [frozenset(slice_gates(s)) for s in slices]
         maximal = [
             p for s, p in zip(sets, packed) if not any(s < t for t in sets)
