@@ -333,9 +333,8 @@ def _bfs(levels, target_code: "int | None", depth_limit: "int | None", keep_leve
         sizes.append(states)
         if keep_levels:
             kept.append(level)
-        if target_code is not None:
-            if _members(np.array([target_code], level.dtype), level)[0]:
-                return len(sizes) - 1, kept, tuple(sizes)
+        if target_code is not None and _members(np.array([target_code], level.dtype), level)[0]:
+            return len(sizes) - 1, kept, tuple(sizes)
         if depth_limit is not None and len(sizes) - 1 >= depth_limit:
             break
     return None, kept, tuple(sizes)
