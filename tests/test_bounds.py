@@ -1,8 +1,10 @@
 """Lower-bound certificates: rank cuts, reversal closed forms, soundness."""
 
 import itertools
+import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from cnotline import (
@@ -96,6 +98,57 @@ def test_gl4_exhaustive_bounds_distance_synthesis():
             c = synthesize(m)
             assert matrix_lower_bounds(m).depth_lb <= dist <= c.depth <= 20
             assert matrix_of(c) == m
+
+
+def _block_rank_table(rows, cols):
+    """The list oracle's rank of every rows x cols block, indexed by its
+    entries read row by row, entry (r, c) at bit r * cols + c."""
+    return np.array([
+        oracle_rank([[index >> (r * cols + c) & 1 for c in range(cols)] for r in range(rows)])
+        for index in range(1 << rows * cols)
+    ], dtype=np.int8)
+
+
+def _gathered(codes, n, rows, first_col, cols):
+    """Each packed code's block on these rows and the columns after
+    first_col, as the tables above index it."""
+    out = np.zeros_like(codes)
+    for r, i in enumerate(rows):
+        out |= (codes >> (i * n + first_col) & (1 << cols) - 1) << r * cols
+    return out
+
+
+def test_gl5_exhaustive_rank_cut_bound():
+    """Over all of GL_5(2): the rank-cut depth bound never exceeds the
+    exact depth, the level the dense search finds a matrix at.  The
+    bound at cut k is rank(X) + rank(Y) (see bounds), each block's rank
+    read from tables the list oracle built; seeded matrices of every
+    level must get the same cut bounds from matrix_lower_bounds."""
+    n = 5
+    # cut k: X is rows 1..k by columns k+1..n, Y rows k+1..n by columns 1..k
+    tables = {k: (_block_rank_table(k, n - k), _block_rank_table(n - k, k)) for k in range(1, n)}
+    rng = random.Random(9)
+    sizes, tight = [], 0
+    for depth, (level, _) in enumerate(_dense_levels(n)):
+        per_cut = [
+            rank_x[_gathered(level, n, range(k), k, n - k)]
+            + rank_y[_gathered(level, n, range(k, n), 0, k)]
+            for k, (rank_x, rank_y) in tables.items()
+        ]
+        padded = [0, *per_cut, 0]
+        lb = np.maximum.reduce([a + b for a, b in zip(padded, padded[1:])])
+        assert lb.max() <= depth
+        sizes.append(level.size)
+        tight += int(np.count_nonzero(lb == depth))
+        for i in rng.sample(range(level.size), min(level.size, 20)):
+            report = matrix_lower_bounds(decode_state(n, int(level[i])))
+            assert report.per_cut == tuple(int(bound[i]) for bound in per_cut)
+            assert report.depth_lb == lb[i]
+        if depth == 13:
+            # every matrix of the largest depth has bound 8
+            assert lb.tolist() == [8] * 40
+    assert sum(sizes) == 9999360 and len(sizes) == 14
+    assert tight == 38847
 
 
 def test_reversal_cut_bound_formula():

@@ -33,6 +33,7 @@ from cnotline.search import (
     _mirror,
     _sorted_levels,
     _term_values,
+    _unknown,
     _witness_from_levels,
     encode_state,
 )
@@ -187,6 +188,44 @@ def test_members_matches_python_in(n):
     for level in ([], held):
         got = _members(np.array(probes, dtype=dtype), np.array(level, dtype=dtype))
         assert got.tolist() == [code in level for code in probes]
+
+
+def _drop_sets(fresh_size, known_size, ends, seed):
+    """Key sets of these sizes from seeded n = 8 codes (bit 63 set in
+    about half), sharing half of the smaller.  ends names the set or sets
+    that hold the smallest and largest code: both share them, or one of
+    them holds the other's out-of-range neighbours."""
+    rng = random.Random(seed)
+    pool = sorted({rng.getrandbits(64) for _ in range(2 * (fresh_size + known_size) + 2)})
+    lo, hi, middle = pool[0], pool[-1], pool[1:-1]
+    rng.shuffle(middle)
+    rest = iter(middle)
+    shared = [next(rest) for _ in range(min(fresh_size, known_size) // 2)]
+    fresh = {lo, hi} if fresh_size and ends in ("both", "fresh") else set()
+    known = {lo, hi} if known_size and ends in ("both", "known") else set()
+    for keys, size in ((fresh, fresh_size), (known, known_size)):
+        keys.update(shared[: size - len(keys)])
+        while len(keys) < size:
+            keys.add(next(rest))
+    assert (len(fresh), len(known)) == (fresh_size, known_size)
+    return fresh, known
+
+
+@pytest.mark.parametrize("ends", ["both", "fresh", "known"])
+@pytest.mark.parametrize(
+    "fresh_size,known_size",
+    [(300, 40), (40, 300), (120, 120), (50, 0), (0, 50), (0, 0), (2, 2)],
+    ids=["fresh-larger", "fresh-smaller", "same-size", "known-empty",
+         "fresh-empty", "both-empty", "two-each"],
+)
+def test_unknown_matches_set_difference(fresh_size, known_size, ends):
+    # the sorted engine's drop step searches the smaller side in the larger
+    fresh, known = _drop_sets(fresh_size, known_size, ends, 1000 * fresh_size + known_size)
+    # about half the codes have bit 63 set, shared ones among them
+    assert min(fresh_size, known_size) < 40 or any(code >> 63 for code in fresh & known)
+    got = _unknown(np.array(sorted(fresh), dtype=np.uint64), np.array(sorted(known), dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == sorted(fresh - known)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
