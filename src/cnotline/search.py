@@ -6,16 +6,23 @@ Cayley graph is undirected, the BFS tree from the identity gives true
 minimum circuit depths, and witnesses are walked back level by level
 with the engines' gate terms.
 
-One loop, `_bfs`, walks the levels out from the identity to the
-target or the depth limit.  Two generators yield them as sorted arrays
+Two generators yield the levels out from the identity as sorted arrays
 of codes, each with its count of states:
 
-- n <= DENSE_LIMIT (5): `_dense_levels` flags unvisited states in a
-  2^(n^2) array and holds int32 codes.  It sorts each level and expands
-  it in cache-sized chunks, so each chunk's flag lookups stay in a
-  narrow window.  It is the fastest engine wherever that array fits: on
-  a 2-CPU machine `search --n 5 --max` takes 0.7-1.1 s and 99 MB, against
-  10-11 s and 155 MB for a full sweep on the sorted engine.
+- n <= DENSE_LIMIT (5): `_dense_levels` writes each state's depth plus
+  one into a uint8 table over all 2^(n^2) codes (0: not reached) and
+  holds int32 codes.  It sorts each level and expands it in cache-sized
+  chunks, so each chunk's table lookups stay in a narrow window.  The
+  walk does not depend on the target, so a process keeps one table per
+  n, with its generator suspended between levels (`_dense_ball`), and
+  grows it only as far as a call needs.  A call answers from the table:
+  the distance is table[T] - 1, and a witness steps down the depths.
+  The first call in a process pays for the levels it reaches; on a
+  2-CPU machine a cold `search --n 5 --max` takes 0.8-1.2 s and 99 MB,
+  against 10-11 s and 155 MB for a full sweep on the sorted engine.
+  After it, every n = 5 search is a lookup of a few milliseconds.  The
+  table then keeps 32 MB at n = 5 for the life of the process, plus the
+  newest level (up to 14 MB) while the sweep is unfinished.
 - n = 6..8 distance searches: `_sorted_levels` keeps each level as a
   sorted array of unique uint64 keys, one per mirror pair {s, J s J}
   (J reverses the wires), so it sorts and searches about half as many
@@ -26,13 +33,15 @@ of codes, each with its count of states:
   is searched in the larger.  Repeats are dropped by sorting and
   comparing neighbours, because np.unique (numpy 2.4) takes about 3 s
   on 3 M uint64 codes against 0.06 s for the sort.  It refuses to hold
-  more than SORTED_LIMIT states at once.
+  more than SORTED_LIMIT states at once.  `_bfs` walks its levels to
+  the target or the depth limit, afresh for every call.
 
 A full sweep of GL_6(2), 20 158 709 760 matrices, fits in neither.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +49,7 @@ import numpy as np
 from .circuit import Circuit, ResourceLimitError
 from .f2 import BitMatrix
 
-# Largest n for the dense engine: its flag array has 2^(n^2) entries,
+# Largest n for the dense engine: its depth table has 2^(n^2) entries,
 # 32 MB at n = 5 and 64 GB at n = 6, so larger n use the sorted engine.
 DENSE_LIMIT = 5
 
@@ -204,63 +213,106 @@ def _keys(codes: np.ndarray, n: int) -> np.ndarray:
     return np.minimum(codes, _mirror(codes, n))
 
 
-def _dense_levels(n: int):
-    """Yield each BFS level as (sorted int32 codes, state count), flagging
-    unvisited states in an array over all 2^(n^2) codes.  int32 holds
-    every code shifted by one: n^2 <= 25 bits, so s << 1 stays below 2^26."""
+def _dense_levels(n: int, table: np.ndarray):
+    """Yield each BFS level as (sorted int32 codes, state count).
+
+    table, a zeroed uint8 array over all 2^(n^2) codes, records each
+    state reached: 0 until then, its depth plus one after, so it holds
+    exactly the levels yielded so far.  int32 holds every code shifted
+    by one: n^2 <= 25 bits, so s << 1 stays below 2^26.
+    """
     terms, gens = _gate_terms(n, np.int32)
-    unvisited = np.ones(1 << (n * n), dtype=bool)
-    frontier = np.array([encode_state(BitMatrix.identity(n))], dtype=np.int32)
-    unvisited[frontier] = False
-    yield frontier, 1
     bufs = np.empty((len(terms) + 1, _DENSE_CHUNK), dtype=np.int32)  # terms, neighbours
+    depth_buf = np.empty(_DENSE_CHUNK, dtype=np.uint8)
     new_buf = np.empty(_DENSE_CHUNK, dtype=bool)
-    while True:
+
+    def expand(frontier: np.ndarray, mark: int) -> np.ndarray:
+        """The sorted level after frontier, marked in table.  Its parts
+        go when this returns, so a suspended generator holds only the
+        table and the newest level."""
         parts = []
         for lo in range(0, frontier.size, _DENSE_CHUNK):
             block = frontier[lo : lo + _DENSE_CHUNK]
             values = _term_values(block, terms, bufs[:-1, : block.size])
-            nb, new = bufs[-1, : block.size], new_buf[: block.size]
+            nb, depth = bufs[-1, : block.size], depth_buf[: block.size]
+            new = new_buf[: block.size]
             for gates in gens:
                 _apply_slice(block, values, gates, nb)
-                np.take(unvisited, nb, out=new)
-                fresh = np.compress(new, nb)
+                np.take(table, nb, out=depth)
+                fresh = np.compress(np.equal(depth, 0, out=new), nb)
                 if fresh.size:
-                    unvisited[fresh] = False
+                    table[fresh] = mark
                     parts.append(fresh)
-        if not parts:
-            return
         # sorted, the next level's chunks share their top rows, so each
-        # chunk's flag lookups fall in a narrow window of the flags
-        frontier = np.concatenate(parts)
-        frontier.sort()
+        # chunk's table lookups fall in a narrow window of the table
+        level = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+        level.sort()
+        return level
+
+    frontier = np.array([encode_state(BitMatrix.identity(n))], dtype=np.int32)
+    mark = 1
+    table[frontier] = mark
+    while frontier.size:
         yield frontier, frontier.size
+        mark += 1
+        frontier = expand(frontier, mark)
 
 
-def _witness_from_levels(
-    n: int, levels: list[np.ndarray], target_code: int, paired: bool = False
-) -> Circuit:
-    """Walk the BFS levels backward from the target, one slice per level,
-    taking the first slice in slice_generators order whose image the
-    level below holds.  paired says the levels hold _keys codes, as
-    _sorted_levels yields them; the walk still steps through real states.
+# The dense engine's one BFS per n <= DENSE_LIMIT, kept for the life of
+# the process and grown only as far as a call needs: n -> (depth table,
+# suspended _dense_levels, level sizes so far).  Growth holds the lock;
+# a grown level never changes, so readers need none.
+_BALLS: dict = {}
+_BALLS_LOCK = threading.Lock()
+
+
+def _dense_ball(n: int, target_code: "int | None" = None, depth_limit: "int | None" = None):
+    """The process's depth table for n and its level sizes, grown until
+    the table holds the target, depth_limit levels lie beyond the
+    identity or the whole group is swept."""
+    with _BALLS_LOCK:
+        if n not in _BALLS:
+            table = np.zeros(1 << (n * n), dtype=np.uint8)
+            _BALLS[n] = table, _dense_levels(n, table), []
+        table, levels, sizes = _BALLS[n]
+        try:
+            while (target_code is None or not table[target_code]) and (
+                depth_limit is None or len(sizes) <= depth_limit
+            ):
+                level = next(levels, None)
+                if level is None:
+                    break
+                sizes.append(level[1])
+        except BaseException:
+            # a level cut short leaves the table part written: start afresh
+            del _BALLS[n]
+            raise
+    return table, sizes
+
+
+def _witness_from_levels(n: int, holds, dist: int, target_code: int) -> Circuit:
+    """Walk back from the target at depth dist, one slice per level,
+    taking the first slice in slice_generators order whose image lies
+    in the level below.  holds(d, codes) says, as a bool array, which of
+    the uint64 states codes level d holds: the dense engine reads its
+    depth table, the sorted engine looks their _keys up in its levels.
     """
-    dtype = levels[0].dtype
-    terms, gens = _gate_terms(n, dtype.type)
+    terms, gens = _gate_terms(n, np.uint64)
     slices = slice_generators(n)
-    code = np.array([target_code], dtype=dtype)
+    code = np.array([target_code], dtype=np.uint64)
+    values = np.empty((len(terms), 1), np.uint64)
+    backs = np.empty((len(gens), 1), np.uint64)
     picked: list[tuple[int, int]] = []
-    for level in levels[-2::-1]:
-        values = _term_values(code, terms, np.empty((len(terms), 1), dtype))
-        backs = np.empty((len(gens), 1), dtype=dtype)
+    for d in range(dist - 1, -1, -1):
+        _term_values(code, terms, values)
         for g, gates in enumerate(gens):
             _apply_slice(code, values, gates, backs[g])
-        hits = _members(_keys(backs, n) if paired else backs, level)
+        hits = holds(d, backs[:, 0])
         if not hits.any():
             raise AssertionError("BFS level structure is inconsistent")
         g = int(hits.argmax())
         picked.append(slices[g])
-        code = backs[g]
+        code = backs[g].copy()
     return Circuit(n, tuple(u for u, _ in picked[::-1]), tuple(d for _, d in picked[::-1]))
 
 
@@ -402,20 +454,25 @@ def distance(
             f"2^{n * n} states; pass a depth limit"
         )
     target_code = encode_state(target)
-    paired = n > DENSE_LIMIT
-    if paired:
-        levels = _sorted_levels(n, witness)
-        lookup = int(_keys(np.array([target_code], dtype=np.uint64), n)[0])
+    if n <= DENSE_LIMIT:
+        table, sizes = _dense_ball(n, target_code, depth_limit)
+        dist = int(table[target_code]) - 1
+        if dist < 0 or depth_limit is not None and dist > depth_limit:
+            dist = None
+
+        def holds(d, codes):
+            return table[codes] == d + 1
     else:
-        levels, lookup = _dense_levels(n), target_code
-    dist, kept, sizes = _bfs(levels, lookup, depth_limit, witness)
+        key = int(_keys(np.array([target_code], dtype=np.uint64), n)[0])
+        dist, kept, sizes = _bfs(_sorted_levels(n, witness), key, depth_limit, witness)
+
+        def holds(d, codes):
+            return _members(_keys(codes, n), kept[d])
     if dist is None:
         limit = depth_limit if depth_limit is not None else len(sizes) - 1
-        return SearchResult(n, "distance-to-target", limit, False, sizes)
-    built = None
-    if witness:
-        built = _witness_from_levels(n, kept, target_code, paired)
-    return SearchResult(n, "distance-to-target", dist, True, sizes, built)
+        return SearchResult(n, "distance-to-target", limit, False, tuple(sizes[: limit + 1]))
+    built = _witness_from_levels(n, holds, dist, target_code) if witness else None
+    return SearchResult(n, "distance-to-target", dist, True, tuple(sizes[: dist + 1]), built)
 
 
 def max_depth(n: int) -> SearchResult:
@@ -429,5 +486,5 @@ def max_depth(n: int) -> SearchResult:
             "the n=6 sweep would walk all 20158709760 elements of GL_6(2), "
             f"which does not fit in memory; --max covers n <= {DENSE_LIMIT}"
         )
-    _, _, sizes = _bfs(_dense_levels(n), None, None, False)
-    return SearchResult(n, "diameter", len(sizes) - 1, True, sizes)
+    sizes = _dense_ball(n)[1]
+    return SearchResult(n, "diameter", len(sizes) - 1, True, tuple(sizes))

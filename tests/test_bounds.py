@@ -90,7 +90,7 @@ def test_cut_bounds_match_block_oracle(rng):
 def test_gl4_exhaustive_bounds_distance_synthesis():
     """Over all of GL_4(2): rank-cut depth bound <= BFS distance <=
     synthesized depth <= 5n, and every synthesized circuit is exact."""
-    _, levels, sizes = _bfs(_dense_levels(4), None, None, keep_levels=True)
+    _, levels, sizes = _bfs(_dense_levels(4, np.zeros(1 << 16, dtype=np.uint8)), None, None, keep_levels=True)
     assert sum(sizes) == sum(len(level) for level in levels) == 20160
     for dist, level in enumerate(levels):
         for code in level.tolist():
@@ -129,7 +129,7 @@ def test_gl5_exhaustive_rank_cut_bound():
     tables = {k: (_block_rank_table(k, n - k), _block_rank_table(n - k, k)) for k in range(1, n)}
     rng = random.Random(9)
     sizes, tight = [], 0
-    for depth, (level, _) in enumerate(_dense_levels(n)):
+    for depth, (level, _) in enumerate(_dense_levels(n, np.zeros(1 << (n * n), dtype=np.uint8))):
         per_cut = [
             rank_x[_gathered(level, n, range(k), k, n - k)]
             + rank_y[_gathered(level, n, range(k, n), 0, k)]

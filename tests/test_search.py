@@ -4,7 +4,9 @@ import functools
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from conftest import (
     oracle_mirror_slice,
     oracle_set_bfs,
     packed_generators,
+    random_invertible,
     schedule_tokens,
     slice_gates,
     slice_violations,
@@ -252,6 +255,11 @@ def test_mirror_maps_each_slice_to_its_reflection(n):
         assert got.tolist() == want
 
 
+def _fresh_levels(n):
+    """The dense engine's levels from a table of its own."""
+    return _dense_levels(n, np.zeros(1 << (n * n), dtype=np.uint8))
+
+
 def _transpose_code(n, code):
     return sum((code >> (i * n + j) & 1) << (j * n + i) for i in range(n) for j in range(n))
 
@@ -260,7 +268,7 @@ def test_gl4_depth_is_invariant_under_mirror_and_transpose():
     # the gate of orbit levels (one code per symmetry class): every state
     # of GL_4(2) sits at the dense engine's depth of its J-conjugate and
     # of its transpose
-    _, levels, sizes = _bfs(_dense_levels(4), None, None, True)
+    _, levels, sizes = _bfs(_fresh_levels(4), None, None, True)
     assert sum(sizes) == gl_order(4)
     depth = {int(code): d for d, level in enumerate(levels) for code in level}
     for code, d in depth.items():
@@ -269,22 +277,124 @@ def test_gl4_depth_is_invariant_under_mirror_and_transpose():
 
 
 def test_dense_levels_are_int32():
-    _, levels, sizes = _bfs(_dense_levels(3), None, None, True)
+    _, levels, sizes = _bfs(_fresh_levels(3), None, None, True)
     assert sum(sizes) == gl_order(3)
     assert {level.dtype for level in levels} == {np.dtype(np.int32)}
 
 
 def test_dense_sweep_memory():
-    # int32 codes and per-gate term buffers: the int64 engine peaked at
-    # 107 MB here, most of it in the levels and their concatenation
+    # a cold sweep: int32 codes and per-gate term buffers.  The int64
+    # engine peaked at 107 MB here, most of it in the levels and their
+    # concatenation.  Afterwards the process keeps the 32 MB depth table
+    # and the level sizes, and no level or part of one.
+    search._BALLS.clear()
     tracemalloc.start()
     try:
         result = max_depth(5)
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (result.value, result.visited_count) == (13, gl_order(5))
     assert peak < 85 << 20
+    assert kept < (32 << 20) + (1 << 20)
+
+
+def test_suspended_table_keeps_only_the_newest_level():
+    # between calls the table's walk waits after its newest level: no
+    # part of that level and nothing of the level before stays behind
+    search._BALLS.pop(5, None)
+    tracemalloc.start()
+    try:
+        result = distance(5, BitMatrix.anti_identity(5), depth_limit=10)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (result.value, result.completed) == (10, False)
+    newest = 4 * result.level_sizes[-1]  # int32 codes, 14 MB
+    assert kept < (32 << 20) + newest + (2 << 20)
+
+
+def _outcome(result):
+    witness = None if result.witness is None else circuit_to_text(result.witness)
+    return result.value, result.completed, result.level_sizes, witness
+
+
+def _cold(n, target, limit):
+    search._BALLS.pop(n, None)
+    return _outcome(distance(n, target, limit, witness=True))
+
+
+@pytest.mark.parametrize("n,seed", [(3, 1), (4, 2), (4, 3), (5, 4), (5, 5)])
+def test_warm_table_answers_as_a_cold_one(n, seed):
+    # each order starts from a cleared table: its first call grows it,
+    # and the later calls grow it further or only read it
+    target = random_invertible(n, random.Random(seed))
+    dist = _cold(n, target, None)[0]
+    limits = sorted({0, max(dist - 1, 0), dist, dist + 1}) + [None]
+    cold = {limit: _cold(n, target, limit) for limit in limits}
+    assert cold[None][:2] == (dist, True)
+    for order in (limits[::-1], limits):
+        search._BALLS.pop(n, None)
+        for limit in order:
+            assert _outcome(distance(n, target, limit, witness=True)) == cold[limit]
+
+
+def test_max_depth_after_a_limited_search_is_the_cold_sweep():
+    search._BALLS.pop(5, None)
+    cold = max_depth(5)
+    search._BALLS.pop(5, None)
+    shallow = distance(5, BitMatrix.anti_identity(5), depth_limit=4)
+    assert (shallow.value, shallow.completed) == (4, False)
+    assert max_depth(5) == cold
+    assert sum(cold.level_sizes) == gl_order(5)
+
+
+def test_gl4_depth_table_matches_the_levels():
+    max_depth(4)
+    table = search._BALLS[4][0]
+    _, levels, sizes = _bfs(_fresh_levels(4), None, None, True)
+    assert np.count_nonzero(table) == sum(sizes) == gl_order(4)
+    for d, level in enumerate(levels):
+        assert np.all(table[level] == d + 1)
+
+
+def test_a_failed_level_drops_the_table(monkeypatch):
+    # a level cut short must not leave a part-written table behind
+    search._BALLS.pop(4, None)
+    calls = 0
+    term_values = search._term_values
+
+    def failing(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 5:
+            raise MemoryError
+        return term_values(*args)
+
+    monkeypatch.setattr(search, "_term_values", failing)
+    with pytest.raises(MemoryError):
+        max_depth(4)
+    assert 4 not in search._BALLS
+    monkeypatch.undo()
+    result = max_depth(4)
+    assert (result.value, result.visited_count) == (10, gl_order(4))
+
+
+def test_threads_share_one_table():
+    # several threads grow and read one n = 4 table; each answer is the cold one
+    targets = [random_invertible(4, random.Random(seed)) for seed in range(8)]
+    want = [_cold(4, target, limit) for target in targets for limit in (3, None)]
+    search._BALLS.pop(4, None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(distance, 4, target, limit, witness=True)
+                       for target in targets for limit in (3, None)]
+            got = [_outcome(future.result(timeout=60)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 @pytest.mark.parametrize("n,want", [(2, 3), (3, 8), (4, 10)])
@@ -381,6 +491,16 @@ def _same_levels(got, want):
         assert np.array_equal(np.asarray(a, dtype=np.uint64), b)
 
 
+def _level_holds(levels, paired_n=None):
+    """The witness walk's lookup in kept levels; with paired_n the levels
+    hold the sorted engine's keys at that n."""
+    def holds(d, codes):
+        if paired_n is not None:
+            codes = _keys(codes, paired_n)
+        return _members(codes.astype(levels[d].dtype), levels[d])
+    return holds
+
+
 # the default chunk, and one small enough to split the larger levels
 CHUNKS = pytest.mark.parametrize("chunk_codes", [search._CHUNK_CODES, 1 << 10])
 
@@ -413,7 +533,7 @@ def test_sorted_engine_matches_dense_levels(
     monkeypatch.setattr(search, "_DENSE_CHUNK", dense_chunk)
     # the zero matrix is never reached, so every engine builds every level
     dist_s, levels_s, sizes_s = _bfs(_sorted_levels(n, True), 0, limit, True)
-    dist_d, levels_d, sizes_d = _bfs(_dense_levels(n), 0, limit, True)
+    dist_d, levels_d, sizes_d = _bfs(_fresh_levels(n), 0, limit, True)
     _, levels_o, sizes_o = _oracle_levels(n, limit)
     assert dist_s is dist_d is None
     assert sizes_s == sizes_d == sizes_o == tuple(len(level) for level in levels_d)
@@ -429,7 +549,7 @@ def test_sorted_engine_matches_dense_levels(
     code = int(levels_o[dist][levels_o[dist].size // 2])
     result = distance(n, decode_state(n, code), limit, witness=True)
     assert (result.value, result.level_sizes) == (dist, sizes_o[: dist + 1])
-    want = _witness_from_levels(n, levels_o[: dist + 1], code)
+    want = _witness_from_levels(n, _level_holds(levels_o), dist, code)
     assert circuit_to_text(result.witness) == circuit_to_text(want)
 
 
@@ -460,9 +580,9 @@ def test_sorted_engine_matches_set_oracle(monkeypatch, chunk_codes, n, tokens, l
     _same_levels(got_levels, [oracle_keys(n, level) for level in levels])
     result = distance(n, target, limit, witness=True)
     assert (result.value, result.visited_count) == (dist, sum(sizes))
-    want = _witness_from_levels(n, levels, code)
+    want = _witness_from_levels(n, _level_holds(levels), dist, code)
     assert circuit_to_text(result.witness) == circuit_to_text(want)
-    paired = _witness_from_levels(n, got_levels, code, paired=True)
+    paired = _witness_from_levels(n, _level_holds(got_levels, n), dist, code)
     assert circuit_to_text(paired) == circuit_to_text(want)
 
 
@@ -476,10 +596,11 @@ def test_witness_walk_refuses_a_level_without_the_predecessor(n, tokens):
         key = min(code, oracle_mirror(n, code))
         dist, levels, _ = _bfs(_sorted_levels(n, True), key, 6, True)
     else:
-        dist, levels, _ = _bfs(_dense_levels(n), code, 6, True)
+        dist, levels, _ = _bfs(_fresh_levels(n), code, 6, True)
     assert dist == 3
     assert levels[0].dtype == (np.uint64 if paired else np.int32)
-    assert _witness_from_levels(n, levels, code, paired).depth == dist
+    holds = _level_holds(levels, n if paired else None)
+    assert _witness_from_levels(n, holds, dist, code).depth == dist
     # drop from the level below the target every state one slice away from it
     backs = {code ^ ((code & um) >> 1) ^ ((code & dm) << 1) for um, dm in packed_generators(n)}
     if paired:
@@ -488,7 +609,7 @@ def test_witness_walk_refuses_a_level_without_the_predecessor(n, tokens):
     levels[dist - 1] = np.array([c for c in below.tolist() if c not in backs], below.dtype)
     assert levels[dist - 1].size < below.size
     with pytest.raises(AssertionError, match="BFS level structure is inconsistent"):
-        _witness_from_levels(n, levels, code, paired)
+        _witness_from_levels(n, holds, dist, code)
 
 
 # SHA-256 of witness text, generated with the set-based engine this
