@@ -42,14 +42,12 @@ class BoundReport:
 
 
 def _ranks_past_cuts(vectors: Sequence[int]) -> list[int]:
-    """Entry k-1: rank of vectors 1..k cut down to coordinates k+1..n."""
+    """Entry k-1: rank of independent vectors 1..k cut down to coordinates k+1..n."""
     pivot_by_top: dict[int, int] = {}
     tops = 0
     out = []
     for k, v in enumerate(vectors[:-1], start=1):
-        top = _echelon_add(pivot_by_top, v)
-        if top:
-            tops |= 1 << (top - 1)
+        tops |= 1 << (_echelon_add(pivot_by_top, v) - 1)
         out.append((tops >> k).bit_count())
     return out
 

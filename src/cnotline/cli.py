@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import circuit as circuit_mod
 from .bounds import matrix_lower_bounds, reversal_bounds
 from .circuit import (
-    CELL_LIMIT as SYNTH_CELL_LIMIT,
     Circuit,
     ResourceLimitError,
     circuit_to_text,
@@ -71,10 +71,10 @@ def _within_budget(op: str, gates: int, depth: int, n: int) -> None:
             f"synth --op {op} would build {gates} gates, more than the "
             f"limit of {SYNTH_GATE_LIMIT}"
         )
-    if n > 0 and depth * n > SYNTH_CELL_LIMIT:
+    if depth * n > circuit_mod.CELL_LIMIT:
         raise ResourceLimitError(
             f"synth --op {op} would build {depth} slices on {n} wires, more "
-            f"than the limit of {SYNTH_CELL_LIMIT} slice-wire cells"
+            f"than the limit of {circuit_mod.CELL_LIMIT} slice-wire cells"
         )
 
 
@@ -82,7 +82,7 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
     """Build the requested circuit plus its diagnostic bound lines.
 
     Every op is refused before it is built when its depth bound times n
-    passes SYNTH_CELL_LIMIT, and every op but matrix when its size passes
+    passes circuit.CELL_LIMIT, and every op but matrix when its size passes
     SYNTH_GATE_LIMIT.
     """
     op = args.op
@@ -117,17 +117,16 @@ def _synth_build(args: argparse.Namespace) -> tuple[Circuit, list[str]]:
         _within_budget(op, 0, 5 * m.n, m.n)
         c = synthesize(m)
         return c, [f"depth bound 5n = {5 * m.n}"]
-    if op == "gather":
-        n = _require_n(args)
-        if args.positions is None:
-            raise ValueError("--positions is required for op gather")
-        positions = _parse_ints(args.positions, "--positions")
-        _, moves = gather_moves(n, positions)
-        cap = (n + 1) // 2 + GATHER_DEPTH_PER_POSITION * len(positions)
-        _within_budget(op, 3 * sum(abs(src - dst) for src, dst in moves), cap, n)
-        c, window_start = gather_circuit(n, positions)
-        return c, [f"depth bound {cap}", f"window_start={window_start}"]
-    raise ValueError(f"unknown op {op}")
+    # argparse's choices leave only gather
+    n = _require_n(args)
+    if args.positions is None:
+        raise ValueError("--positions is required for op gather")
+    positions = _parse_ints(args.positions, "--positions")
+    _, moves = gather_moves(n, positions)
+    cap = (n + 1) // 2 + GATHER_DEPTH_PER_POSITION * len(positions)
+    _within_budget(op, 3 * sum(abs(src - dst) for src, dst in moves), cap, n)
+    c, window_start = gather_circuit(n, positions)
+    return c, [f"depth bound {cap}", f"window_start={window_start}"]
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

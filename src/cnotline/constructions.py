@@ -178,7 +178,7 @@ def _sorting_run(
     """Sort labels in place with comparator layers, a box of gates per swap.
 
     box(p, k) names the gates for the swap at p that moves label k up
-    onto wire p, an entry of _BOX_GATES: at most three of "u" for up(p)
+    onto wire p, an entry of _BOX_GATES: one to three of "u" for up(p)
     and "d" for down(p).  They are applied to values and ORed straight
     into slice masks, each in the first slice after every earlier gate
     on its wires, which is where schedule puts them.  The run stops once
@@ -196,8 +196,6 @@ def _sorting_run(
                 continue
             labels[p - 1], labels[p] = k, j
             gates = box(p, k)
-            if not gates:
-                continue
             a, b, bit = last[p - 1], last[p], 1 << p
             s = a if a > b else b
             u, v = values[p - 1], values[p]

@@ -10,6 +10,12 @@ both stages yields a circuit computing the matrix.  Each stage is a box
 rule for constructions._sorting_run, which writes boxes from
 constructions._BOX_GATES straight into slice masks, as permutation
 routing does: no gate list is built and no schedule pass runs.
+
+A clearing swap costs an add box (1 slice) or a swap box (2).  The wire
+labelled k holds w_k plus w's labelled on higher-numbered wires:
+northwest_basis starts it so and both boxes keep it.  So the lower
+input's w_k coefficient is 1 and it must leave the lower wire: adding
+u clears it when u's coefficient is 1, and otherwise the swap moves u down.
 """
 
 from __future__ import annotations
@@ -58,17 +64,12 @@ def _clearing(m: BitMatrix) -> tuple:
     # row k of the inverse of [w_1 ... w_n] is the dual functional of w_k
     inv_rows = matrix_inverse(BitMatrix(m.n, w_basis)).packed_rows()
     values = list(m.cols)
-    keep, add, swap = (_BOX_GATES[("free", out)] for out in ("v", "u^v", "u"))
+    add, swap = _BOX_GATES[("free", "u^v")], _BOX_GATES[("free", "u")]
 
     def box(p: int, k: int) -> str:
-        # the upper output is free: write some member of span{w_l : l != k}
-        # to the lower wire, cheapest output first; u itself always
-        # qualifies because the span has codimension 1
-        u, v = values[p - 1], values[p]
-        dual_k = inv_rows[k - 1]
-        if (dual_k & v).bit_count() & 1 == 0:
-            return keep
-        return add if (dual_k & (u ^ v)).bit_count() & 1 == 0 else swap
+        # the upper output is free, the lower one must have w_k coefficient
+        # 0: u^v when u's is 1 (v's always is, see the module doc), else u
+        return add if (inv_rows[k - 1] & values[p - 1]).bit_count() & 1 else swap
 
     return values, list(pi), box
 
@@ -120,7 +121,9 @@ def synthesize(m: BitMatrix) -> Circuit:
 
     Undoes m with the clearing and reduction stages, then returns the
     inverted composition: if apply(C, m) = N and apply(R, N) = I, the
-    circuit inverse(R) then inverse(C) computes m.
+    circuit inverse(R) then inverse(C) computes m.  N is simulated again,
+    though the clearing run ends holding it: perfbench reads the clearing
+    depth from the traced clearing_circuit, which returns only C.
 
     Raises:
         SingularMatrixError: if m is singular; northwest_basis finds it.

@@ -362,11 +362,15 @@ class LabeledWireState:
     duals: tuple
 
     def clearing_violations(self) -> list[str]:
-        """Check: a wire's value has coefficient 0 on every lower wire's label."""
+        """Check: a wire's value has coefficient 1 on its own label's w_k
+        and coefficient 0 on every lower wire's label."""
         out = []
         n = self.values.n
         for i in range(1, n + 1):
             value = self.values.cols[i - 1]
+            own = self.labels[i - 1]
+            if not (self.duals[own - 1] & value).bit_count() & 1:
+                out.append(f"wire {i} value has zero w_{own} coefficient; label {own} sits on it")
             for h in range(1, i):
                 k = self.labels[h - 1]
                 if (self.duals[k - 1] & value).bit_count() & 1:

@@ -28,6 +28,7 @@ from conftest import (
     coords,
     decode_state,
     oracle_rank,
+    oracle_synthesize,
     random_invertible,
     random_northwest,
 )
@@ -89,7 +90,8 @@ def test_cut_bounds_match_block_oracle(rng):
 
 def test_gl4_exhaustive_bounds_distance_synthesis():
     """Over all of GL_4(2): rank-cut depth bound <= BFS distance <=
-    synthesized depth <= 5n, and every synthesized circuit is exact."""
+    synthesized depth <= 5n, and every synthesized circuit is exact and
+    the one the gate-list oracle pipeline builds."""
     _, levels, sizes = _bfs(_dense_levels(4, np.zeros(1 << 16, dtype=np.uint8)), None, None, keep_levels=True)
     assert sum(sizes) == sum(len(level) for level in levels) == 20160
     for dist, level in enumerate(levels):
@@ -98,6 +100,7 @@ def test_gl4_exhaustive_bounds_distance_synthesis():
             c = synthesize(m)
             assert matrix_lower_bounds(m).depth_lb <= dist <= c.depth <= 20
             assert matrix_of(c) == m
+            assert c == oracle_synthesize(m)
 
 
 def _block_rank_table(rows, cols):
@@ -163,6 +166,12 @@ def test_reversal_bounds_closed_forms():
         depth_lb, size_lb = reversal_bounds(n)
         assert depth_lb == 2 * n + 1
         assert size_lb == (n * n) // 2 + n
+
+
+@pytest.mark.parametrize("n", [2, 1, 0])
+def test_reversal_bounds_need_three_wires(n):
+    with pytest.raises(ValueError, match=f"^closed forms require n >= 3, got {n}$"):
+        reversal_bounds(n)
 
 
 def test_reversal_bounds_dominate_generic():

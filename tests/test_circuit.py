@@ -151,6 +151,14 @@ def test_apply_and_concat_compose(rng):
         assert both.size == a.size + b.size
 
 
+def test_concat_and_apply_refuse_other_wire_counts():
+    three = add_circuit(3)
+    with pytest.raises(ValueError, match="^wire count mismatch: 3 vs 4$"):
+        concat(three, add_circuit(4))
+    with pytest.raises(ValueError, match="^state dimension 4 does not match 3 wires$"):
+        apply(three, BitMatrix.identity(4))
+
+
 def test_circuit_text_round_trip(rng):
     for _ in range(100):
         n = rng.randint(2, 11)

@@ -488,13 +488,11 @@ def test_synth_bad_wire_count_exits_two(capsys, argv, got):
     ids=["add", "swap", "rotate", "rotate-2", "reverse", "permute", "gather"],
 )
 def test_synth_cell_limit_boundary(capsys, monkeypatch, argv, cells):
-    from cnotline import cli
-
     # the depth bound times n may equal the limit, but not pass it
-    monkeypatch.setattr(cli, "SYNTH_CELL_LIMIT", cells)
+    monkeypatch.setattr(circuit_mod, "CELL_LIMIT", cells)
     code, _, err = run(capsys, "synth", "--op", *argv)
     assert code == 0
-    monkeypatch.setattr(cli, "SYNTH_CELL_LIMIT", cells - 1)
+    monkeypatch.setattr(circuit_mod, "CELL_LIMIT", cells - 1)
     code, out, err = run(capsys, "synth", "--op", *argv)
     assert code == 3 and out == ""
     assert err.endswith(f"more than the limit of {cells - 1} slice-wire cells\n")
@@ -636,7 +634,7 @@ def test_far_gate_positions_refused_cleanly(capsys, tmp_path, body):
     for code, out, err in (verify, render):
         assert code == 3 and out == ""
         assert err.startswith("error: line 2: gate u1000000") and err.count("\n") == 1
-        assert err.endswith(f"limit of {cli.SYNTH_CELL_LIMIT} slice-wire cells\n")
+        assert err.endswith(f"limit of {circuit_mod.CELL_LIMIT} slice-wire cells\n")
 
 
 @pytest.mark.parametrize(
@@ -724,11 +722,11 @@ def test_synth_matrix_cell_limit_boundary(capsys, monkeypatch, tmp_path):
     # 8 wires times the 5n = 40 slice depth bound may equal the limit, but
     # not pass it; no gate limit applies
     target = write_matrix(tmp_path, "t.matrix", BitMatrix.anti_identity(8))
-    monkeypatch.setattr(cli, "SYNTH_CELL_LIMIT", 5 * 8 * 8)
+    monkeypatch.setattr(circuit_mod, "CELL_LIMIT", 5 * 8 * 8)
     monkeypatch.setattr(cli, "SYNTH_GATE_LIMIT", 1)
     code, out, _ = run(capsys, "synth", "--op", "matrix", "--matrix", target)
     assert code == 0 and matrix_of(parse_circuit_text(out)) == BitMatrix.anti_identity(8)
-    monkeypatch.setattr(cli, "SYNTH_CELL_LIMIT", 5 * 8 * 8 - 1)
+    monkeypatch.setattr(circuit_mod, "CELL_LIMIT", 5 * 8 * 8 - 1)
     code, out, err = run(capsys, "synth", "--op", "matrix", "--matrix", target)
     assert (code, out) == (3, "")
     assert err == (
@@ -742,6 +740,35 @@ def test_search_target_dimension_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "search", "--n", "3", "--target", target)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv,files,message",
+    [
+        (["synth", "--op", "add"], {}, "--n is required for op add"),
+        (["synth", "--op", "permute"], {}, "--perm is required for op permute"),
+        (["synth", "--op", "permute", "--perm", "2 1", "--n", "3"], {},
+         "--n 3 does not match permutation length 2"),
+        (["synth", "--op", "matrix"], {}, "--matrix is required for op matrix"),
+        (["synth", "--op", "matrix", "--matrix", "t.matrix", "--n", "3"],
+         {"t.matrix": "2\n10\n01\n"}, "--n 3 does not match matrix dimension 2"),
+        (["synth", "--op", "gather", "--n", "9"], {}, "--positions is required for op gather"),
+        (["search", "--n", "3", "--max", "--witness", "w.circuit"], {},
+         "--witness applies only to distance searches"),
+        (["verify", "--circuit", "c.circuit", "--target", "t.matrix"],
+         {"c.circuit": "n 2\nu1\n", "t.matrix": "0\n"}, "dimension must be positive, got 0"),
+        (["verify", "--circuit", "c.circuit", "--target", "t.matrix"],
+         {"c.circuit": "n 2\nu1\n", "t.matrix": "-1\n"}, "dimension must be positive, got -1"),
+    ],
+    ids=["add-no-n", "permute-no-perm", "permute-n", "matrix-no-matrix", "matrix-n",
+         "gather-no-positions", "max-witness", "verify-zero-matrix", "verify-negative-matrix"],
+)
+def test_missing_or_mismatched_input_exits_two(capsys, tmp_path, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="ascii")
+    argv = [str(tmp_path / a) if a.endswith((".circuit", ".matrix")) else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "w.circuit").exists()
 
 
 def test_usage_errors_exit_two():

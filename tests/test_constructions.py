@@ -118,6 +118,12 @@ def test_rotation_block_windows(rng):
             assert c.depth <= 2 * (hi - lo) + 3
 
 
+@pytest.mark.parametrize("lo,hi", [(3, 3), (4, 3), (0, 2)])
+def test_rotation_block_rejects_empty_window(lo, hi):
+    with pytest.raises(ValueError, match=rf"^bad rotation window \[{lo}, {hi}\]$"):
+        rotation_block(lo, hi)
+
+
 def test_odd_even_network_shape():
     for n in range(2, 11):
         layers = odd_even_network(n)

@@ -125,6 +125,27 @@ def test_dual_functional_is_dual_basis(rng):
                 assert dot == (1 if j == k else 0)
 
 
+@pytest.mark.parametrize("k", [0, 4])
+def test_dual_functional_rejects_index_out_of_range(k):
+    with pytest.raises(ValueError, match=f"^index {k} out of range 1..3$"):
+        dual_functional([1, 2, 4], k)
+
+
+@pytest.mark.parametrize(
+    "n,cols,message",
+    [
+        (0, (), "dimension must be positive, got 0"),
+        (2, (1,), "expected 2 columns, got 1"),
+        (2, (1, 4), "column has bits outside the row range"),
+        (2, (1, -1), "column has bits outside the row range"),
+    ],
+    ids=["no-rows", "missing-column", "bit-past-rows", "negative-column"],
+)
+def test_bit_matrix_rejects_bad_shape(n, cols, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BitMatrix(n, cols)
+
+
 def test_northwest_predicate_matches_entries(rng):
     for _ in range(200):
         n = rng.randint(1, 7)
