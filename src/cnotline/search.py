@@ -14,9 +14,9 @@ of codes, each with its count of states:
   holds int32 codes.  It sorts each level and expands it in cache-sized
   chunks, so each chunk's table lookups stay in a narrow window.  The
   walk does not depend on the target, so a process keeps one table per
-  n, with its generator suspended between levels (`_dense_ball`), and
-  grows it only as far as a call needs.  A call answers from the table:
-  the distance is table[T] - 1, and a witness steps down the depths.
+  n, with its generator suspended between levels, and grows it only as
+  far as a call needs.  A call answers from the table: the target lies
+  at depth table[T] - 1, and a witness steps down the depths.
   The first call in a process pays for the levels it reaches; on a
   2-CPU machine a cold `search --n 5 --max` takes 0.8-1.2 s and 99 MB,
   against 10-11 s and 155 MB for a full sweep on the sorted engine.
@@ -32,9 +32,13 @@ of codes, each with its count of states:
   Both sides of a lookup are sorted and unique, so the smaller array
   is searched in the larger.  Repeats are dropped by sorting and
   comparing neighbours, because np.unique (numpy 2.4) takes about 3 s
-  on 3 M uint64 codes against 0.06 s for the sort.  It refuses to hold
-  more than SORTED_LIMIT states at once.  `_bfs` walks its levels to
-  the target or the depth limit, afresh for every call.
+  on 3 M uint64 codes against 0.06 s for the sort.  It refuses to keep
+  more than SORTED_LIMIT states in all.  A process keeps the levels of
+  one n at a time, with the generator suspended after the newest, and
+  grows them only as far as a call needs: the n = 6 depth-7 ball keeps
+  87 MB.  A call finds the target's key in the kept levels.
+
+Both engines grow and answer through `_ball`.
 
 A full sweep of GL_6(2), 20 158 709 760 matrices, fits in neither.
 """
@@ -258,44 +262,63 @@ def _dense_levels(n: int, table: np.ndarray):
         frontier = expand(frontier, mark)
 
 
-# The dense engine's one BFS per n <= DENSE_LIMIT, kept for the life of
-# the process and grown only as far as a call needs: n -> (depth table,
-# suspended _dense_levels, level sizes so far).  Growth holds the lock;
-# a grown level never changes, so readers need none.
+# The one walk out of the identity per n, kept for the life of the
+# process and grown only as far as a call needs: n -> (depth table or
+# list of kept key levels, suspended generator, level sizes so far).
+# Growth holds the lock; a grown level never changes, so readers need none.
 _BALLS: dict = {}
 _BALLS_LOCK = threading.Lock()
 
 
-def _dense_ball(n: int, target_code: "int | None" = None, depth_limit: "int | None" = None):
-    """The process's depth table for n and its level sizes, grown until
-    the table holds the target, depth_limit levels lie beyond the
-    identity or the whole group is swept."""
+def _ball(n: int, target_code: int, depth_limit: "int | None" = None):
+    """The process's levels for n, grown until one holds the target,
+    depth_limit levels lie beyond the identity or the whole group is
+    swept.  Returns (the target's depth or None, holds, level sizes):
+    holds(d, codes) says, as a bool array, which of the uint64 states
+    codes level d holds.  The dense engine reads its depth table; the
+    sorted engine looks their _keys up in its levels, and the process
+    keeps the levels of one n > DENSE_LIMIT at a time.
+    """
+    code = np.array([target_code], dtype=np.uint64)
     with _BALLS_LOCK:
         if n not in _BALLS:
-            table = np.zeros(1 << (n * n), dtype=np.uint8)
-            _BALLS[n] = table, _dense_levels(n, table), []
-        table, levels, sizes = _BALLS[n]
+            if n > DENSE_LIMIT:
+                for other in [m for m in _BALLS if m > DENSE_LIMIT]:
+                    del _BALLS[other]
+                _BALLS[n] = [], _sorted_levels(n), []
+            else:
+                table = np.zeros(1 << (n * n), dtype=np.uint8)
+                _BALLS[n] = table, _dense_levels(n, table), []
+        store, levels, sizes = _BALLS[n]
+
+        def holds(d, codes):
+            if n > DENSE_LIMIT:
+                return _members(_keys(codes, n), store[d])
+            return store[codes] == d + 1
+
+        dist = next((d for d in range(len(sizes)) if holds(d, code)[0]), None)
         try:
-            while (target_code is None or not table[target_code]) and (
-                depth_limit is None or len(sizes) <= depth_limit
-            ):
+            while dist is None and (depth_limit is None or len(sizes) <= depth_limit):
                 level = next(levels, None)
                 if level is None:
                     break
+                if n > DENSE_LIMIT:
+                    store.append(level[0])
                 sizes.append(level[1])
+                if holds(len(sizes) - 1, code)[0]:
+                    dist = len(sizes) - 1
         except BaseException:
-            # a level cut short leaves the table part written: start afresh
+            # a level cut short leaves the ball part built: start afresh
             del _BALLS[n]
             raise
-    return table, sizes
+    return dist, holds, sizes
 
 
 def _witness_from_levels(n: int, holds, dist: int, target_code: int) -> Circuit:
     """Walk back from the target at depth dist, one slice per level,
     taking the first slice in slice_generators order whose image lies
     in the level below.  holds(d, codes) says, as a bool array, which of
-    the uint64 states codes level d holds: the dense engine reads its
-    depth table, the sorted engine looks their _keys up in its levels.
+    the uint64 states codes level d holds (see _ball).
     """
     terms, gens = _gate_terms(n, np.uint64)
     slices = slice_generators(n)
@@ -325,7 +348,7 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def _sorted_levels(n: int, keep_levels: bool):
+def _sorted_levels(n: int):
     """Yield each BFS level as (sorted uint64 keys, state count).
 
     A level keeps one key per mirror pair, min(s, J s J) (see _keys); its
@@ -342,21 +365,20 @@ def _sorted_levels(n: int, keep_levels: bool):
     next.  Each drop searches the smaller of the chunk's fresh keys and
     the level in the larger (_unknown), so a small previous level costs
     a few searches in the chunk, not one search per fresh key.
-    keep_levels says the caller keeps every level yielded.
 
     Raises:
-        ResourceLimitError: if the levels held plus the level being
-            built would exceed SORTED_LIMIT states.
+        ResourceLimitError: if the levels yielded, which the caller
+            keeps, plus the level being built would exceed SORTED_LIMIT
+            states.
     """
     # uint64 because at n = 8 entry (8, 8) packs to bit 63
     terms, gens = _gate_terms(n, np.uint64)
     chunk = max(1, _CHUNK_CODES // len(gens))
     prev = np.empty(0, dtype=np.uint64)
     cur = np.array([encode_state(BitMatrix.identity(n))], dtype=np.uint64)
-    depth, prev_states, cur_states, total = 0, 0, 1, 1
-    yield cur, cur_states
+    depth, total = 0, 1
+    yield cur, total
     while True:
-        held = total if keep_levels else prev_states + cur_states
         nxt = np.empty(0, dtype=np.uint64)
         nxt_states = 0
         for lo in range(0, cur.size, chunk):
@@ -377,7 +399,7 @@ def _sorted_levels(n: int, keep_levels: bool):
             for known in (prev, cur, nxt):
                 fresh = _unknown(fresh, known)
             fresh_states = 2 * fresh.size - int(np.count_nonzero(_mirror(fresh, n) == fresh))
-            if held + nxt_states + fresh_states > SORTED_LIMIT:
+            if total + nxt_states + fresh_states > SORTED_LIMIT:
                 raise ResourceLimitError(
                     f"level {depth + 1} of the n={n} search would hold more "
                     f"than {SORTED_LIMIT} states at once; lower the depth limit"
@@ -388,32 +410,10 @@ def _sorted_levels(n: int, keep_levels: bool):
             nxt.sort(kind="stable")
         if not nxt.size:
             return
+        del fresh, known  # chunk leftovers: a suspended walk keeps only its levels
         prev, cur = cur, nxt
-        prev_states, cur_states = cur_states, nxt_states
-        depth, total = depth + 1, total + cur_states
-        yield cur, cur_states
-
-
-def _bfs(levels, target_code: "int | None", depth_limit: "int | None", keep_levels: bool):
-    """Walk the levels, the identity's first, to the target or limit.
-
-    levels yields (sorted codes, state count) pairs and target_code is
-    looked up in the codes as the engine stores it.  Returns (distance
-    or None, levels or None, level_sizes), level_sizes counting states.
-    distance is None when the target was not reached within the limit;
-    for a full sweep (no target) len(level_sizes) - 1 is the eccentricity.
-    """
-    kept = [] if keep_levels else None
-    sizes = []
-    for level, states in levels:
-        sizes.append(states)
-        if keep_levels:
-            kept.append(level)
-        if target_code is not None and _members(np.array([target_code], level.dtype), level)[0]:
-            return len(sizes) - 1, kept, tuple(sizes)
-        if depth_limit is not None and len(sizes) - 1 >= depth_limit:
-            break
-    return None, kept, tuple(sizes)
+        depth, total = depth + 1, total + nxt_states
+        yield cur, nxt_states
 
 
 def distance(
@@ -439,7 +439,8 @@ def distance(
     Raises:
         ValueError: for n outside 2..8.
         ResourceLimitError: above n = 5 without a depth limit, or when
-            the levels would exceed SORTED_LIMIT states.
+            the levels kept for n, every one out to the depth the call
+            needs, would exceed SORTED_LIMIT states.
     """
     check_wire_count(n)
     if target.n != n:
@@ -454,23 +455,11 @@ def distance(
             f"2^{n * n} states; pass a depth limit"
         )
     target_code = encode_state(target)
-    if n <= DENSE_LIMIT:
-        table, sizes = _dense_ball(n, target_code, depth_limit)
-        dist = int(table[target_code]) - 1
-        if dist < 0 or depth_limit is not None and dist > depth_limit:
-            dist = None
-
-        def holds(d, codes):
-            return table[codes] == d + 1
-    else:
-        key = int(_keys(np.array([target_code], dtype=np.uint64), n)[0])
-        dist, kept, sizes = _bfs(_sorted_levels(n, witness), key, depth_limit, witness)
-
-        def holds(d, codes):
-            return _members(_keys(codes, n), kept[d])
-    if dist is None:
-        limit = depth_limit if depth_limit is not None else len(sizes) - 1
-        return SearchResult(n, "distance-to-target", limit, False, tuple(sizes[: limit + 1]))
+    dist, holds, sizes = _ball(n, target_code, depth_limit)
+    if dist is None or depth_limit is not None and dist > depth_limit:
+        # only a limited search misses: the group holds every invertible target
+        sizes = sizes[: depth_limit + 1]
+        return SearchResult(n, "distance-to-target", depth_limit, False, tuple(sizes))
     built = _witness_from_levels(n, holds, dist, target_code) if witness else None
     return SearchResult(n, "distance-to-target", dist, True, tuple(sizes[: dist + 1]), built)
 
@@ -486,5 +475,5 @@ def max_depth(n: int) -> SearchResult:
             "the n=6 sweep would walk all 20158709760 elements of GL_6(2), "
             f"which does not fit in memory; --max covers n <= {DENSE_LIMIT}"
         )
-    sizes = _dense_ball(n)[1]
+    sizes = _ball(n, 0)[2]  # code 0, the zero matrix, is never reached
     return SearchResult(n, "diameter", len(sizes) - 1, True, tuple(sizes))

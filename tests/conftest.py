@@ -206,7 +206,7 @@ def oracle_set_bfs(n: int, target_code: int, depth_limit: "int | None"):
     applies each slice with packed_generators' masks, and keeps every
     visited state in one Python set.  Returns
     (distance or None, levels as sorted uint64 arrays, level sizes),
-    the shape the engines return with keep_levels set.
+    the shape walk_levels returns.
     """
     gens = packed_generators(n)
     start = encode_state(BitMatrix.identity(n))
@@ -234,6 +234,24 @@ def oracle_set_bfs(n: int, target_code: int, depth_limit: "int | None"):
         if target_code in visited:
             return len(sizes) - 1, levels, tuple(sizes)
     return None, levels, tuple(sizes)
+
+
+def walk_levels(levels, target_code: "int | None" = None, depth_limit: "int | None" = None):
+    """Iterate an engine's level generator, the identity's level first, to
+    the level holding target_code (as the engine stores it) or the limit.
+
+    Returns (distance or None, the levels, level sizes as state counts);
+    with no target and no limit it sweeps the whole group.
+    """
+    levels_kept, sizes = [], []
+    for level, states in levels:
+        levels_kept.append(level)
+        sizes.append(states)
+        if target_code is not None and bool(np.any(level == target_code)):
+            return len(sizes) - 1, levels_kept, tuple(sizes)
+        if depth_limit is not None and len(sizes) - 1 >= depth_limit:
+            break
+    return None, levels_kept, tuple(sizes)
 
 
 def oracle_mirror(n: int, code: int) -> int:

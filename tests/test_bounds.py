@@ -23,7 +23,7 @@ from cnotline import (
     swap_circuit,
     synthesize,
 )
-from cnotline.search import _bfs, _dense_levels
+from cnotline.search import _dense_levels
 from conftest import (
     coords,
     decode_state,
@@ -31,6 +31,7 @@ from conftest import (
     oracle_synthesize,
     random_invertible,
     random_northwest,
+    walk_levels,
 )
 
 
@@ -92,7 +93,7 @@ def test_gl4_exhaustive_bounds_distance_synthesis():
     """Over all of GL_4(2): rank-cut depth bound <= BFS distance <=
     synthesized depth <= 5n, and every synthesized circuit is exact and
     the one the gate-list oracle pipeline builds."""
-    _, levels, sizes = _bfs(_dense_levels(4, np.zeros(1 << 16, dtype=np.uint8)), None, None, keep_levels=True)
+    _, levels, sizes = walk_levels(_dense_levels(4, np.zeros(1 << 16, dtype=np.uint8)))
     assert sum(sizes) == sum(len(level) for level in levels) == 20160
     for dist, level in enumerate(levels):
         for code in level.tolist():

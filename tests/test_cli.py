@@ -343,6 +343,8 @@ def test_search_n8_witness(capsys, tmp_path):
 def test_search_refused_past_state_limit_exits_three(capsys, monkeypatch):
     from cnotline import search
 
+    # levels an earlier search kept would answer without growing
+    search._BALLS.clear()
     monkeypatch.setattr(search, "SORTED_LIMIT", 1000)
     code, out, err = run(
         capsys, "search", "--n", "6", "--reversal", "--depth-limit", "4"

@@ -27,7 +27,6 @@ from cnotline import (
 from cnotline import search
 from cnotline.search import (
     _apply_slice,
-    _bfs,
     _dense_levels,
     _gate_terms,
     _keys,
@@ -40,6 +39,7 @@ from cnotline.search import (
     encode_state,
 )
 from conftest import (
+    circuit_of,
     decode_state,
     from_lists,
     oracle_keys,
@@ -53,6 +53,7 @@ from conftest import (
     slice_violations,
     source,
     target,
+    walk_levels,
 )
 
 # states at distance 0..5 from the identity in GL_6(2)
@@ -268,7 +269,7 @@ def test_gl4_depth_is_invariant_under_mirror_and_transpose():
     # the gate of orbit levels (one code per symmetry class): every state
     # of GL_4(2) sits at the dense engine's depth of its J-conjugate and
     # of its transpose
-    _, levels, sizes = _bfs(_fresh_levels(4), None, None, True)
+    _, levels, sizes = walk_levels(_fresh_levels(4))
     assert sum(sizes) == gl_order(4)
     depth = {int(code): d for d, level in enumerate(levels) for code in level}
     for code, d in depth.items():
@@ -277,7 +278,7 @@ def test_gl4_depth_is_invariant_under_mirror_and_transpose():
 
 
 def test_dense_levels_are_int32():
-    _, levels, sizes = _bfs(_fresh_levels(3), None, None, True)
+    _, levels, sizes = walk_levels(_fresh_levels(3))
     assert sum(sizes) == gl_order(3)
     assert {level.dtype for level in levels} == {np.dtype(np.int32)}
 
@@ -352,7 +353,7 @@ def test_max_depth_after_a_limited_search_is_the_cold_sweep():
 def test_gl4_depth_table_matches_the_levels():
     max_depth(4)
     table = search._BALLS[4][0]
-    _, levels, sizes = _bfs(_fresh_levels(4), None, None, True)
+    _, levels, sizes = walk_levels(_fresh_levels(4))
     assert np.count_nonzero(table) == sum(sizes) == gl_order(4)
     for d, level in enumerate(levels):
         assert np.all(table[level] == d + 1)
@@ -395,6 +396,129 @@ def test_threads_share_one_table():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+def _sliced_target(n, seed, depth=4):
+    """The matrix of depth seeded random slices: a target the sorted
+    engine reaches within a small depth limit."""
+    rng = random.Random(seed)
+    return matrix_of(circuit_of(n, [rng.choice(slice_generators(n)) for _ in range(depth)]))
+
+
+# seeded n = 6 targets at distances 4, 3 and 2, and a 3-slice n = 8
+# target whose gates reach wire 8, so its code uses bit 63
+SORTED_TARGETS = [
+    pytest.param(6, _sliced_target(6, 0), id="n6-d4"),
+    pytest.param(6, _sliced_target(6, 3), id="n6-d3"),
+    pytest.param(6, _sliced_target(6, 1), id="n6-d2"),
+    pytest.param(8, matrix_of(schedule_tokens(8, "u1 d3 u5 d7 d2 u4 u6 u1 d5 d7".split())),
+                 id="n8-d3"),
+]
+
+
+@pytest.mark.parametrize("n,target", SORTED_TARGETS)
+def test_warm_sorted_levels_answer_as_cold_ones(n, target):
+    # as for the dense table: each order starts from no kept levels, and
+    # deep-then-shallow reads levels past a shallow call's limit
+    dist = _cold(n, target, 4)[0]
+    limits = sorted({0, max(dist - 1, 0), dist, dist + 1})
+    cold = {limit: _cold(n, target, limit) for limit in limits}
+    assert cold[dist][:2] == (dist, True)
+    assert cold[0][:2] == (0, False)
+    for order in (limits[::-1], limits):
+        search._BALLS.pop(n, None)
+        for limit in order:
+            assert _outcome(distance(n, target, limit, witness=True)) == cold[limit]
+
+
+def test_a_witness_search_reads_the_levels_a_plain_one_kept():
+    target = _sliced_target(6, 0)
+    cold = _cold(6, target, 5)
+    search._BALLS.pop(6, None)
+    plain = _outcome(distance(6, target, 5))
+    assert plain == cold[:3] + (None,)
+    assert _outcome(distance(6, target, 5, witness=True)) == cold
+
+
+def test_the_process_keeps_one_sorted_ball():
+    # levels for another n above DENSE_LIMIT go when a call makes its own;
+    # the dense tables stay
+    max_depth(4)
+    targets = {6: _sliced_target(6, 3), 7: _sliced_target(7, 0, depth=3)}
+    want = {n: _cold(n, target, 4) for n, target in targets.items()}
+    assert want[7][:2] == (3, True)
+    search._BALLS.pop(6, None)
+    for n in (6, 7, 6):
+        assert _outcome(distance(n, targets[n], 4, witness=True)) == want[n]
+        assert [m for m in search._BALLS if m > search.DENSE_LIMIT] == [n]
+    assert 4 in search._BALLS
+
+
+def test_a_refused_or_failed_level_drops_the_sorted_levels(monkeypatch):
+    target = _sliced_target(6, 0)
+    cold = _cold(6, target, 5)
+    assert cold[:2] == (4, True)
+    search._BALLS.pop(6, None)
+    assert distance(6, target, 2).completed is False
+    # level 3 would make 7089 states kept
+    monkeypatch.setattr(search, "SORTED_LIMIT", 7088)
+    with pytest.raises(ResourceLimitError):
+        distance(6, target, 5)
+    assert 6 not in search._BALLS
+    monkeypatch.undo()
+    assert _outcome(distance(6, target, 5, witness=True)) == cold
+
+    # a level that fails part-way: level 3 takes calls 1 and 2, level 4 fails
+    search._BALLS.pop(6, None)
+    assert distance(6, target, 2).completed is False
+    calls = 0
+    term_values = search._term_values
+
+    def failing(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise MemoryError
+        return term_values(*args)
+
+    monkeypatch.setattr(search, "_term_values", failing)
+    with pytest.raises(MemoryError):
+        distance(6, target, 5)
+    assert calls == 3
+    assert 6 not in search._BALLS
+    monkeypatch.undo()
+    assert _outcome(distance(6, target, 5, witness=True)) == cold
+
+
+def test_threads_share_one_sorted_ball():
+    targets = [_sliced_target(6, seed) for seed in range(8)]
+    want = [_cold(6, target, limit) for target in targets for limit in (2, 5)]
+    search._BALLS.pop(6, None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(distance, 6, target, limit, witness=True)
+                       for target in targets for limit in (2, 5)]
+            got = [_outcome(future.result(timeout=60)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_sorted_levels_keep_little_more_than_their_keys():
+    # a depth-5 n = 6 ball keeps its levels' uint64 keys (about 2 MB) and
+    # the level sizes: no chunk array or copy of a level stays behind
+    search._BALLS.pop(6, None)
+    tracemalloc.start()
+    try:
+        result = distance(6, BitMatrix.anti_identity(6), depth_limit=5)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.level_sizes == BALL_6_5
+    keys = 8 * sum(level.size for level in search._BALLS[6][0])
+    assert keys <= kept < keys + (64 << 10)
 
 
 @pytest.mark.parametrize("n,want", [(2, 3), (3, 8), (4, 10)])
@@ -532,8 +656,8 @@ def test_sorted_engine_matches_dense_levels(
     monkeypatch.setattr(search, "_CHUNK_CODES", chunk_codes)
     monkeypatch.setattr(search, "_DENSE_CHUNK", dense_chunk)
     # the zero matrix is never reached, so every engine builds every level
-    dist_s, levels_s, sizes_s = _bfs(_sorted_levels(n, True), 0, limit, True)
-    dist_d, levels_d, sizes_d = _bfs(_fresh_levels(n), 0, limit, True)
+    dist_s, levels_s, sizes_s = walk_levels(_sorted_levels(n), 0, limit)
+    dist_d, levels_d, sizes_d = walk_levels(_fresh_levels(n), 0, limit)
     _, levels_o, sizes_o = _oracle_levels(n, limit)
     assert dist_s is dist_d is None
     assert sizes_s == sizes_d == sizes_o == tuple(len(level) for level in levels_d)
@@ -574,10 +698,12 @@ def test_sorted_engine_matches_set_oracle(monkeypatch, chunk_codes, n, tokens, l
     assert dist is not None
     # the sorted engine looks a state up by its key, min(s, J s J)
     key = min(code, oracle_mirror(n, code))
-    assert _bfs(_sorted_levels(n, False), key, limit, False)[2] == sizes
-    got_dist, got_levels, got_sizes = _bfs(_sorted_levels(n, True), key, limit, True)
+    got_dist, got_levels, got_sizes = walk_levels(_sorted_levels(n), key, limit)
     assert (got_dist, got_sizes) == (dist, sizes)
     _same_levels(got_levels, [oracle_keys(n, level) for level in levels])
+    # the process's levels for n, built afresh with these chunks
+    search._BALLS.pop(n, None)
+    assert distance(n, target, limit).level_sizes == sizes
     result = distance(n, target, limit, witness=True)
     assert (result.value, result.visited_count) == (dist, sum(sizes))
     want = _witness_from_levels(n, _level_holds(levels), dist, code)
@@ -594,9 +720,9 @@ def test_witness_walk_refuses_a_level_without_the_predecessor(n, tokens):
     paired = n > search.DENSE_LIMIT
     if paired:
         key = min(code, oracle_mirror(n, code))
-        dist, levels, _ = _bfs(_sorted_levels(n, True), key, 6, True)
+        dist, levels, _ = walk_levels(_sorted_levels(n), key, 6)
     else:
-        dist, levels, _ = _bfs(_fresh_levels(n), code, 6, True)
+        dist, levels, _ = walk_levels(_fresh_levels(n), code, 6)
     assert dist == 3
     assert levels[0].dtype == (np.uint64 if paired else np.int32)
     holds = _level_holds(levels, n if paired else None)
@@ -717,17 +843,20 @@ def test_n6_reversal_beyond_depth_six():
 
 
 def test_sorted_engine_refuses_past_its_state_limit(monkeypatch):
-    # building level 3 at n = 6 holds levels 1..3: 42 + 618 + 6428 states
-    monkeypatch.setattr(search, "SORTED_LIMIT", 7087)
-    target = BitMatrix.anti_identity(6)
-    assert distance(6, target, depth_limit=2).visited_count == 661
-    with pytest.raises(ResourceLimitError, match="7087 states"):
-        distance(6, target, depth_limit=3)
+    # the process keeps every level it builds, so level 3 at n = 6 makes
+    # 1 + 42 + 618 + 6428 = 7089 states kept, with or without a witness;
+    # the depth-3 call grows the depth-2 levels the call before it kept
+    search._BALLS.clear()
     monkeypatch.setattr(search, "SORTED_LIMIT", 7088)
-    assert distance(6, target, depth_limit=3).visited_count == 7089
-    # a witness search keeps every level, the identity's included
-    with pytest.raises(ResourceLimitError):
-        distance(6, target, depth_limit=3, witness=True)
+    target = BitMatrix.anti_identity(6)
+    for witness in (False, True):
+        assert distance(6, target, depth_limit=2, witness=witness).visited_count == 661
+        with pytest.raises(ResourceLimitError, match="7088 states"):
+            distance(6, target, depth_limit=3, witness=witness)
+    monkeypatch.setattr(search, "SORTED_LIMIT", 7089)
+    for witness in (False, True):
+        search._BALLS.clear()
+        assert distance(6, target, depth_limit=3, witness=witness).visited_count == 7089
 
 
 def _distance_map(n, gens):
