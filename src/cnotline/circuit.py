@@ -29,6 +29,13 @@ CELL_LIMIT = 1 << 28
 # Mask bytes read at once per direction; a chunk unpacked to bits takes 1 MB.
 _CHUNK_BYTES = 1 << 16
 
+# Characters of circuit text read at once; its token arrays take a few
+# bytes per character.  A longer line is read whole.
+_TEXT_CHUNK = 1 << 20
+
+# What str.splitlines breaks ASCII text at; "\r\n" is one break.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e"
+
 
 class ResourceLimitError(RuntimeError):
     """Raised when a command would exceed its declared memory budget."""
@@ -220,69 +227,215 @@ def circuit_to_text(circuit: Circuit) -> str:
 
 
 def parse_circuit_text(text: str) -> Circuit:
-    """Parse the format written by circuit_to_text.
+    """Parse the format written by circuit_to_text, split into lines and
+    tokens as str.splitlines and str.split split it.
 
     Rejects malformed headers and tokens, gates off the line, wire
-    collisions inside a slice, and empty slice lines.
+    collisions inside a slice, and empty slice lines.  A vector pass reads
+    ASCII text a chunk of lines at a time; _line_code reads a chunk it
+    refuses, and other text, line by line, and words the first fault.
 
     Raises:
         ValueError: with the offending line in the message.
+        ResourceLimitError: past CELL_LIMIT (see _line_code).
     """
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ValueError("empty circuit text")
-    head = lines[0].split()
+    first = _first_line(text)
+    head_line = first.splitlines()[0]
+    head = head_line.split()
     try:
         if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
             raise ValueError
         # int() refuses, unconverted, a count past the interpreter's digit limit
         n = int(head[1])
     except ValueError:
-        raise ValueError(f"bad header {clip(repr(lines[0]))}, expected 'n <wires>'") from None
+        raise ValueError(f"bad header {clip(repr(head_line))}, expected 'n <wires>'") from None
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
-    # token -> bit p for up(p), shift + p for down(p): one sum gives both
-    # masks.  shift only passes the positions learned so far, so memory
-    # follows the gates, not the header.
-    bit_of: dict[str, int] = {}
-    shift = low = 0
     ups, downs = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        tokens = ln.split()
-        if not tokens:
-            raise ValueError(f"line {lineno}: empty time slice")
-        try:
-            code = sum(map(bit_of.__getitem__, tokens))
-        except KeyError:
-            code, shift = _line_code(tokens, n, lineno, bit_of, shift, len(lines) - 1)
-            low = (1 << shift) - 1
-        u, d = code & low, code >> shift
-        w = u | d
-        if code.bit_count() != len(tokens) or u & d or w & (w >> 1):
-            # a repeated token or a shared wire: raises
-            _line_code(tokens, n, lineno, bit_of, shift, len(lines) - 1)
-        ups.append(u)
-        downs.append(d)
+    if text.isascii():
+        _read_text(text, len(first), n, ups, downs)
+    else:
+        lines = text.splitlines()
+        _read_lines(lines[1:], n, 2, len(lines) - 1, ups, downs)
     return Circuit(n, tuple(ups), tuple(downs))
 
 
-def _line_code(
-    tokens: list[str], n: int, lineno: int, bit_of: dict[str, int], shift: int,
-    depth: int,
-) -> tuple[int, int]:
-    """Check a slice line token by token; build its code and learn its tokens' bits.
+def _first_line(text: str) -> str:
+    """The first line of nonempty text with its line break, read from a prefix."""
+    size = 64
+    # a line shorter than the prefix ends inside it, "\r\n" included
+    while len(first := text[:size].splitlines(True)[0]) == size < len(text):
+        size *= 8
+    return first
 
-    Returns the code and the shift.  A line reaching past the shift at
-    least doubles it and forgets the bits learned under the old one.  It
-    keeps at most 4 * CELL_LIMIT binary digits of bits, whatever the text.
-    Wires and masks are marked in bytes, so the work is linear in the line.
+
+def _line_count(text: str) -> int:
+    """len(text.splitlines()) for nonempty ASCII text, without the lines."""
+    breaks = sum(text.count(c) for c in _BREAKS if c in text)  # "in" is the faster scan
+    if "\r" in text:
+        breaks -= text.count("\r\n")
+    return breaks + (text[-1] not in _BREAKS)
+
+
+def _read_text(text: str, start: int, n: int, ups: list[int], downs: list[int]) -> None:
+    """Append the masks of the slice lines of ASCII text from index start on,
+    where text[start - 1] ends the header."""
+    # digits of the highest position any line may hold: past CELL_LIMIT, no
+    # depth leaves room for it
+    width = len(str(min(n, CELL_LIMIT) - 1))
+    depth = 0  # the slice line count, counted once a chunk needs it
+    lineno = 2
+    while start < len(text):
+        raw, end = _text_chunk(text, start)
+        gates = _text_gates(raw, width)
+        kept = len(ups)
+        if gates is not None:
+            found, pos, down = gates
+            lines, top = len(found) - 1, int(pos.max())
+            # every later character could be a line: count them only if that matters
+            if not depth and (top + 1) * (lineno - 2 + lines + len(text) - end) > CELL_LIMIT:
+                depth = _line_count(text) - 1
+            if (top >= n or depth and (top + 1) * depth > CELL_LIMIT
+                    or not _gate_masks(found, pos, down, top, ups, downs)):
+                del ups[kept:], downs[kept:]
+                gates = None
+        if gates is None:  # re-read line by line: raises unless the pass was only wary
+            depth = depth or _line_count(text) - 1
+            chunk = text[start:end].splitlines()
+            _read_lines(chunk, n, lineno, depth, ups, downs)
+            lines = len(chunk)
+        lineno += lines
+        start = end
+
+
+def _text_chunk(text: str, start: int) -> tuple[np.ndarray, int]:
+    """The bytes of whole lines of ASCII text from start on, about _TEXT_CHUNK
+    characters or one longer line, with the line break before them and one
+    after, and the index after the last line."""
+    size = _TEXT_CHUNK
+    while start + size < len(text):
+        # the last break with a character after it in the chunk: "\r\n" stays whole
+        cut = max(text.rfind(c, start, start + size - 1) for c in _BREAKS)
+        if cut >= start:
+            end = cut + 1 + text.startswith("\r\n", cut)
+            return np.frombuffer(text[start - 1:end].encode("ascii"), np.uint8), end
+        size *= 2
+    tail = "" if text[-1] in _BREAKS else "\n"  # the last line may lack its break
+    return np.frombuffer((text[start - 1:] + tail).encode("ascii"), np.uint8), len(text)
+
+
+def _text_gates(raw: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The index of each line's first gate in a _text_chunk and the gate
+    count, then each gate's position and direction (True for down).  None
+    if a line is empty or holds more than u or d and 1 to width digits."""
+    seps = np.flatnonzero(raw <= 32)  # raw[0] and raw[-1] are among them
+    blanks = len(seps)
+    kinds = raw[seps]
+    newline = kinds == 10
+    if np.count_nonzero(newline) + np.count_nonzero(kinds == 32) == blanks:
+        at = seps[newline]
+    else:  # str.split's other ASCII whitespace: the other line breaks, \t and \x1f
+        at = seps[((kinds - 10) < 4) | ((kinds - 28) < 3)]  # \n \v \f \r, \x1c..\x1e
+        if len(at) + np.count_nonzero((kinds == 32) | (kinds == 9) | (kinds == 31)) != blanks:
+            return None
+        lf = raw[at] == 10  # "\r\n" breaks once: drop its "\n", never the leading break
+        lf[1:] &= raw[at[1:] - 1] == 13
+        lf[0] = False
+        at = at[~lf]
+    size = seps[1:] - seps[:-1]
+    held = size > 1  # a token between two separators
+    if not held.all():
+        seps, size = seps[:-1][held], size[held]
+    starts = seps[:len(size)]
+    starts += 1
+    size -= 2  # digits after the letter
+    if not len(size):
+        return None
+    shortest, longest = int(size.min()), int(size.max())
+    letters = raw[starts]
+    down = letters == 100
+    # below "0" only whitespace, past "9" only the tokens' letters, u or d
+    if (shortest < 1 or longest > width or np.count_nonzero(raw < 48) != blanks
+            or np.count_nonzero(raw > 57) != len(starts)
+            or np.count_nonzero(down | (letters == 117)) != len(starts)):
+        return None
+    # weighted sums over digit columns, from each token's last digit; past
+    # a token's digits, a column reads the bytes before it or wraps round
+    # to the chunk's end (a token and two breaks outnumber the columns), and
+    # weighs 0
+    last = starts + size
+    pos = np.subtract(raw[last], 48, dtype=np.int32)
+    for j in range(1, longest):
+        column = raw[last - j] - 48
+        if j >= shortest:
+            column *= size > j
+        pos += np.multiply(column, 10 ** j, dtype=np.int32)  # uint8 * 100 would wrap
+    found = starts.searchsorted(at)
+    if pos.min() < 1 or not (found[1:] - found[:-1]).all():
+        return None
+    return found, pos, down
+
+
+def _gate_masks(found: np.ndarray, pos: np.ndarray, down: np.ndarray, top: int,
+                ups: list[int], downs: list[int]) -> bool:
+    """Append the masks of each line of _text_gates, reaching bit top at most,
+    a group of lines at a time, unless two gates of a line share a wire."""
+    lines = len(found) - 1
+    bits = (top // 8 + 1) * 8  # mask bits of a line
+    # (line, direction, position) in planes of bits a line
+    at = np.repeat(np.arange(0, 2 * bits * lines, 2 * bits), found[1:] - found[:-1])
+    at += down * bits
+    at += pos
+    step = max(1, 8 * _CHUNK_BYTES // bits)
+    bounds = found[:lines:step].tolist() + [len(pos)]
+    for i, first in enumerate(range(0, lines, step)):
+        rows = min(step, lines - first)
+        planes = np.zeros((rows, 2, bits), bool)
+        planes.reshape(-1)[at[bounds[i]:bounds[i + 1]] - 2 * bits * first] = True
+        wires = planes[:, 0] | planes[:, 1]
+        # a repeated gate or up(p) with down(p) leaves fewer bits than gates
+        if (np.count_nonzero(wires) != bounds[i + 1] - bounds[i]
+                or (wires[:, 1:] & wires[:, :-1]).any()):
+            return False
+        packed = np.packbits(planes, axis=2, bitorder="little")
+        if bits <= 64:  # whole masks as words
+            words = np.zeros((rows, 2, 8), np.uint8)
+            words[:, :, :bits // 8] = packed
+            masks = words.view("<u8").reshape(-1).tolist()
+        else:
+            data, width, from_bytes = packed.tobytes(), bits // 8, int.from_bytes
+            masks = [from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
+        ups += masks[0::2]
+        downs += masks[1::2]
+    return True
+
+
+def _read_lines(lines: list[str], n: int, lineno: int, depth: int,
+                ups: list[int], downs: list[int]) -> None:
+    """Append the masks of slice lines read one at a time, numbered from lineno."""
+    for lineno, ln in enumerate(lines, start=lineno):
+        tokens = ln.split()
+        if not tokens:
+            raise ValueError(f"line {lineno}: empty time slice")
+        u, d = _line_code(tokens, n, lineno, depth)
+        ups.append(u)
+        downs.append(d)
+
+
+def _line_code(tokens: list[str], n: int, lineno: int, depth: int) -> tuple[int, int]:
+    """Check a slice line token by token and build its up and down masks.
+
+    The one reader of the grammar that words its faults: each names the
+    first bad token of its line.  Wires and masks are marked in bytes, so
+    the work is linear in the line.
 
     Raises:
         ResourceLimitError: if depth slices of masks reaching a gate's
             position would pass CELL_LIMIT cells.
     """
     top = CELL_LIMIT // depth  # depth * (p + 1) passes the limit iff p >= top
-    gates = []
     # bit w of wires: wire w is in use; bit p of masks[d]: gate 2p + d
     wires, masks = bytearray(), (bytearray(), bytearray())
     width = len(str(n))
@@ -311,14 +464,4 @@ def _line_code(
         wires[i] |= pair & 255
         wires[i + 1] |= pair >> 8
         masks[g & 1][i] |= 1 << (p & 7)
-        gates.append(g)
-    last = max(gates) >> 1  # the shift must pass the top position
-    if last >= shift:
-        shift = max(2 * shift, last + 1)
-        bit_of.clear()
-    code = int.from_bytes(masks[0], "little") | int.from_bytes(masks[1], "little") << shift
-    cap = 4 * CELL_LIMIT // (2 * shift + 1)  # a bit has at most 2 * shift + 1 digits
-    for tok, g in zip(tokens, gates):
-        if tok not in bit_of and len(bit_of) < cap:
-            bit_of[tok] = 1 << ((g >> 1) + shift * (g & 1))
-    return code, shift
+    return int.from_bytes(masks[0], "little"), int.from_bytes(masks[1], "little")

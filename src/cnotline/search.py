@@ -36,7 +36,9 @@ of codes, each with its count of states:
   more than SORTED_LIMIT states in all.  A process keeps the levels of
   one n at a time, with the generator suspended after the newest, and
   grows them only as far as a call needs: the n = 6 depth-7 ball keeps
-  87 MB.  A call finds the target's key in the kept levels.
+  87 MB.  A level refused or failed part-way leaves the kept ones, and a
+  new generator walks on from the last two.  A call finds the target's
+  key in the kept levels.
 
 Both engines grow and answer through `_ball`.
 
@@ -308,8 +310,10 @@ def _ball(n: int, target_code: int, depth_limit: "int | None" = None):
                 if holds(len(sizes) - 1, code)[0]:
                     dist = len(sizes) - 1
         except BaseException:
-            # a level cut short leaves the ball part built: start afresh
-            del _BALLS[n]
+            if n > DENSE_LIMIT:  # the kept levels stand: walk on from the last two
+                _BALLS[n] = store, _sorted_levels(n, store, sum(sizes)), sizes
+            else:  # a level cut short leaves the table part written: start afresh
+                del _BALLS[n]
             raise
     return dist, holds, sizes
 
@@ -348,8 +352,9 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def _sorted_levels(n: int):
-    """Yield each BFS level as (sorted uint64 keys, state count).
+def _sorted_levels(n: int, kept: "list[np.ndarray] | None" = None, total: int = 0):
+    """Yield each BFS level as (sorted uint64 keys, state count), or only
+    those after the kept levels, which hold total states.
 
     A level keeps one key per mirror pair, min(s, J s J) (see _keys); its
     state count is 2 keys less the fixed points s = J s J.  J-conjugation
@@ -374,10 +379,12 @@ def _sorted_levels(n: int):
     # uint64 because at n = 8 entry (8, 8) packs to bit 63
     terms, gens = _gate_terms(n, np.uint64)
     chunk = max(1, _CHUNK_CODES // len(gens))
-    prev = np.empty(0, dtype=np.uint64)
-    cur = np.array([encode_state(BitMatrix.identity(n))], dtype=np.uint64)
-    depth, total = 0, 1
-    yield cur, total
+    start = kept or [np.array([encode_state(BitMatrix.identity(n))], dtype=np.uint64)]
+    prev, cur = ([np.empty(0, dtype=np.uint64)] + start)[-2:]
+    depth = len(start) - 1
+    if not kept:
+        total = 1
+        yield cur, total
     while True:
         nxt = np.empty(0, dtype=np.uint64)
         nxt_states = 0

@@ -454,17 +454,19 @@ def test_the_process_keeps_one_sorted_ball():
     assert 4 in search._BALLS
 
 
-def test_a_refused_or_failed_level_drops_the_sorted_levels(monkeypatch):
+def test_a_refused_or_failed_level_keeps_the_sorted_levels(monkeypatch):
+    # the levels before the one cut short stay, and the walk resumes after them
     target = _sliced_target(6, 0)
     cold = _cold(6, target, 5)
     assert cold[:2] == (4, True)
     search._BALLS.pop(6, None)
     assert distance(6, target, 2).completed is False
+    kept = list(search._BALLS[6][0])
     # level 3 would make 7089 states kept
     monkeypatch.setattr(search, "SORTED_LIMIT", 7088)
     with pytest.raises(ResourceLimitError):
         distance(6, target, 5)
-    assert 6 not in search._BALLS
+    assert len(kept) == 3 and all(a is b for a, b in zip(search._BALLS[6][0], kept, strict=True))
     monkeypatch.undo()
     assert _outcome(distance(6, target, 5, witness=True)) == cold
 
@@ -485,9 +487,28 @@ def test_a_refused_or_failed_level_drops_the_sorted_levels(monkeypatch):
     with pytest.raises(MemoryError):
         distance(6, target, 5)
     assert calls == 3
-    assert 6 not in search._BALLS
+    assert search._BALLS[6][2] == list(cold[2][:4])
     monkeypatch.undo()
     assert _outcome(distance(6, target, 5, witness=True)) == cold
+
+
+def test_a_refused_deeper_call_leaves_the_depth_3_ball(monkeypatch):
+    # grown to depth 3 under a small limit, the ball answers depth-3 calls
+    # from the same four levels after a deeper call is refused
+    target = _sliced_target(6, 0, depth=3)
+    cold = _cold(6, target, 3)
+    assert cold[:2] == (3, True)
+    search._BALLS.pop(6, None)
+    monkeypatch.setattr(search, "SORTED_LIMIT", 10_000)  # depth 3 keeps 7089 states
+    assert _outcome(distance(6, BitMatrix.anti_identity(6), 3, witness=True))[:2] == (3, False)
+    kept = list(search._BALLS[6][0])
+    with pytest.raises(ResourceLimitError, match="level 4 of the n=6 search"):
+        distance(6, BitMatrix.anti_identity(6), 4)
+    assert _outcome(distance(6, target, 3, witness=True)) == cold
+    assert len(kept) == 4 and all(a is b for a, b in zip(search._BALLS[6][0], kept, strict=True))
+    # the resumed walk builds level 4 as a cold one does
+    monkeypatch.undo()
+    assert distance(6, BitMatrix.anti_identity(6), 4).level_sizes == BALL_6_5[:5]
 
 
 def test_threads_share_one_sorted_ball():
