@@ -94,7 +94,7 @@ def _neighbour(n, rng):
     return token_for
 
 
-def _far_header(text, rng):
+def _far_header(text):
     head, body = _lines(text)
     return _join("n 1000000000000", body)
 
@@ -135,21 +135,29 @@ def _mutations(n, rng):
         "arabic-digit": lambda t: _map_tokens(t, rng, 0.1, lambda s: s.replace("1", "\u0661")),
         "superscript": lambda t: _insert_token(t, rng, lambda tokens: "u\u00b2"),
         "double-space": lambda t: _replace_some(t, " ", "  ", rng, 0.5),
-        "leading-space": lambda t: _replace_some(t, "\n", "\n" + rng.choice([" ", "\t", "  "]), rng, 0.3),
-        "trailing-space": lambda t: _replace_some(t, "\n", rng.choice([" ", "\t ", "\x1f"]) + "\n", rng, 0.3),
-        "leading-zeros": lambda t: _map_tokens(t, rng, 0.2, lambda s: s[0] + "0" * rng.randint(1, 4) + s[1:]),
-        "zero-position": lambda t: _insert_token(t, rng, lambda tokens: rng.choice(["u0", "d0", "u00"])),
-        "off-line": lambda t: _insert_token(t, rng, lambda tokens: rng.choice("ud") + str(n + rng.choice((0, 1, 9, 10 ** 6)))),
-        "long-position": lambda t: _insert_token(t, rng, lambda tokens: rng.choice("ud") + "7" * 5000),
-        "long-zeros": lambda t: _insert_token(t, rng, lambda tokens: rng.choice("ud") + "0" * 5000 + str(rng.randint(1, n - 1))),
-        "bad-token": lambda t: _insert_token(t, rng, lambda tokens: rng.choice(["x3", "u", "d", "u1x", "U1", "+1", "u-1", "d1.0", "ud1", "1"])),
+        "leading-space": lambda t: _replace_some(
+            t, "\n", "\n" + rng.choice([" ", "\t", "  "]), rng, 0.3),
+        "trailing-space": lambda t: _replace_some(
+            t, "\n", rng.choice([" ", "\t ", "\x1f"]) + "\n", rng, 0.3),
+        "leading-zeros": lambda t: _map_tokens(
+            t, rng, 0.2, lambda s: s[0] + "0" * rng.randint(1, 4) + s[1:]),
+        "zero-position": lambda t: _insert_token(
+            t, rng, lambda tokens: rng.choice(["u0", "d0", "u00"])),
+        "off-line": lambda t: _insert_token(
+            t, rng, lambda tokens: rng.choice("ud") + str(n + rng.choice((0, 1, 9, 10 ** 6)))),
+        "long-position": lambda t: _insert_token(
+            t, rng, lambda tokens: rng.choice("ud") + "7" * 5000),
+        "long-zeros": lambda t: _insert_token(
+            t, rng, lambda tokens: rng.choice("ud") + "0" * 5000 + str(rng.randint(1, n - 1))),
+        "bad-token": lambda t: _insert_token(t, rng, lambda tokens: rng.choice(
+            ["x3", "u", "d", "u1x", "U1", "+1", "u-1", "d1.0", "ud1", "1"])),
         "repeat": lambda t: _insert_token(t, rng, lambda tokens: rng.choice(tokens)),
         "collision": lambda t: _insert_token(t, rng, _neighbour(n, rng)),
         "blank-line": lambda t: _blank_line(t, rng),
         "no-final-newline": lambda t: t[:-1],
         "extra-final-newline": lambda t: t + rng.choice(["\n", " \n", "\r\n"]),
         "truncated": lambda t: _truncate(t, rng),
-        "far-header": lambda t: _far_header(t, rng),
+        "far-header": _far_header,
         "bad-header": lambda t: _bad_header(t, rng),
     }
 
