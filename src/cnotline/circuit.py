@@ -232,8 +232,8 @@ def parse_circuit_text(text: str) -> Circuit:
 
     Rejects malformed headers and tokens, gates off the line, wire
     collisions inside a slice, and empty slice lines.  A vector pass reads
-    ASCII text a chunk of lines at a time; _line_code reads a chunk it
-    refuses, and other text, line by line, and words the first fault.
+    ASCII text a span of lines at a time; a span it refuses is halved until
+    _line_code reads the refused lines alone, and it words the first fault.
 
     Raises:
         ValueError: with the offending line in the message.
@@ -254,11 +254,8 @@ def parse_circuit_text(text: str) -> Circuit:
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
     ups, downs = [], []
-    if text.isascii():
-        _read_text(text, len(first), n, ups, downs)
-    else:
-        lines = text.splitlines()
-        _read_lines(lines[1:], n, 2, len(lines) - 1, ups, downs)
+    if len(first) < len(text):
+        _read_span(text, len(first), len(text), n, 2, _line_count(text) - 1, ups, downs)
     return Circuit(n, tuple(ups), tuple(downs))
 
 
@@ -272,78 +269,96 @@ def _first_line(text: str) -> str:
 
 
 def _line_count(text: str) -> int:
-    """len(text.splitlines()) for nonempty ASCII text, without the lines."""
-    breaks = sum(text.count(c) for c in _BREAKS if c in text)  # "in" is the faster scan
+    """len(text.splitlines()) for nonempty text, without the lines."""
+    every = _BREAKS + "\x85\u2028\u2029"
+    breaks = sum(text.count(c) for c in every if c in text)  # "in" is the faster scan
     if "\r" in text:
         breaks -= text.count("\r\n")
-    return breaks + (text[-1] not in _BREAKS)
+    return breaks + (text[-1] not in every)
 
 
-def _read_text(text: str, start: int, n: int, ups: list[int], downs: list[int]) -> None:
-    """Append the masks of the slice lines of ASCII text from index start on,
-    where text[start - 1] ends the header."""
+def _read_span(text: str, start: int, end: int, n: int, lineno: int, depth: int,
+               ups: list[int], downs: list[int]) -> int:
+    """Append the masks of the slice lines text[start:end], the first numbered
+    lineno, and return the number after the last.
+
+    The vector pass reads a span of at most _TEXT_CHUNK characters or one
+    line.  A longer span, or one it refuses, is halved at a line break;
+    _line_code reads a refused line alone: a faulty one, whose fault it
+    words, or one with text past ASCII.
+    """
+    cut = _cut(text, start, end)
+    if (end - start <= _TEXT_CHUNK or cut == end) and (
+            lines := _text_lines(text, start, end, n, depth, ups, downs)):
+        return lineno + lines
+    if cut == end:
+        for line in text[start:end].splitlines():
+            if not (tokens := line.split()):
+                raise ValueError(f"line {lineno}: empty time slice")
+            u, d = _line_code(tokens, n, lineno, depth)
+            ups.append(u)
+            downs.append(d)
+            lineno += 1
+        return lineno
+    lineno = _read_span(text, start, cut, n, lineno, depth, ups, downs)
+    return _read_span(text, cut, end, n, lineno, depth, ups, downs)
+
+
+def _cut(text: str, start: int, end: int) -> int:
+    """The index after an ASCII line break near the middle of text[start:end]
+    ("\r\n" kept whole), or end if none comes before its last character."""
+    mid = (start + end) // 2
+    cut = start - 1
+    for c in _BREAKS:  # each search stops at the last break found
+        cut = max(cut, text.rfind(c, cut + 1, mid))
+    if cut < start:  # the first line passes the middle: cut after it
+        cut = end - 1
+        for c in _BREAKS:
+            if (i := text.find(c, mid, cut)) >= 0:
+                cut = i
+    return cut + 1 + text.startswith("\r\n", cut)
+
+
+def _text_lines(text: str, start: int, end: int, n: int, depth: int,
+                ups: list[int], downs: list[int]) -> int:
+    """Append the masks of the slice lines text[start:end] by the vector pass
+    and return their count, or 0 if it refuses them: non-ASCII text, a line
+    _text_gates refuses, or a gate at or past n or past the cell limit."""
+    try:  # with the line break before them and one after
+        raw = (text[start - 1:end] + ("" if text[end - 1] in _BREAKS else "\n")).encode("ascii")
+    except UnicodeEncodeError:
+        return 0
     # digits of the highest position any line may hold: past CELL_LIMIT, no
     # depth leaves room for it
-    width = len(str(min(n, CELL_LIMIT) - 1))
-    depth = 0  # the slice line count, counted once a chunk needs it
-    lineno = 2
-    while start < len(text):
-        raw, end = _text_chunk(text, start)
-        gates = _text_gates(raw, width)
-        kept = len(ups)
-        if gates is not None:
-            found, pos, down = gates
-            lines, top = len(found) - 1, int(pos.max())
-            # every later character could be a line: count them only if that matters
-            if not depth and (top + 1) * (lineno - 2 + lines + len(text) - end) > CELL_LIMIT:
-                depth = _line_count(text) - 1
-            if (top >= n or depth and (top + 1) * depth > CELL_LIMIT
-                    or not _gate_masks(found, pos, down, top, ups, downs)):
-                del ups[kept:], downs[kept:]
-                gates = None
-        if gates is None:  # re-read line by line: raises unless the pass was only wary
-            depth = depth or _line_count(text) - 1
-            chunk = text[start:end].splitlines()
-            _read_lines(chunk, n, lineno, depth, ups, downs)
-            lines = len(chunk)
-        lineno += lines
-        start = end
-
-
-def _text_chunk(text: str, start: int) -> tuple[np.ndarray, int]:
-    """The bytes of whole lines of ASCII text from start on, about _TEXT_CHUNK
-    characters or one longer line, with the line break before them and one
-    after, and the index after the last line."""
-    size = _TEXT_CHUNK
-    while start + size < len(text):
-        # the last break with a character after it in the chunk: "\r\n" stays whole
-        cut = max(text.rfind(c, start, start + size - 1) for c in _BREAKS)
-        if cut >= start:
-            end = cut + 1 + text.startswith("\r\n", cut)
-            return np.frombuffer(text[start - 1:end].encode("ascii"), np.uint8), end
-        size *= 2
-    tail = "" if text[-1] in _BREAKS else "\n"  # the last line may lack its break
-    return np.frombuffer((text[start - 1:] + tail).encode("ascii"), np.uint8), len(text)
+    gates = _text_gates(np.frombuffer(raw, np.uint8), len(str(min(n, CELL_LIMIT) - 1)))
+    if gates is None:
+        return 0
+    found, pos, down = gates
+    top, kept = int(pos.max()), len(ups)
+    if (top >= n or (top + 1) * depth > CELL_LIMIT
+            or not _gate_masks(found, pos, down, top, ups, downs)):
+        del ups[kept:], downs[kept:]
+        return 0
+    return len(found) - 1
 
 
 def _text_gates(raw: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The index of each line's first gate in a _text_chunk and the gate
+    """The index of each line's first gate in _text_lines's bytes and the gate
     count, then each gate's position and direction (True for down).  None
-    if a line is empty or holds more than u or d and 1 to width digits."""
+    if a line is empty or holds more than u or d and at least one digit,
+    past width of them only after zeros."""
     seps = np.flatnonzero(raw <= 32)  # raw[0] and raw[-1] are among them
     blanks = len(seps)
     kinds = raw[seps]
-    newline = kinds == 10
-    if np.count_nonzero(newline) + np.count_nonzero(kinds == 32) == blanks:
-        at = seps[newline]
-    else:  # str.split's other ASCII whitespace: the other line breaks, \t and \x1f
-        at = seps[((kinds - 10) < 4) | ((kinds - 28) < 3)]  # \n \v \f \r, \x1c..\x1e
-        if len(at) + np.count_nonzero((kinds == 32) | (kinds == 9) | (kinds == 31)) != blanks:
-            return None
-        lf = raw[at] == 10  # "\r\n" breaks once: drop its "\n", never the leading break
-        lf[1:] &= raw[at[1:] - 1] == 13
-        lf[0] = False
-        at = at[~lf]
+    # str.split's ASCII whitespace: line breaks \n \v \f \r and \x1c..\x1e,
+    # then spaces, \t and \x1f
+    at = seps[((kinds - 10) < 4) | ((kinds - 28) < 3)]
+    if len(at) + np.count_nonzero((kinds == 32) | (kinds == 9) | (kinds == 31)) != blanks:
+        return None
+    lf = raw[at] == 10  # "\r\n" breaks once: drop its "\n", never the leading break
+    lf[1:] &= raw[at[1:] - 1] == 13
+    lf[0] = False
+    at = at[~lf]
     size = seps[1:] - seps[:-1]
     held = size > 1  # a token between two separators
     if not held.all():
@@ -357,15 +372,22 @@ def _text_gates(raw: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np
     letters = raw[starts]
     down = letters == 100
     # below "0" only whitespace, past "9" only the tokens' letters, u or d
-    if (shortest < 1 or longest > width or np.count_nonzero(raw < 48) != blanks
+    if (shortest < 1 or np.count_nonzero(raw < 48) != blanks
             or np.count_nonzero(raw > 57) != len(starts)
             or np.count_nonzero(down | (letters == 117)) != len(starts)):
         return None
-    # weighted sums over digit columns, from each token's last digit; past
-    # a token's digits, a column reads the bytes before it or wraps round
-    # to the chunk's end (a token and two breaks outnumber the columns), and
-    # weighs 0
     last = starts + size
+    if longest > width:  # the last width digits, if only zeros lead them
+        big = size > width
+        ahead = np.flatnonzero(raw > 48)  # letters and digits past "0"
+        # how many lie before each letter and before each token's last digits
+        lead = ahead.searchsorted(np.stack((starts[big], last[big] - width)), "right")
+        if (lead[0] != lead[1]).any():
+            return None
+        size, shortest, longest = np.minimum(size, width), min(shortest, width), width
+    # weighted sums over digit columns from each token's last digit; a column
+    # past a token's digits reads the bytes before it, or wraps round to the
+    # span's end (a token and two breaks outnumber the columns), and weighs 0
     pos = np.subtract(raw[last], 48, dtype=np.int32)
     for j in range(1, longest):
         column = raw[last - j] - 48
@@ -399,29 +421,12 @@ def _gate_masks(found: np.ndarray, pos: np.ndarray, down: np.ndarray, top: int,
         if (np.count_nonzero(wires) != bounds[i + 1] - bounds[i]
                 or (wires[:, 1:] & wires[:, :-1]).any()):
             return False
-        packed = np.packbits(planes, axis=2, bitorder="little")
-        if bits <= 64:  # whole masks as words
-            words = np.zeros((rows, 2, 8), np.uint8)
-            words[:, :, :bits // 8] = packed
-            masks = words.view("<u8").reshape(-1).tolist()
-        else:
-            data, width, from_bytes = packed.tobytes(), bits // 8, int.from_bytes
-            masks = [from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
+        data = np.packbits(planes, axis=2, bitorder="little").tobytes()
+        width, from_bytes = bits // 8, int.from_bytes
+        masks = [from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
         ups += masks[0::2]
         downs += masks[1::2]
     return True
-
-
-def _read_lines(lines: list[str], n: int, lineno: int, depth: int,
-                ups: list[int], downs: list[int]) -> None:
-    """Append the masks of slice lines read one at a time, numbered from lineno."""
-    for lineno, ln in enumerate(lines, start=lineno):
-        tokens = ln.split()
-        if not tokens:
-            raise ValueError(f"line {lineno}: empty time slice")
-        u, d = _line_code(tokens, n, lineno, depth)
-        ups.append(u)
-        downs.append(d)
 
 
 def _line_code(tokens: list[str], n: int, lineno: int, depth: int) -> tuple[int, int]:

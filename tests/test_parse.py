@@ -230,22 +230,23 @@ def test_pinned_parse_outcomes(monkeypatch):
 def test_faults_at_chunk_edges_are_worded_as_in_one_chunk(monkeypatch, newline):
     # chunks of a few characters hold one line or a few, so every line is
     # the first or the last of some chunk; a fault there, or a line the
-    # vector pass refuses though it is valid (leading zeros), reads as in
-    # one chunk
+    # vector pass refuses though it is valid (past ASCII), reads as in one
+    # chunk, and so do leading zeros
     head, body = _lines(circuit_to_text(reverse_circuit(9)))
-    faults = ["u0", "u9", "u1 u1", "u1 d2", "", "\t", "x", "u" + "7" * 50, "u01", "d001 u3"]
+    valid = ["u01", "d001 u3", "u1\xa0u3"]
+    faults = ["u0", "u9", "u1 u1", "u1 d2", "", "\t", "x", "u" + "7" * 50, "u1\xa0x", *valid]
     for at in range(len(body)):
         for fault in faults:
             text = _join(head, body[:at] + [fault] + body[at + 1:]).replace("\n", newline)
             want = _outcome(text)
-            assert want.startswith(f"ValueError: line {at + 2}: ") or fault in ("u01", "d001 u3")
+            assert want.startswith(f"ValueError: line {at + 2}: ") or fault in valid
             for chars in (1, 7, 20):
                 with monkeypatch.context() as patch:
                     patch.setattr(circuit_module, "_TEXT_CHUNK", chars)
                     assert _outcome(text) == want
-    # every chunk refused and re-read, at every chunk size: no chunk starts
-    # inside a "\r\n"
-    text = _join(head, [line.replace("u", "u0") for line in body]).replace("\n", newline)
+    # every chunk refused and halved down to its lines, at every chunk
+    # size: no chunk starts inside a "\r\n"
+    text = _join(head, [line.replace(" ", "\xa0") for line in body]).replace("\n", newline)
     want = _outcome(text)
     for chars in range(1, 48):
         with monkeypatch.context() as patch:
@@ -265,12 +266,21 @@ def test_only_refused_lines_and_other_text_are_read_line_by_line(monkeypatch):
     text = circuit_to_text(reverse_circuit(9))
     c = parse_circuit_text(text)
     assert read == []
-    # a leading zero is valid, but the vector pass refuses its chunk
-    assert parse_circuit_text(text.replace("u1 ", "u01 ", 1)) == c
-    assert read == list(range(2, text.count("\n") + 1))
+    lines = text.count("\n")
+    # leading zeros, even past the width of n, are read by the vector pass
+    # and a refused span is halved until the refused lines are alone: one
+    # non-ASCII space, a non-ASCII line break (it joins two lines for the
+    # halving) or a header ended by one
+    for at, old, new, want in [(0, "u1 ", "u01 ", []), (0, " d", " d" + "0" * 5000, []),
+                               (51, " ", "\xa0", [6]),
+                               (99, "\n", "\x85", [9, 10]), (159, "\n", "\u2028", [14, 15]),
+                               (0, "\n", "\x85", [2])]:
+        read.clear()
+        assert parse_circuit_text(text[:at] + text[at:].replace(old, new, 1)) == c
+        assert read == want
     read.clear()
     assert parse_circuit_text(text.replace(" ", "\xa0")) == c
-    assert read == list(range(2, text.count("\n") + 1))
+    assert read == list(range(2, lines + 1))
     # every other ASCII line break and separator str.split and splitlines know
     read.clear()
     for newline in ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]:
