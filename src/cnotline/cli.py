@@ -211,9 +211,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"--n {args.n} does not match target dimension {target.n}"
                 )
-        result = distance(
-            args.n, target, args.depth_limit, witness=args.witness is not None
-        )
+        result = distance(args.n, target, args.depth_limit, witness=args.witness is not None)
     print(f"n={result.n} mode={result.mode}")
     name = "max_depth" if args.max else "distance"
     print(f"{name} {'=' if result.completed else '>'} {result.value}")
@@ -275,8 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -780,3 +780,75 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def outcome(capsys, argv):
+    """main(argv)'s exit code, stdout and stderr, argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_parses_with_the_parser_built_at_import(capsys, monkeypatch, tmp_path):
+    target = write_matrix(tmp_path, "add.matrix", matrix_of(add_circuit(6)))
+    circuit = tmp_path / "add.circuit"
+    witness = tmp_path / "w.circuit"
+
+    def calls():
+        synth = run(capsys, "synth", "--op", "add", "--n", "6")
+        circuit.write_text(synth[1], encoding="ascii")
+        verify = run(capsys, "verify", "--circuit", str(circuit), "--target", target)
+        search = run(capsys, "search", "--n", "4", "--reversal", "--witness", str(witness))
+        return synth, verify, search, witness.read_bytes()
+
+    before = calls()
+    assert [got[0] for got in before[:3]] == [0, 0, 0] and before[1][1].endswith("PASS\n")
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert calls() == before
+
+
+# pairs whose first call would change the second's outcome if parse state leaked
+SHARED_PARSER_CALLS = [
+    ["synth", "--op", "add", "--n", "4"],
+    ["synth", "--op", "permute", "--perm", "2 1"],
+    ["search", "--n", "4", "--max"],
+    ["search", "--n", "4", "--reversal"],
+    ["synth", "--op", "no-such-op"],
+    ["search", "--n", "3", "--reversal"],
+    ["search", "--help"],
+    ["search", "--help"],
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    shared = [outcome(capsys, argv) for argv in SHARED_PARSER_CALLS]
+    # a leaked --n 4 would refuse the 2-wire permutation
+    assert shared[1][:2] == (0, circuit_to_text(permutation_circuit((2, 1))))
+    assert shared[2][1].splitlines()[1] == "max_depth = 10"
+    assert shared[3][1].splitlines()[1].startswith("distance = ")
+    assert shared[4][0] == 2 and "invalid choice: 'no-such-op'" in shared[4][2]
+    assert shared[5][1].splitlines()[1] == "distance = 8"
+    assert shared[6] == shared[7] and shared[6][0] == 0 and "--depth-limit" in shared[6][1]
+    fresh = []
+    for argv in SHARED_PARSER_CALLS:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(outcome(capsys, argv))
+    assert shared == fresh
+
+    def parsed(parser, argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+    monkeypatch.undo()
+    for argv in SHARED_PARSER_CALLS:
+        assert parsed(cli._PARSER, argv) == parsed(cli.build_parser(), argv)
+    capsys.readouterr()
