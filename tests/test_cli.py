@@ -851,4 +851,3 @@ def test_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     monkeypatch.undo()
     for argv in SHARED_PARSER_CALLS:
         assert parsed(cli._PARSER, argv) == parsed(cli.build_parser(), argv)
-    capsys.readouterr()
