@@ -26,6 +26,8 @@ vectors, where ranking four fresh blocks per cut takes O(n^3).
 
 from __future__ import annotations
 
+__all__ = ["BoundReport", "cut_lower_bound", "matrix_lower_bounds", "reversal_bounds"]
+
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -14,6 +14,10 @@ circuit holds two masks per slice, bit p of up for up(p), of down for down(p).
 
 from __future__ import annotations
 
+__all__ = ["Circuit", "CircuitMetrics", "ResourceLimitError", "apply", "circuit_to_text", "concat",
+           "crossing_counts", "down", "gate_token", "inverse", "matrix_of", "metrics",
+           "parse_circuit_text", "parse_gate_token", "schedule", "up"]
+
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 

@@ -12,6 +12,10 @@ straight into slice masks where the scheduler would put its gates.
 
 from __future__ import annotations
 
+__all__ = ["GATHER_DEPTH_PER_POSITION", "add_circuit", "fired_comparators", "gather_circuit",
+           "inversion_count", "odd_even_network", "permutation_circuit", "reverse_circuit",
+           "rotate_circuit", "rotation_block", "swap_circuit"]
+
 from typing import Callable, Iterable, Sequence
 
 from .circuit import Circuit, down, schedule, up

@@ -10,6 +10,10 @@ is bit i-1 of the packed column j.
 
 from __future__ import annotations
 
+__all__ = ["BitMatrix", "SingularMatrixError", "blocks", "dual_functional",
+           "is_northwest_triangular", "lex_min_coset", "matrix_to_text", "parse_matrix_text",
+           "rank", "transpose"]
+
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence

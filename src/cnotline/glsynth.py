@@ -20,6 +20,8 @@ u clears it when u's coefficient is 1, and otherwise the swap moves u down.
 
 from __future__ import annotations
 
+__all__ = ["clearing_circuit", "northwest_basis", "synthesize", "triangular_reduction_circuit"]
+
 from . import circuit as circuit_mod
 from .circuit import Circuit
 from .constructions import _BOX_GATES, _sorting_run, odd_even_network

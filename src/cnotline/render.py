@@ -8,6 +8,8 @@ connector row between them, each at offset 1 of its slice's columns.
 
 from __future__ import annotations
 
+__all__ = ["render_circuit"]
+
 import numpy as np
 
 from .circuit import Circuit, _mask_planes

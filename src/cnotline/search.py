@@ -37,8 +37,8 @@ of codes, each with its count of states:
   one n at a time, with the generator suspended after the newest, and
   grows them only as far as a call needs: the n = 6 depth-7 ball keeps
   87 MB.  A level refused or failed part-way leaves the kept ones, and a
-  new generator walks on from the last two.  A call finds the target's
-  key in the kept levels.
+  new generator walks on from the last two.  A call makes the target's
+  key once and finds it in the kept levels.
 
 Both engines grow and answer through `_ball`.
 
@@ -46,6 +46,8 @@ A full sweep of GL_6(2), 20 158 709 760 matrices, fits in neither.
 """
 
 from __future__ import annotations
+
+__all__ = ["SearchResult", "distance", "max_depth", "slice_generators"]
 
 import threading
 from dataclasses import dataclass
@@ -128,7 +130,7 @@ def slice_generators(n: int) -> list[tuple[int, int]]:
 
 def encode_state(m: BitMatrix) -> int:
     """Pack entry (i, j) into bit (i-1)*n + (j-1): the packed rows end to end."""
-    return sum(row << (i * m.n) for i, row in enumerate(m.packed_rows()))
+    return sum(1 << i * m.n + j for j, c in enumerate(m.cols) for i in range(m.n) if c >> i & 1)
 
 
 def _gate_terms(n: int, dtype: type) -> tuple[list, list[tuple[int, ...]]]:
@@ -298,7 +300,12 @@ def _ball(n: int, target_code: int, depth_limit: "int | None" = None):
                 return _members(_keys(codes, n), store[d])
             return store[codes] == d + 1
 
-        dist = next((d for d in range(len(sizes)) if holds(d, code)[0]), None)
+        key = _keys(code, n) if n > DENSE_LIMIT else None  # the target's, once per call
+
+        def found(d):
+            return (_members(key, store[d]) if n > DENSE_LIMIT else store[code] == d + 1)[0]
+
+        dist = next((d for d in range(len(sizes)) if found(d)), None)
         try:
             while dist is None and (depth_limit is None or len(sizes) <= depth_limit):
                 level = next(levels, None)
@@ -307,7 +314,7 @@ def _ball(n: int, target_code: int, depth_limit: "int | None" = None):
                 if n > DENSE_LIMIT:
                     store.append(level[0])
                 sizes.append(level[1])
-                if holds(len(sizes) - 1, code)[0]:
+                if found(len(sizes) - 1):
                     dist = len(sizes) - 1
         except BaseException:
             if n > DENSE_LIMIT:  # the kept levels stand: walk on from the last two
