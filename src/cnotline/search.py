@@ -294,13 +294,12 @@ def _ball(n: int, target_code: int, depth_limit: "int | None" = None):
                 table = np.zeros(1 << (n * n), dtype=np.uint8)
                 _BALLS[n] = table, _dense_levels(n, table), []
         store, levels, sizes = _BALLS[n]
+        key = _keys(code, n) if n > DENSE_LIMIT else None  # the target's, once per call
 
         def holds(d, codes):
             if n > DENSE_LIMIT:
                 return _members(_keys(codes, n), store[d])
             return store[codes] == d + 1
-
-        key = _keys(code, n) if n > DENSE_LIMIT else None  # the target's, once per call
 
         def found(d):
             return (_members(key, store[d]) if n > DENSE_LIMIT else store[code] == d + 1)[0]

@@ -8,7 +8,6 @@ import cnotline
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-
 EXPORTS = [
     "BitMatrix", "BoundReport", "Circuit", "CircuitMetrics", "GATHER_DEPTH_PER_POSITION",
     "ResourceLimitError", "SearchResult", "SingularMatrixError", "add_circuit", "apply", "blocks",
