@@ -6,8 +6,8 @@ depth; where a construction depends on reordering commuting gates, the
 emitted sequence is already the reordered one; FAMILIES holds their
 proven sizes and depths.  Permutation
 routing and the synthesis stages in glsynth instead run a sorting network
-through _sorting_run, which writes each swap's box from _BOX_GATES
-straight into slice masks where the scheduler would put its gates.
+through _sorting_run, which picks each swap's box from a _BOX_GATES pair by
+a bit of the upper value and writes it into slice masks where schedule would.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ __all__ = ["GATHER_DEPTH_PER_POSITION", "add_circuit", "fired_comparators", "gat
            "inversion_count", "odd_even_network", "permutation_circuit", "reverse_circuit",
            "rotate_circuit", "rotation_block", "swap_circuit"]
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .circuit import Circuit, down, schedule, up
 from .f2 import clip
@@ -177,16 +177,17 @@ def odd_even_network(n: int) -> tuple[range, ...]:
 
 
 def _sorting_run(
-    layers: Sequence[Iterable[int]], labels: list[int], values: list[int], box: Callable
+    layers: Sequence[Iterable[int]], labels: list[int], values: list[int], offset: int,
+    boxes: tuple[str, str],
 ) -> Circuit:
     """Sort labels in place with comparator layers, a box of gates per swap.
 
-    box(p, k) names the gates for the swap at p that moves label k up
-    onto wire p, an entry of _BOX_GATES: one to three of "u" for up(p)
-    and "d" for down(p).  They are applied to values and ORed straight
-    into slice masks, each in the first slice after every earlier gate
-    on its wires, which is where schedule puts them.  The run stops once
-    the labels are sorted.
+    The swap at p that moves label k up onto wire p writes
+    boxes[bit k + offset of the upper value], an entry of _BOX_GATES: one
+    to three of "u" for up(p) and "d" for down(p).  They are applied to
+    values and ORed straight into slice masks, each in the first slice
+    after every earlier gate on its wires, which is where schedule puts
+    them.  The run stops once the labels are sorted.
     """
     cap = 3 * len(layers)
     ups, downs, last = [0] * cap, [0] * cap, [0] * len(labels)
@@ -199,11 +200,10 @@ def _sorting_run(
             if j < k:
                 continue
             labels[p - 1], labels[p] = k, j
-            gates = box(p, k)
             a, b, bit = last[p - 1], last[p], 1 << p
             s = a if a > b else b
             u, v = values[p - 1], values[p]
-            for kind in gates:
+            for kind in boxes[u >> (k + offset) & 1]:
                 if kind == "u":
                     ups[s] |= bit
                     u ^= v
@@ -268,7 +268,7 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
     check_permutation(perm)
     n = len(perm)
     swap = _BOX_GATES[("v", "u")]
-    return _sorting_run(odd_even_network(n), list(perm), [0] * n, lambda p, k: swap)
+    return _sorting_run(odd_even_network(n), list(perm), [0] * n, 0, (swap, swap))
 
 
 # Minimal gate sequences, in _sorting_run's form ("u" for up(p), "d" for

@@ -57,19 +57,6 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
     return pivot_by_top
 
 
-def _coset_min(x: int, pivot_by_top: dict[int, int]) -> int:
-    """Least element of x + span(pivots), pivots keyed as _echelon keys them.
-
-    Clears the pivot tops of x greedily from the highest down.  Greedy is
-    optimal because flipping a higher coordinate to zero always beats any
-    configuration of lower coordinates.
-    """
-    for top in sorted(pivot_by_top, reverse=True):
-        if (x >> (top - 1)) & 1:
-            x ^= pivot_by_top[top]
-    return x
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """Square matrix over GF(2), columns packed into ints.
@@ -159,8 +146,17 @@ def is_northwest_triangular(m: BitMatrix) -> bool:
 
 
 def lex_min_coset(a: int, spanning: Iterable[int]) -> int:
-    """Least element of a + span(spanning), vectors packed as ints."""
-    return _coset_min(a, _echelon(spanning))
+    """Least element of a + span(spanning), vectors packed as ints.
+
+    Clears the pivot tops of a greedily from the highest down.  Greedy is
+    optimal because flipping a higher coordinate to zero always beats any
+    configuration of lower coordinates.
+    """
+    pivot_by_top = _echelon(spanning)
+    for top in sorted(pivot_by_top, reverse=True):
+        if (a >> (top - 1)) & 1:
+            a ^= pivot_by_top[top]
+    return a
 
 
 def dual_functional(basis: Sequence[int], k: int) -> int:

@@ -7,26 +7,53 @@ depth-2 boxes (depth at most 2n), and a reduction stage takes the
 triangular matrix to the identity with depth-3 boxes at the comparators
 that fire sorting the reversed labeling (depth at most 3n).  Inverting
 both stages yields a circuit computing the matrix.  Each stage is a box
-rule for constructions._sorting_run, which writes boxes from
-constructions._BOX_GATES straight into slice masks, as permutation
-routing does: no gate list is built and no schedule pass runs.
+pair for constructions._sorting_run, which picks one per swap by a bit of
+the upper value and writes it from constructions._BOX_GATES straight into
+slice masks, as permutation routing does: no gate list, no schedule pass.
 
 A clearing swap costs an add box (1 slice) or a swap box (2).  The wire
 labelled k holds w_k plus w's labelled on higher-numbered wires:
 northwest_basis starts it so and both boxes keep it.  So the lower
 input's w_k coefficient is 1 and it must leave the lower wire: adding
 u clears it when u's coefficient is 1, and otherwise the swap moves u down.
+Each value carries its coordinates in w above its n bits, so that
+coefficient is one bit: no dual basis is computed.
 """
 
 from __future__ import annotations
 
 __all__ = ["clearing_circuit", "northwest_basis", "synthesize", "triangular_reduction_circuit"]
 
+from bisect import insort
+
 from . import circuit as circuit_mod
 from .circuit import Circuit
 from .constructions import _BOX_GATES, _sorting_run, odd_even_network
-from .f2 import BitMatrix, SingularMatrixError, _coset_min, is_northwest_triangular
-from .f2 import inverse as matrix_inverse
+from .f2 import BitMatrix, SingularMatrixError, is_northwest_triangular
+
+
+def _sweep(m: BitMatrix) -> tuple[list[int], list[int], list[int]]:
+    """w_basis, pi and the clearing values: m.cols[i] with its w-coordinates
+    above its n bits, w_k's at bit n + k - 1 (see northwest_basis)."""
+    n = m.n
+    w, pi, values = [0] * n, [0] * n, [0] * n
+    # (top coordinate, its bit, pivot w_j carrying bit n + j - 1), ascending:
+    # reducing a column by pivots collects their coordinates above bit n
+    pivots: list[tuple[int, int, int]] = []
+    for i in range(n - 1, -1, -1):
+        x = col = m.cols[i]
+        for _, bit, pivot in reversed(pivots):
+            if x & bit:
+                x ^= pivot
+        v = x & ((1 << n) - 1)
+        if not v:
+            raise SingularMatrixError(f"matrix of dimension {n} is singular")
+        top = v.bit_length()
+        own = v | 1 << (2 * n - top)  # v is w_j with j = n + 1 - top
+        insort(pivots, (top, 1 << (top - 1), own))
+        pi[i], w[n - top] = n + 1 - top, v
+        values[i] = col | (x ^ own)  # col = v + the pivots cleared
+    return w, pi, values
 
 
 def northwest_basis(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -46,34 +73,15 @@ def northwest_basis(m: BitMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Raises:
         SingularMatrixError: if the columns do not span the space.
     """
-    n = m.n
-    w = [0] * n
-    pi = [0] * n
-    pivot_by_top: dict[int, int] = {}
-    for i in range(n - 1, -1, -1):
-        v = _coset_min(m.cols[i], pivot_by_top)
-        if not v:
-            raise SingularMatrixError(f"matrix of dimension {n} is singular")
-        pivot_by_top[v.bit_length()] = v
-        pi[i] = n + 1 - v.bit_length()
-        w[pi[i] - 1] = v
+    w, pi, _ = _sweep(m)
     return tuple(w), tuple(pi)
 
 
 def _clearing(m: BitMatrix) -> tuple:
-    """Values, labels and box of the clearing stage for _sorting_run."""
-    w_basis, pi = northwest_basis(m)
-    # row k of the inverse of [w_1 ... w_n] is the dual functional of w_k
-    inv_rows = matrix_inverse(BitMatrix(m.n, w_basis)).packed_rows()
-    values = list(m.cols)
-    add, swap = _BOX_GATES[("free", "u^v")], _BOX_GATES[("free", "u")]
-
-    def box(p: int, k: int) -> str:
-        # the upper output is free, the lower one must have w_k coefficient
-        # 0: u^v when u's is 1 (v's always is, see the module doc), else u
-        return add if (inv_rows[k - 1] & values[p - 1]).bit_count() & 1 else swap
-
-    return values, list(pi), box
+    """Labels, values, bit offset and boxes of the clearing stage for _sorting_run:
+    the box at label k reads bit n + k - 1 of the upper value, its w_k coefficient."""
+    _, pi, values = _sweep(m)
+    return pi, values, m.n - 1, (_BOX_GATES[("free", "u")], _BOX_GATES[("free", "u^v")])
 
 
 def clearing_circuit(m: BitMatrix) -> Circuit:
@@ -82,13 +90,13 @@ def clearing_circuit(m: BitMatrix) -> Circuit:
     Raises:
         SingularMatrixError: if m is singular.
     """
-    values, labels, box = _clearing(m)
-    return _sorting_run(odd_even_network(m.n), labels, values, box)
+    stage = _clearing(m)  # a singular m fails here, before the network is built
+    return _sorting_run(odd_even_network(m.n), *stage)
 
 
 def _reduction(nw: BitMatrix) -> tuple:
-    """Values, labels and box of the reduction stage for _sorting_run; it
-    swaps exactly at the comparators that fire sorting the reversal labeling."""
+    """Labels, values, bit offset and boxes of the reduction stage for _sorting_run;
+    it swaps exactly at the comparators that fire sorting the reversal labeling."""
     n = nw.n
     if not is_northwest_triangular(nw):
         raise ValueError("matrix is not northwest-triangular")
@@ -96,14 +104,9 @@ def _reduction(nw: BitMatrix) -> tuple:
     # anti-diagonal entry (n+1-j, j), the top bit of column j, is set
     if any(c.bit_length() != n - i for i, c in enumerate(nw.cols)):
         raise SingularMatrixError(f"matrix of dimension {n} is singular")
-    values = list(nw.cols)
-    fold, swap = _BOX_GATES[("v", "u^v")], _BOX_GATES[("v", "u")]
-
-    def box(p: int, j: int) -> str:
-        # with coordinate j of u set, output (v, u^v); otherwise a plain swap
-        return fold if (values[p - 1] >> (j - 1)) & 1 else swap
-
-    return values, list(range(n, 0, -1)), box
+    # with coordinate j of u set, output (v, u^v); otherwise a plain swap
+    boxes = (_BOX_GATES[("v", "u")], _BOX_GATES[("v", "u^v")])
+    return list(range(n, 0, -1)), list(nw.cols), -1, boxes
 
 
 def triangular_reduction_circuit(nw: BitMatrix) -> Circuit:
@@ -114,8 +117,8 @@ def triangular_reduction_circuit(nw: BitMatrix) -> Circuit:
         ValueError: if nw is not northwest-triangular.
         SingularMatrixError: if nw is singular.
     """
-    values, labels, box = _reduction(nw)
-    return _sorting_run(odd_even_network(nw.n), labels, values, box)
+    stage = _reduction(nw)
+    return _sorting_run(odd_even_network(nw.n), *stage)
 
 
 def synthesize(m: BitMatrix) -> Circuit:
@@ -128,7 +131,7 @@ def synthesize(m: BitMatrix) -> Circuit:
     depth from the traced clearing_circuit, which returns only C.
 
     Raises:
-        SingularMatrixError: if m is singular; northwest_basis finds it.
+        SingularMatrixError: if m is singular; the northwest sweep finds it.
     """
     if m == BitMatrix.identity(m.n):
         return Circuit(m.n)

@@ -425,16 +425,18 @@ class LabeledWireState:
 
 def _stage_states(stage: tuple, basis: tuple) -> list:
     """The state before the first layer and after each layer of a stage,
-    the (values, labels, box) of glsynth._clearing or _reduction run one
-    layer at a time through _sorting_run.  Layers after the labels are
-    sorted repeat it."""
-    values, labels, box = stage
+    the (labels, values, offset, boxes) of glsynth._clearing or _reduction
+    run one layer at a time through _sorting_run.  Layers after the labels
+    are sorted repeat it.  Each state keeps the values' low n bits, the
+    wire vectors; the clearing values carry w-coordinates above them."""
+    labels, values, offset, boxes = stage
+    n = len(values)
+    mask = (1 << n) - 1
     states = []
-    for layer in ((),) + odd_even_network(len(values)):
-        _sorting_run([layer], labels, values, box)
-        states.append(
-            LabeledWireState(BitMatrix(len(values), tuple(values)), tuple(labels), *basis)
-        )
+    for layer in ((),) + odd_even_network(n):
+        _sorting_run([layer], labels, values, offset, boxes)
+        wires = BitMatrix(n, tuple(v & mask for v in values))
+        states.append(LabeledWireState(wires, tuple(labels), *basis))
     return states
 
 

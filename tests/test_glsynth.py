@@ -23,6 +23,7 @@ from cnotline import (
     triangular_reduction_circuit,
 )
 from cnotline.f2 import inverse as matrix_inverse
+from cnotline.glsynth import _clearing
 from conftest import (
     clearing_states,
     oracle_clearing,
@@ -75,13 +76,43 @@ def test_northwest_basis_rejects_singular():
 
 
 def test_clearing_duals_match_dual_functional(rng):
-    # the clearing stage reads row k of the inverse of [w_1 ... w_n] as
-    # the dual of w_k
+    # row k of the inverse of [w_1 ... w_n] is the dual of w_k, which
+    # oracle_clearing's box rule reads
     for n in [2, 3, 5, 8, 13] + [rng.randint(2, 24) for _ in range(20)]:
         m = random_invertible(n, rng)
         w_basis, _ = northwest_basis(m)
         rows = matrix_inverse(BitMatrix(n, w_basis)).packed_rows()
         assert rows == tuple(dual_functional(w_basis, k) for k in range(1, n + 1))
+
+
+def _check_clearing_values(m):
+    # each value is its column with the column's w-coordinates above it:
+    # bit n + k - 1 is the w_k coefficient, read off the dual of w_k
+    n = m.n
+    w_basis, _ = northwest_basis(m)
+    duals = [dual_functional(w_basis, k) for k in range(1, n + 1)]
+    _, values, offset, _ = _clearing(m)
+    assert offset == n - 1
+    for col, value in zip(m.cols, values):
+        assert value & ((1 << n) - 1) == col
+        coords = [(dual & col).bit_count() & 1 for dual in duals]
+        assert [(value >> (n + k - 1)) & 1 for k in range(1, n + 1)] == coords
+        assert value >> 2 * n == 0
+
+
+def test_clearing_values_carry_w_coordinates():
+    gl4 = 0
+    for cols in itertools.product(range(16), repeat=4):
+        m = BitMatrix(4, cols)
+        if m.is_invertible:
+            gl4 += 1
+            _check_clearing_values(m)
+    assert gl4 == 20160
+    rng = random.Random(28)
+    for n in range(2, 41):
+        for m in (random_invertible(n, rng), BitMatrix.identity(n),
+                  BitMatrix.anti_identity(n)):
+            _check_clearing_values(m)
 
 
 def test_clearing_reaches_northwest_form(rng):
