@@ -52,7 +52,7 @@ def _sweep(m: BitMatrix) -> tuple[list[int], list[int], list[int]]:
         own = v | 1 << (2 * n - top)  # v is w_j with j = n + 1 - top
         insort(pivots, (top, 1 << (top - 1), own))
         pi[i], w[n - top] = n + 1 - top, v
-        values[i] = col | (x ^ own)  # col = v + the pivots cleared
+        values[i] = col | (x ^ own)  # col = w_j + pivots cleared: x ^ own is its coordinates
     return w, pi, values
 
 
