@@ -221,13 +221,24 @@ def inverse(circuit: Circuit) -> Circuit:
 
 def circuit_to_text(circuit: Circuit) -> str:
     """Serialize: header "n <wires>", then one line of gate tokens per slice."""
-    names = [gate_token(g) for g in range(2 * circuit.n)]
-    lines = [f"n {circuit.n}"]
-    for codes, counts in map(_chunk_gates, _mask_planes(circuit)):
-        tokens = [names[g] for g in codes.tolist()]
-        ends = [0, *np.cumsum(counts).tolist()]
-        lines += [" ".join(tokens[a:b]) for a, b in zip(ends, ends[1:])]
-    return "\n".join(lines) + "\n"
+    parts = [f"n {circuit.n}"]
+    for planes in _mask_planes(circuit):
+        codes, counts = _chunk_gates(planes)
+        # a row of bytes per code of each mask byte in use, after row 0 for an
+        # empty line: a space, then the token, padded with zeros
+        columns = np.flatnonzero(planes.any(axis=(0, 1)))
+        names = [" "] + [f" {gate_token(g)}" for c in columns.tolist()
+                         for g in range(16 * c, 16 * c + 16)]
+        table = np.array(names, f"S{len(names[-1])}")
+        first = np.zeros(planes.shape[2], np.int32)  # the row of each column's first code
+        first[columns] = np.arange(1, len(names), 16)
+        empty, ends = counts == 0, np.cumsum(counts)
+        rows = np.insert(first[codes >> 4] + (codes & 15), ends[empty], 0)
+        out = np.take(table, rows).view(np.uint8).reshape(-1, table.itemsize)
+        out[ends - counts + np.cumsum(empty) - empty, 0] = 10  # a line break opens each line
+        parts.append(out[out > 0].tobytes().decode("ascii"))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_circuit_text(text: str) -> Circuit:

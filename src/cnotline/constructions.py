@@ -7,7 +7,7 @@ emitted sequence is already the reordered one; FAMILIES holds their
 proven sizes and depths.  Permutation
 routing and the synthesis stages in glsynth instead run a sorting network
 through _sorting_run, which picks each swap's box from a _BOX_GATES pair by
-a bit of the upper value and writes it into slice masks where schedule would.
+a bit of the upper value and records it where schedule would put it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ __all__ = ["GATHER_DEPTH_PER_POSITION", "add_circuit", "fired_comparators", "gat
            "inversion_count", "odd_even_network", "permutation_circuit", "reverse_circuit",
            "rotate_circuit", "rotation_block", "swap_circuit"]
 
+from array import array
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .circuit import Circuit, down, schedule, up
 from .f2 import clip
@@ -182,15 +185,23 @@ def _sorting_run(
 ) -> Circuit:
     """Sort labels in place with comparator layers, a box of gates per swap.
 
-    The swap at p that moves label k up onto wire p writes
-    boxes[bit k + offset of the upper value], an entry of _BOX_GATES: one
-    to three of "u" for up(p) and "d" for down(p).  They are applied to
-    values and ORed straight into slice masks, each in the first slice
-    after every earlier gate on its wires, which is where schedule puts
-    them.  The run stops once the labels are sorted.
+    The swap at p that moves label k up onto wire p runs
+    boxes[bit k + offset of the upper value], an entry of _BOX_GATES: up to
+    three of "u" for up(p) and "d" for down(p), each in the first slice
+    after every earlier gate on its wires, where schedule puts them.  A swap
+    records the box's first slice and p, and takes values (u, v) to two of
+    (u, v, u ^ v) as its box does; one numpy pass packs the records into
+    slice masks.  The run stops once the labels are sorted.
     """
-    cap = 3 * len(layers)
-    ups, downs, last = [0] * cap, [0] * cap, [0] * len(labels)
+    n = len(labels)
+    stride = 8 * (n // 8 + 1)  # a record s * stride + p is bit p of byte plane s
+    moves = []
+    for box in boxes:  # 1, 2 and 3 stand for u, v and u ^ v
+        u, v = 1, 2
+        for kind in box:
+            u, v = (u ^ v, v) if kind == "u" else (u, v ^ u)
+        moves.append((u - 1, v - 1, len(box), array("q")))
+    last = [0] * n
     goal = sorted(labels)
     for layer in layers:
         if labels == goal:
@@ -200,21 +211,27 @@ def _sorting_run(
             if j < k:
                 continue
             labels[p - 1], labels[p] = k, j
-            a, b, bit = last[p - 1], last[p], 1 << p
-            s = a if a > b else b
             u, v = values[p - 1], values[p]
-            for kind in boxes[u >> (k + offset) & 1]:
-                if kind == "u":
-                    ups[s] |= bit
-                    u ^= v
-                else:
-                    downs[s] |= bit
-                    v ^= u
-                s += 1
-            values[p - 1], values[p] = u, v
-            last[p - 1] = last[p] = s
-    depth = max(last, default=0)
-    return Circuit(len(labels), tuple(ups[:depth]), tuple(downs[:depth]))
+            x, y, size, found = moves[u >> (k + offset) & 1]
+            if not size:  # the empty box: no gate, so no wire waits for it
+                continue
+            trio = (u, v, u ^ v)
+            values[p - 1], values[p] = trio[x], trio[y]
+            a, b = last[p - 1], last[p]
+            s = a if a > b else b
+            found.append(s * stride + p)
+            last[p - 1] = last[p] = s + size
+    depth, width = max(last, default=0), stride // 8
+    planes = np.zeros(2 * depth * width, np.uint8)  # the up masks' bytes, then the downs'
+    for box, (*_, found) in zip(boxes, moves):
+        at = np.frombuffer(found, np.int64)
+        bits = (1 << (at & 7)).astype(np.uint8)
+        at = at >> 3
+        for i, kind in enumerate(box):
+            np.bitwise_or.at(planes, at + ((kind == "d") * depth + i) * width, bits)
+    data, from_bytes = planes.tobytes(), int.from_bytes
+    masks = [from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return Circuit(n, tuple(masks[:depth]), tuple(masks[depth:]))
 
 
 def fired_comparators(labels: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -8,8 +8,8 @@ triangular matrix to the identity with depth-3 boxes at the comparators
 that fire sorting the reversed labeling (depth at most 3n).  Inverting
 both stages yields a circuit computing the matrix.  Each stage is a box
 pair for constructions._sorting_run, which picks one per swap by a bit of
-the upper value and writes it from constructions._BOX_GATES straight into
-slice masks, as permutation routing does: no gate list, no schedule pass.
+the upper value and records it once, as permutation routing does: no gate
+list, no schedule pass.
 
 A clearing swap costs an add box (1 slice) or a swap box (2).  The wire
 labelled k holds w_k plus w's labelled on higher-numbered wires:

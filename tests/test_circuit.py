@@ -535,6 +535,51 @@ def test_sparse_wide_circuit_text_memory():
     assert peak < 40 << 20
 
 
+@pytest.mark.parametrize("far", [False, True])
+def test_circuit_text_cost_follows_its_gates_not_its_wires(far):
+    # naming all 2n codes first took 5.8 s and 1.4 GB for this one gate; the
+    # second slice's u9999998 is a token of 8 bytes, 9 with its line break
+    n = 10**7
+    c = Circuit(n, (2, 1 << 9999998) if far else (2,), (0, 0) if far else (0,))
+    text, _, peak = _traced(lambda: circuit_to_text(c))
+    assert text == "n 10000000\nu1\n" + ("u9999998\n" if far else "")
+    assert peak < 32 << 20
+
+
+# (n, slices as gate lists): empty slices first, last, alone and in a run
+EMPTY_SLICE_CIRCUITS = [
+    (5, []),
+    (5, [[], [], []]),
+    (5, [[], [up(1), down(3)], []]),
+    (9, [[down(8)], [], [], [up(1), up(3), down(5), up(7)], []]),
+    (2, [[up(1)], [down(1)]]),
+]
+
+
+@pytest.mark.parametrize("n,slices", EMPTY_SLICE_CIRCUITS)
+def test_circuit_text_with_empty_slices(n, slices):
+    c = circuit_of(n, [slice_of(gates) for gates in slices])
+    text = circuit_to_text(c)
+    assert text == oracle_circuit_text(n, slices)
+    if all(slices):  # the parser refuses empty slice lines
+        assert parse_circuit_text(text) == c
+    else:
+        assert text.count("\n") == c.depth + 1
+
+
+def test_circuit_text_round_trips_across_chunks(monkeypatch):
+    # 2 slices a chunk at n = 20: one chunk of two empty slices, one with a
+    # leading empty slice, and a last chunk of one empty slice
+    monkeypatch.setattr(circuit_module, "_CHUNK_BYTES", 2 * (20 // 8 + 1))
+    slices = [[up(1)], [down(19), up(9)], [], [], [], [up(17)], [down(2), up(4)], []]
+    c = circuit_of(20, [slice_of(gates) for gates in slices])
+    assert circuit_to_text(c) == oracle_circuit_text(20, slices)
+    full = [gates for gates in slices if gates] * 3
+    c = circuit_of(20, [slice_of(gates) for gates in full])
+    text = circuit_to_text(c)
+    assert text == oracle_circuit_text(20, full) and parse_circuit_text(text) == c
+
+
 def test_circuit_names_the_gate_off_the_line():
     with pytest.raises(ValueError, match=r"^gate d3 does not fit on 3 wires$"):
         circuit_of(3, [slice_of([up(1)]), slice_of([down(3)])])

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from cnotline import (
     BitMatrix,
+    Circuit,
     add_circuit,
     circuit_to_text,
     fired_comparators,
@@ -25,7 +26,7 @@ from cnotline import (
     schedule,
     swap_circuit,
 )
-from cnotline.constructions import FAMILIES
+from cnotline.constructions import _BOX_GATES, FAMILIES, _sorting_run
 from conftest import (
     add_target,
     box_gates,
@@ -237,6 +238,76 @@ def test_permutation_rejects_bad_input():
     for bad in [[1, 1], [0, 1], [2, 3], []]:
         with pytest.raises(ValueError):
             permutation_circuit(bad)
+
+
+def _per_gate_run(layers, labels, values, offset, boxes):
+    """The reference for _sorting_run, in oracle_sorting_run's style: every
+    comparator of every layer, each box's gates applied to values one at a
+    time and listed, then packed by schedule."""
+    gates = []
+    for layer in layers:
+        for p in layer:
+            j, k = labels[p - 1], labels[p]
+            if j < k:
+                continue
+            labels[p - 1], labels[p] = k, j
+            for g in box_gates(p, BOX_BY_GATES[boxes[values[p - 1] >> (k + offset) & 1]]):
+                values[target(g) - 1] ^= values[source(g) - 1]
+                gates.append(g)
+    return schedule(len(labels), gates)
+
+
+# one _BOX_GATES key per gate string, for box_gates
+BOX_BY_GATES = {gates: outputs for outputs, gates in _BOX_GATES.items()}
+
+
+def _seeded_stage(n, rng):
+    """Distinct labels, values past their bit offset, and an offset that
+    keeps every box bit k + offset at or above 0."""
+    labels = rng.sample(range(1, 3 * n), n)
+    offset = rng.randint(-1, n)
+    return labels, [rng.getrandbits(4 * n + 2) for _ in range(n)], offset
+
+
+def _check_run(layers, labels, values, offset, boxes):
+    want_labels, want_values = list(labels), list(values)
+    want = _per_gate_run(layers, want_labels, want_values, offset, boxes)
+    got = _sorting_run(layers, labels, values, offset, boxes)
+    assert (got, labels, values) == (want, want_labels, want_values)
+    return got
+
+
+@pytest.mark.parametrize("upper", list(_BOX_GATES))
+def test_sorting_run_matches_per_gate_reference_for_every_box_pair(upper):
+    # every ordered pair of the 12 entries, "" and the repeated strings
+    # included, so a wrong value map for a box no stage uses still fails
+    rng = random.Random(f"boxes {upper}")
+    for lower in _BOX_GATES:
+        boxes = (_BOX_GATES[upper], _BOX_GATES[lower])
+        for n in range(2, 25):
+            labels, values, offset = _seeded_stage(n, rng)
+            _check_run(odd_even_network(n), labels, values, offset, boxes)
+            assert labels == sorted(labels)
+            # one call per layer, as tests/conftest.py::_stage_states makes them
+            labels, values, offset = _seeded_stage(n, rng)
+            for layer in ((),) + odd_even_network(n):
+                _check_run([layer], labels, values, offset, boxes)
+            assert labels == sorted(labels)
+
+
+def test_sorting_run_without_swaps_is_empty():
+    rng = random.Random(29)
+    boxes = (_BOX_GATES[("v", "u")], _BOX_GATES[("free", "u^v")])
+    for n in (2, 3, 17):
+        labels, values, offset = _seeded_stage(n, rng)
+        before = (list(labels), list(values))
+        # no layers, then labels already sorted: depth 0, nothing moves
+        assert _check_run((), labels, values, offset, boxes) == Circuit(n)
+        assert (labels, values) == before
+        labels.sort()
+        before = (list(labels), list(values))
+        assert _check_run(odd_even_network(n), labels, values, offset, boxes) == Circuit(n)
+        assert (labels, values) == before
 
 
 BOX_TABLE = [
