@@ -6,8 +6,9 @@ depth; where a construction depends on reordering commuting gates, the
 emitted sequence is already the reordered one; FAMILIES holds their
 proven sizes and depths.  Permutation
 routing and the synthesis stages in glsynth instead run a sorting network
-through _sorting_run, which picks each swap's box from a _BOX_GATES pair by
-a bit of the upper value and records it where schedule would put it.
+through _sorting_run with two boxes, each a string of "u"/"d" gates on the
+swapped pair; it picks one per swap by a bit of the upper value and records
+it where schedule would put it.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def _sorting_run(
     """Sort labels in place with comparator layers, a box of gates per swap.
 
     The swap at p that moves label k up onto wire p runs
-    boxes[bit k + offset of the upper value], an entry of _BOX_GATES: up to
+    boxes[bit k + offset of the upper value], a string of gates: up to
     three of "u" for up(p) and "d" for down(p), each in the first slice
     after every earlier gate on its wires, where schedule puts them.  A swap
     records the box's first slice and p, and takes values (u, v) to two of
@@ -284,28 +285,8 @@ def permutation_circuit(perm: Sequence[int]) -> Circuit:
     """
     check_permutation(perm)
     n = len(perm)
-    swap = _BOX_GATES[("v", "u")]
-    return _sorting_run(odd_even_network(n), list(perm), [0] * n, 0, (swap, swap))
-
-
-# Minimal gate sequences, in _sorting_run's form ("u" for up(p), "d" for
-# down(p)), for every valid output pair; upper wire input u, lower v.
-# Fully specified pairs realize the exact optimal depths 0,1,1,2,2,3;
-# pairs with one free output need depth at most 2.
-_BOX_GATES: dict[tuple[str, str], str] = {
-    ("u", "v"): "",
-    ("u", "u^v"): "d",
-    ("u^v", "v"): "u",
-    ("u^v", "u"): "ud",
-    ("v", "u^v"): "du",
-    ("v", "u"): "udu",
-    ("u", "free"): "",
-    ("v", "free"): "du",
-    ("u^v", "free"): "u",
-    ("free", "v"): "",
-    ("free", "u"): "ud",
-    ("free", "u^v"): "d",
-}
+    # both boxes are the 3-gate swap, outputs (v, u)
+    return _sorting_run(odd_even_network(n), list(perm), [0] * n, 0, ("udu", "udu"))
 
 
 def gather_moves(n: int, positions: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:

@@ -6,10 +6,10 @@ clearing stage drives the state to northwest-triangular form with
 depth-2 boxes (depth at most 2n), and a reduction stage takes the
 triangular matrix to the identity with depth-3 boxes at the comparators
 that fire sorting the reversed labeling (depth at most 3n).  Inverting
-both stages yields a circuit computing the matrix.  Each stage is a box
-pair for constructions._sorting_run, which picks one per swap by a bit of
-the upper value and records it once, as permutation routing does: no gate
-list, no schedule pass.
+both stages yields a circuit computing the matrix.  Each stage passes
+constructions._sorting_run two boxes, each a string of "u"/"d" gates on the
+swapped pair; it picks one per swap by a bit of the upper value and records
+it once, as permutation routing does: no gate list, no schedule pass.
 
 A clearing swap costs an add box (1 slice) or a swap box (2).  The wire
 labelled k holds w_k plus w's labelled on higher-numbered wires:
@@ -28,7 +28,7 @@ from bisect import insort
 
 from . import circuit as circuit_mod
 from .circuit import Circuit
-from .constructions import _BOX_GATES, _sorting_run, odd_even_network
+from .constructions import _sorting_run, odd_even_network
 from .f2 import BitMatrix, SingularMatrixError, is_northwest_triangular
 
 
@@ -81,7 +81,8 @@ def _clearing(m: BitMatrix) -> tuple:
     """Labels, values, bit offset and boxes of the clearing stage for _sorting_run:
     the box at label k reads bit n + k - 1 of the upper value, its w_k coefficient."""
     _, pi, values = _sweep(m)
-    return pi, values, m.n - 1, (_BOX_GATES[("free", "u")], _BOX_GATES[("free", "u^v")])
+    # coefficient 0: the swap box ud leaves (u ^ v, u); 1: the add box d leaves (u, u ^ v)
+    return pi, values, m.n - 1, ("ud", "d")
 
 
 def clearing_circuit(m: BitMatrix) -> Circuit:
@@ -104,9 +105,8 @@ def _reduction(nw: BitMatrix) -> tuple:
     # anti-diagonal entry (n+1-j, j), the top bit of column j, is set
     if any(c.bit_length() != n - i for i, c in enumerate(nw.cols)):
         raise SingularMatrixError(f"matrix of dimension {n} is singular")
-    # with coordinate j of u set, output (v, u^v); otherwise a plain swap
-    boxes = (_BOX_GATES[("v", "u")], _BOX_GATES[("v", "u^v")])
-    return list(range(n, 0, -1)), list(nw.cols), -1, boxes
+    # with coordinate j of u set, du leaves (v, u ^ v); otherwise udu swaps to (v, u)
+    return list(range(n, 0, -1)), list(nw.cols), -1, ("udu", "du")
 
 
 def triangular_reduction_circuit(nw: BitMatrix) -> Circuit:

@@ -27,7 +27,7 @@ from cnotline import (
     schedule,
     up,
 )
-from cnotline.constructions import _BOX_GATES, _sorting_run
+from cnotline.constructions import _sorting_run
 from cnotline.f2 import inverse as matrix_inverse
 from cnotline.glsynth import _clearing, _reduction
 from cnotline.search import encode_state, slice_generators
@@ -162,9 +162,29 @@ def schedule_tokens(n: int, tokens) -> Circuit:
     return schedule(n, [parse_gate_token(t) for t in tokens])
 
 
+# Minimal gate strings, in _sorting_run's form ("u" for up(p), "d" for
+# down(p)), for every valid output pair; upper wire input u, lower v.
+# Fully specified pairs realize the exact optimal depths 0,1,1,2,2,3;
+# pairs with one free output need depth at most 2.
+BOX_GATES: dict[tuple[str, str], str] = {
+    ("u", "v"): "",
+    ("u", "u^v"): "d",
+    ("u^v", "v"): "u",
+    ("u^v", "u"): "ud",
+    ("v", "u^v"): "du",
+    ("v", "u"): "udu",
+    ("u", "free"): "",
+    ("v", "free"): "du",
+    ("u^v", "free"): "u",
+    ("free", "v"): "",
+    ("free", "u"): "ud",
+    ("free", "u^v"): "d",
+}
+
+
 def box_gates(position: int, outputs: tuple) -> list:
-    """The gate codes of the _BOX_GATES box for outputs on (position, position + 1)."""
-    return [up(position) if kind == "u" else down(position) for kind in _BOX_GATES[outputs]]
+    """The gate codes of the BOX_GATES box for outputs on (position, position + 1)."""
+    return [up(position) if kind == "u" else down(position) for kind in BOX_GATES[outputs]]
 
 
 def cyclic_matrix(n: int) -> BitMatrix:

@@ -13,6 +13,7 @@ from cnotline import (
     blocks,
     crossing_counts,
     cut_lower_bound,
+    distance,
     inversion_count,
     matrix_lower_bounds,
     matrix_of,
@@ -27,6 +28,7 @@ from cnotline.search import _dense_levels
 from conftest import (
     coords,
     decode_state,
+    matrix_inverse,
     oracle_rank,
     oracle_synthesize,
     random_invertible,
@@ -102,6 +104,27 @@ def test_gl4_exhaustive_bounds_distance_synthesis():
             assert matrix_lower_bounds(m).depth_lb <= dist <= c.depth <= 20
             assert matrix_of(c) == m
             assert c == oracle_synthesize(m)
+
+
+def _light_cone(m):
+    """The largest |i - j| over the nonzero entries (i, j) of m: output
+    wire i reads input wire j only after |i - j| slices."""
+    return max(abs(i - j) for j, col in enumerate(m.cols) for i in range(m.n) if col >> i & 1)
+
+
+def test_gl4_light_cone_bound():
+    """Over all of GL_4(2): the light cone of M and of its inverse never
+    exceeds the exact depth, and beats the rank-cut bound 46 times."""
+    _, levels, _ = walk_levels(_dense_levels(4, np.zeros(1 << 16, dtype=np.uint8)))
+    above = total = 0
+    for level in levels:
+        for code in level.tolist():
+            m = decode_state(4, code)
+            cone = max(_light_cone(m), _light_cone(matrix_inverse(m)))
+            assert cone <= distance(4, m).value
+            above += cone > matrix_lower_bounds(m).depth_lb
+            total += 1
+    assert (total, above) == (20160, 46)
 
 
 def _block_rank_table(rows, cols):

@@ -26,8 +26,9 @@ from cnotline import (
     schedule,
     swap_circuit,
 )
-from cnotline.constructions import _BOX_GATES, FAMILIES, _sorting_run
+from cnotline.constructions import FAMILIES, _sorting_run
 from conftest import (
+    BOX_GATES,
     add_target,
     box_gates,
     cyclic_matrix,
@@ -257,8 +258,8 @@ def _per_gate_run(layers, labels, values, offset, boxes):
     return schedule(len(labels), gates)
 
 
-# one _BOX_GATES key per gate string, for box_gates
-BOX_BY_GATES = {gates: outputs for outputs, gates in _BOX_GATES.items()}
+# one BOX_GATES key per gate string, for box_gates
+BOX_BY_GATES = {gates: outputs for outputs, gates in BOX_GATES.items()}
 
 
 def _seeded_stage(n, rng):
@@ -277,13 +278,13 @@ def _check_run(layers, labels, values, offset, boxes):
     return got
 
 
-@pytest.mark.parametrize("upper", list(_BOX_GATES))
+@pytest.mark.parametrize("upper", list(BOX_GATES))
 def test_sorting_run_matches_per_gate_reference_for_every_box_pair(upper):
     # every ordered pair of the 12 entries, "" and the repeated strings
     # included, so a wrong value map for a box no stage uses still fails
     rng = random.Random(f"boxes {upper}")
-    for lower in _BOX_GATES:
-        boxes = (_BOX_GATES[upper], _BOX_GATES[lower])
+    for lower in BOX_GATES:
+        boxes = (BOX_GATES[upper], BOX_GATES[lower])
         for n in range(2, 25):
             labels, values, offset = _seeded_stage(n, rng)
             _check_run(odd_even_network(n), labels, values, offset, boxes)
@@ -297,7 +298,7 @@ def test_sorting_run_matches_per_gate_reference_for_every_box_pair(upper):
 
 def test_sorting_run_without_swaps_is_empty():
     rng = random.Random(29)
-    boxes = (_BOX_GATES[("v", "u")], _BOX_GATES[("free", "u^v")])
+    boxes = (BOX_GATES[("v", "u")], BOX_GATES[("free", "u^v")])
     for n in (2, 3, 17):
         labels, values, offset = _seeded_stage(n, rng)
         before = (list(labels), list(values))

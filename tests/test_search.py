@@ -17,6 +17,7 @@ from cnotline import (
     circuit_to_text,
     distance,
     down,
+    matrix_lower_bounds,
     matrix_of,
     max_depth,
     reverse_circuit,
@@ -25,6 +26,7 @@ from cnotline import (
     up,
 )
 from cnotline import search
+from cnotline.constructions import FAMILIES
 from cnotline.search import (
     _apply_slice,
     _dense_levels,
@@ -580,6 +582,25 @@ def test_distance_never_exceeds_construction_depth():
     for c in (reverse_circuit(4), rotate_circuit(4), schedule_tokens(4, ["u1", "d2", "u3"])):
         result = distance(4, matrix_of(c))
         assert result.value <= c.depth
+
+
+# (family depth, exact depth, depth_lb) of add, swap, rotate and reverse
+FAMILY_DEPTHS = {
+    2: ((1, 1, 1), (3, 3, 2), (3, 3, 2), (3, 3, 2)),
+    3: ((5, 4, 2), (9, 8, 4), (6, 6, 4), (8, 8, 4)),
+    4: ((5, 5, 2), (9, 9, 4), (9, 8, 4), (10, 10, 6)),
+    5: ((9, 8, 2), (13, 11, 4), (10, 9, 4), (12, 12, 8)),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FAMILY_DEPTHS))
+def test_family_exact_depths(n):
+    got = []
+    for build, *_ in FAMILIES.values():
+        c = build(n)
+        m = matrix_of(c)
+        got.append((c.depth, distance(n, m).value, matrix_lower_bounds(m).depth_lb))
+    assert tuple(got) == FAMILY_DEPTHS[n]
 
 
 def test_distance_depth_limit_reports_lower_bound():
