@@ -34,11 +34,18 @@ CELL_LIMIT = 1 << 28
 _CHUNK_BYTES = 1 << 16
 
 # Characters of circuit text read at once; its token arrays take a few
-# bytes per character.  A longer line is read whole.
-_TEXT_CHUNK = 1 << 20
+# bytes per character, and parse faster while they fit in cache.  A longer
+# line is read whole.
+_TEXT_CHUNK = 1 << 18
 
-# What str.splitlines breaks ASCII text at; "\r\n" is one break.
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e"
+# What str.splitlines breaks text at; "\r\n" is one break.
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+# str.split's whitespace past ASCII, one for one to ASCII for the vector pass:
+# a line break to "\x1e", which never pairs with "\r", the rest to a space.
+_WIDE_SPACES = {**dict.fromkeys("\x85\u2028\u2029", "\x1e"), **dict.fromkeys(
+    "\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u202f\u205f\u3000", " ")}
 
 
 class ResourceLimitError(RuntimeError):
@@ -247,8 +254,8 @@ def parse_circuit_text(text: str) -> Circuit:
 
     Rejects malformed headers and tokens, gates off the line, wire
     collisions inside a slice, and empty slice lines.  A vector pass reads
-    ASCII text a span of lines at a time; a span it refuses is halved until
-    _line_code reads the refused lines alone, and it words the first fault.
+    the slice lines a chunk at a time and lists the lines it refuses;
+    _line_code reads those alone and words the first fault.
 
     Raises:
         ValueError: with the offending line in the message.
@@ -256,7 +263,7 @@ def parse_circuit_text(text: str) -> Circuit:
     """
     if not text:
         raise ValueError("empty circuit text")
-    first = _first_line(text)
+    first = text[:_chunk_end(text, 0, 64)].splitlines(True)[0]  # from a few whole lines
     head_line = first.splitlines()[0]
     head = head_line.split()
     try:
@@ -269,107 +276,72 @@ def parse_circuit_text(text: str) -> Circuit:
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
     ups, downs = [], []
-    if len(first) < len(text):
-        _read_span(text, len(first), len(text), n, 2, _line_count(text) - 1, ups, downs)
+    start, depth = len(first), _line_count(text) - 1
+    while start < len(text):  # slice line k is text line k + 2
+        end, kept = _chunk_end(text, start, _TEXT_CHUNK), len(ups)
+        # digits of the highest position any line may hold: past CELL_LIMIT,
+        # no depth leaves room for it
+        found, pos, down, at, refused = _text_gates(
+            _ascii_bytes(text, start, end), len(str(min(n, CELL_LIMIT) - 1)),
+            min(n, CELL_LIMIT // depth))
+        for i in np.flatnonzero(_gate_masks(found, pos, down, refused, ups, downs)).tolist():
+            line = text[start + at[i]:start - 1 + at[i + 1]]  # at counts from start - 1
+            ups[kept + i], downs[kept + i] = _line_code(line.split(), n, kept + i + 2, depth)
+        start = end
     return Circuit(n, tuple(ups), tuple(downs))
-
-
-def _first_line(text: str) -> str:
-    """The first line of nonempty text with its line break, read from a prefix."""
-    size = 64
-    # a line shorter than the prefix ends inside it, "\r\n" included
-    while len(first := text[:size].splitlines(True)[0]) == size < len(text):
-        size *= 8
-    return first
 
 
 def _line_count(text: str) -> int:
     """len(text.splitlines()) for nonempty text, without the lines."""
-    every = _BREAKS + "\x85\u2028\u2029"
-    breaks = sum(text.count(c) for c in every if c in text)  # "in" is the faster scan
+    breaks = sum(text.count(c) for c in _BREAKS if c in text)  # "in" is the faster scan
     if "\r" in text:
         breaks -= text.count("\r\n")
-    return breaks + (text[-1] not in every)
+    return breaks + (text[-1] not in _BREAKS)
 
 
-def _read_span(text: str, start: int, end: int, n: int, lineno: int, depth: int,
-               ups: list[int], downs: list[int]) -> int:
-    """Append the masks of the slice lines text[start:end], the first numbered
-    lineno, and return the number after the last.
-
-    The vector pass reads a span of at most _TEXT_CHUNK characters or one
-    line.  A longer span, or one it refuses, is halved at a line break;
-    _line_code reads a refused line alone: a faulty one, whose fault it
-    words, or one with text past ASCII.
-    """
-    cut = _cut(text, start, end)
-    if (end - start <= _TEXT_CHUNK or cut == end) and (
-            lines := _text_lines(text, start, end, n, depth, ups, downs)):
-        return lineno + lines
-    if cut == end:
-        for line in text[start:end].splitlines():
-            if not (tokens := line.split()):
-                raise ValueError(f"line {lineno}: empty time slice")
-            u, d = _line_code(tokens, n, lineno, depth)
-            ups.append(u)
-            downs.append(d)
-            lineno += 1
-        return lineno
-    lineno = _read_span(text, start, cut, n, lineno, depth, ups, downs)
-    return _read_span(text, cut, end, n, lineno, depth, ups, downs)
-
-
-def _cut(text: str, start: int, end: int) -> int:
-    """The index after an ASCII line break near the middle of text[start:end]
-    ("\r\n" kept whole), or end if none comes before its last character."""
-    mid = (start + end) // 2
-    cut = start - 1
-    for c in _BREAKS:  # each search stops at the last break found
-        cut = max(cut, text.rfind(c, cut + 1, mid))
-    if cut < start:  # the first line passes the middle: cut after it
-        cut = end - 1
-        for c in _BREAKS:
-            if (i := text.find(c, mid, cut)) >= 0:
-                cut = i
+def _chunk_end(text: str, start: int, size: int) -> int:
+    """The index after the last line break ("\r\n" kept whole) in the size
+    characters from start, size doubled until they hold one, or len(text)
+    once they reach it."""
+    cut, stop = start - 1, start + size
+    while cut < start:
+        if stop >= len(text):
+            return len(text)
+        for c in _BREAKS:  # each search stops at the last break found
+            cut = max(cut, text.rfind(c, cut + 1, stop))
+        stop += stop - start
     return cut + 1 + text.startswith("\r\n", cut)
 
 
-def _text_lines(text: str, start: int, end: int, n: int, depth: int,
-                ups: list[int], downs: list[int]) -> int:
-    """Append the masks of the slice lines text[start:end] by the vector pass
-    and return their count, or 0 if it refuses them: non-ASCII text, a line
-    _text_gates refuses, or a gate at or past n or past the cell limit."""
-    try:  # with the line break before them and one after
-        raw = (text[start - 1:end] + ("" if text[end - 1] in _BREAKS else "\n")).encode("ascii")
-    except UnicodeEncodeError:
-        return 0
-    # digits of the highest position any line may hold: past CELL_LIMIT, no
-    # depth leaves room for it
-    gates = _text_gates(np.frombuffer(raw, np.uint8), len(str(min(n, CELL_LIMIT) - 1)))
-    if gates is None:
-        return 0
-    found, pos, down = gates
-    top, kept = int(pos.max()), len(ups)
-    if (top >= n or (top + 1) * depth > CELL_LIMIT
-            or not _gate_masks(found, pos, down, top, ups, downs)):
-        del ups[kept:], downs[kept:]
-        return 0
-    return len(found) - 1
+def _ascii_bytes(text: str, start: int, end: int) -> np.ndarray:
+    """text[start:end] with the line break before it and one after, in ASCII
+    bytes: whitespace past ASCII as _WIDE_SPACES maps it, other text as "?"."""
+    chunk = text[start - 1:end]
+    if not chunk.isascii():
+        for c, ascii in _WIDE_SPACES.items():  # "in" and replace beat one translate
+            if c in chunk:
+                chunk = chunk.replace(c, ascii)
+    if chunk[-1] not in _BREAKS:
+        chunk += "\n"
+    return np.frombuffer(chunk.encode("ascii", "replace"), np.uint8)
 
 
-def _text_gates(raw: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The index of each line's first gate in _text_lines's bytes and the gate
-    count, then each gate's position and direction (True for down).  None
-    if a line is empty or holds more than u or d and at least one digit,
-    past width of them only after zeros."""
+def _text_gates(raw: np.ndarray, width: int, limit: int) -> tuple[np.ndarray, ...]:
+    """Read raw, the bytes of a chunk of lines with a line break before them
+    and one after: the index of each line's first gate and the gate count,
+    each gate's position and direction (True for down), the index of each
+    line break, and which lines are refused.  A refused line keeps no gates:
+    it is empty, or a token on it is not u or d then at least one digit (past
+    width of them only after zeros), or its position is 0 or at least limit."""
     seps = np.flatnonzero(raw <= 32)  # raw[0] and raw[-1] are among them
     blanks = len(seps)
     kinds = raw[seps]
     # str.split's ASCII whitespace: line breaks \n \v \f \r and \x1c..\x1e,
-    # then spaces, \t and \x1f
-    at = seps[((kinds - 10) < 4) | ((kinds - 28) < 3)]
-    if len(at) + np.count_nonzero((kinds == 32) | (kinds == 9) | (kinds == 31)) != blanks:
-        return None
+    # then spaces, \t and \x1f; another byte below "!" spoils its line
+    white = ((kinds - 10) < 4) | ((kinds - 28) < 3)
+    at = seps[white]
+    white |= (kinds == 32) | (kinds == 9) | (kinds == 31)
+    faults = [] if white.all() else [seps[~white]]
     lf = raw[at] == 10  # "\r\n" breaks once: drop its "\n", never the leading break
     lf[1:] &= raw[at[1:] - 1] == 13
     lf[0] = False
@@ -381,48 +353,55 @@ def _text_gates(raw: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np
     starts = seps[:len(size)]
     starts += 1
     size -= 2  # digits after the letter
-    if not len(size):
-        return None
-    shortest, longest = int(size.min()), int(size.max())
+    shortest, longest = int(size.min(initial=1)), int(size.max(initial=0))
     letters = raw[starts]
     down = letters == 100
+    last = starts + size
     # below "0" only whitespace, past "9" only the tokens' letters, u or d
     if (shortest < 1 or np.count_nonzero(raw < 48) != blanks
             or np.count_nonzero(raw > 57) != len(starts)
             or np.count_nonzero(down | (letters == 117)) != len(starts)):
-        return None
-    last = starts + size
+        other = (raw > 57) | ((raw > 32) & (raw < 48))  # in a token, not a digit
+        other[starts] = False
+        faults += [np.flatnonzero(other), starts[(size < 1) | ~(down | (letters == 117))]]
     if longest > width:  # the last width digits, if only zeros lead them
         big = size > width
         ahead = np.flatnonzero(raw > 48)  # letters and digits past "0"
         # how many lie before each letter and before each token's last digits
         lead = ahead.searchsorted(np.stack((starts[big], last[big] - width)), "right")
-        if (lead[0] != lead[1]).any():
-            return None
+        faults.append(starts[big][lead[0] != lead[1]])
         size, shortest, longest = np.minimum(size, width), min(shortest, width), width
     # weighted sums over digit columns from each token's last digit; a column
     # past a token's digits reads the bytes before it, or wraps round to the
-    # span's end (a token and two breaks outnumber the columns), and weighs 0
+    # chunk's end (a token and two breaks outnumber the columns), and weighs 0
     pos = np.subtract(raw[last], 48, dtype=np.int32)
     for j in range(1, longest):
         column = raw[last - j] - 48
         if j >= shortest:
             column *= size > j
         pos += np.multiply(column, 10 ** j, dtype=np.int32)  # uint8 * 100 would wrap
+    if pos.min(initial=1) < 1 or pos.max(initial=0) >= limit:
+        faults.append(starts[(pos < 1) | (pos >= limit)])
     found = starts.searchsorted(at)
-    if pos.min() < 1 or not (found[1:] - found[:-1]).all():
-        return None
-    return found, pos, down
+    refused = np.zeros(len(at) - 1, bool)
+    if faults:  # the lines of faulty bytes and tokens give up their tokens
+        refused[at.searchsorted(np.concatenate(faults)) - 1] = True
+        keep = ~np.repeat(refused, found[1:] - found[:-1])
+        starts, pos, down = starts[keep], pos[keep], down[keep]
+        found = starts.searchsorted(at)
+    refused |= found[1:] == found[:-1]
+    return found, pos, down, at, refused
 
 
-def _gate_masks(found: np.ndarray, pos: np.ndarray, down: np.ndarray, top: int,
-                ups: list[int], downs: list[int]) -> bool:
-    """Append the masks of each line of _text_gates, reaching bit top at most,
-    a group of lines at a time, unless two gates of a line share a wire."""
-    lines = len(found) - 1
-    bits = (top // 8 + 1) * 8  # mask bits of a line
+def _gate_masks(found: np.ndarray, pos: np.ndarray, down: np.ndarray, refused: np.ndarray,
+                ups: list[int], downs: list[int]) -> np.ndarray:
+    """Append the masks of each line of _text_gates a group of lines at a time
+    and return its refused lines, adding those where two gates share a wire,
+    which get 0 masks."""
+    lines, counts = len(found) - 1, found[1:] - found[:-1]
+    bits = (int(pos.max(initial=0)) // 8 + 1) * 8  # mask bits of a line
     # (line, direction, position) in planes of bits a line
-    at = np.repeat(np.arange(0, 2 * bits * lines, 2 * bits), found[1:] - found[:-1])
+    at = np.repeat(np.arange(0, 2 * bits * lines, 2 * bits), counts)
     at += down * bits
     at += pos
     step = max(1, 8 * _CHUNK_BYTES // bits)
@@ -435,13 +414,16 @@ def _gate_masks(found: np.ndarray, pos: np.ndarray, down: np.ndarray, top: int,
         # a repeated gate or up(p) with down(p) leaves fewer bits than gates
         if (np.count_nonzero(wires) != bounds[i + 1] - bounds[i]
                 or (wires[:, 1:] & wires[:, :-1]).any()):
-            return False
+            shared = ((np.count_nonzero(wires, axis=1) != counts[first:first + rows])
+                      | (wires[:, 1:] & wires[:, :-1]).any(axis=1))
+            planes[shared] = False
+            refused[first:first + rows] |= shared
         data = np.packbits(planes, axis=2, bitorder="little").tobytes()
         width, from_bytes = bits // 8, int.from_bytes
         masks = [from_bytes(data[j:j + width], "little") for j in range(0, len(data), width)]
         ups += masks[0::2]
         downs += masks[1::2]
-    return True
+    return refused
 
 
 def _line_code(tokens: list[str], n: int, lineno: int, depth: int) -> tuple[int, int]:
@@ -455,6 +437,8 @@ def _line_code(tokens: list[str], n: int, lineno: int, depth: int) -> tuple[int,
         ResourceLimitError: if depth slices of masks reaching a gate's
             position would pass CELL_LIMIT cells.
     """
+    if not tokens:
+        raise ValueError(f"line {lineno}: empty time slice")
     top = CELL_LIMIT // depth  # depth * (p + 1) passes the limit iff p >= top
     # bit w of wires: wire w is in use; bit p of masks[d]: gate 2p + d
     wires, masks = bytearray(), (bytearray(), bytearray())

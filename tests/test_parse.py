@@ -12,6 +12,7 @@ a parsed circuit, or the type and message of the error it raised.
 import hashlib
 import random
 import re
+import sys
 
 import pytest
 
@@ -244,14 +245,34 @@ def test_faults_at_chunk_edges_are_worded_as_in_one_chunk(monkeypatch, newline):
                 with monkeypatch.context() as patch:
                     patch.setattr(circuit_module, "_TEXT_CHUNK", chars)
                     assert _outcome(text) == want
-    # every chunk refused and halved down to its lines, at every chunk
-    # size: no chunk starts inside a "\r\n"
-    text = _join(head, [line.replace(" ", "\xa0") for line in body]).replace("\n", newline)
-    want = _outcome(text)
+    # every line refused, at every chunk size: no chunk starts inside a
+    # "\r\n", _line_code reads each line once, and the vector pass reads
+    # each character about once (not again after each refused line)
+    read, scanned = [], []
+    line_code, text_gates = circuit_module._line_code, circuit_module._text_gates
+
+    def counted(tokens, n, lineno, depth):
+        read.append(lineno)
+        return line_code(tokens, n, lineno, depth)
+
+    def measured(raw, width, limit):
+        scanned.append(len(raw))
+        return text_gates(raw, width, limit)
+
+    monkeypatch.setattr(circuit_module, "_line_code", counted)
+    monkeypatch.setattr(circuit_module, "_text_gates", measured)
+    # each digit in Arabic-Indic, 1 written \u0661
+    digits = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    text = _join(head, [line.translate(digits) for line in body]).replace("\n", newline)
+    want = _outcome(_join(head, body))
     for chars in range(1, 48):
+        read.clear()
+        scanned.clear()
         with monkeypatch.context() as patch:
             patch.setattr(circuit_module, "_TEXT_CHUNK", chars)
             assert _outcome(text) == want
+        assert read == list(range(2, len(body) + 2))
+        assert sum(scanned) < 1.5 * len(text)
 
 
 def test_only_refused_lines_and_other_text_are_read_line_by_line(monkeypatch):
@@ -266,27 +287,37 @@ def test_only_refused_lines_and_other_text_are_read_line_by_line(monkeypatch):
     text = circuit_to_text(reverse_circuit(9))
     c = parse_circuit_text(text)
     assert read == []
-    lines = text.count("\n")
-    # leading zeros, even past the width of n, are read by the vector pass
-    # and a refused span is halved until the refused lines are alone: one
-    # non-ASCII space, a non-ASCII line break (it joins two lines for the
-    # halving) or a header ended by one
+    # leading zeros, even past the width of n, and whitespace past ASCII (a
+    # space, a line break, a header ended by one, or every space) are read by
+    # the vector pass; a line with other text past ASCII is refused and read
+    # alone, the rest of its chunk by the vector pass
     for at, old, new, want in [(0, "u1 ", "u01 ", []), (0, " d", " d" + "0" * 5000, []),
-                               (51, " ", "\xa0", [6]),
-                               (99, "\n", "\x85", [9, 10]), (159, "\n", "\u2028", [14, 15]),
-                               (0, "\n", "\x85", [2])]:
+                               (51, " ", "\xa0", []),
+                               (99, "\n", "\x85", []), (159, "\n", "\u2028", []),
+                               (0, "\n", "\x85", []),
+                               (51, "1", "\u0661", [6]), (0, "1", "\u0661", [2])]:
         read.clear()
         assert parse_circuit_text(text[:at] + text[at:].replace(old, new, 1)) == c
         assert read == want
     read.clear()
     assert parse_circuit_text(text.replace(" ", "\xa0")) == c
-    assert read == list(range(2, lines + 1))
+    assert read == []
     # every other ASCII line break and separator str.split and splitlines know
     read.clear()
     for newline in ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]:
         for space in [" ", "\t", "\x1f", " \t\x1f "]:
             assert parse_circuit_text(text.replace(" ", space).replace("\n", newline)) == c
     assert read == []
+
+
+def test_wide_spaces_are_the_interpreters():
+    # every character past ASCII that str.split splits at, mapped to an ASCII
+    # break where str.splitlines breaks at it, else to a space
+    wide = [c for c in map(chr, range(128, sys.maxunicode + 1)) if c.isspace()]
+    assert sorted(circuit_module._WIDE_SPACES) == wide
+    for c in wide:
+        breaks = len(("a" + c + "b").splitlines()) == 2
+        assert circuit_module._WIDE_SPACES[c] == ("\x1e" if breaks else " ")
 
 
 @pytest.mark.parametrize("token", ["u-1", "d1.0", "u/5", "d1,2", "u1!", "u+7", "d#", "u1\x00"])
