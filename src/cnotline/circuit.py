@@ -314,9 +314,11 @@ def _chunk_end(text: str, start: int, size: int) -> int:
 
 
 def _ascii_bytes(text: str, start: int, end: int) -> np.ndarray:
-    """text[start:end] with the line break before it and one after, in ASCII
-    bytes: whitespace past ASCII as _WIDE_SPACES maps it, other text as "?"."""
+    """text[start:end] with a line break on each side, in ASCII bytes: "\r\n"
+    as " \n", whitespace past ASCII as _WIDE_SPACES maps it, other text as "?"."""
     chunk = text[start - 1:end]
+    if "\r" in chunk:  # a two-character search is far slower than this one
+        chunk = chunk.replace("\r\n", " \n")
     if not chunk.isascii():
         for c, ascii in _WIDE_SPACES.items():  # "in" and replace beat one translate
             if c in chunk:
@@ -342,10 +344,6 @@ def _text_gates(raw: np.ndarray, width: int, limit: int) -> tuple[np.ndarray, ..
     at = seps[white]
     white |= (kinds == 32) | (kinds == 9) | (kinds == 31)
     faults = [] if white.all() else [seps[~white]]
-    lf = raw[at] == 10  # "\r\n" breaks once: drop its "\n", never the leading break
-    lf[1:] &= raw[at[1:] - 1] == 13
-    lf[0] = False
-    at = at[~lf]
     size = seps[1:] - seps[:-1]
     held = size > 1  # a token between two separators
     if not held.all():

@@ -37,10 +37,11 @@ of codes, each with its count of states:
   one n at a time, with the generator suspended after the newest, and
   grows them only as far as a call needs: the n = 6 depth-7 ball keeps
   87 MB.  A level refused or failed part-way leaves the kept ones, and a
-  new generator walks on from the last two.  A call makes the target's
-  key once and finds it in the kept levels.
+  new generator walks on from the last two.
 
-Both engines grow and answer through `_ball`.
+Each generator records the levels it yields, and `_ball` grows and reads
+them through what its engine supplies: key, a state's code in the table
+or its key in the levels, and has, a lookup of keys in one level.
 
 A full sweep of GL_6(2), 20 158 709 760 matrices, fits in neither.
 """
@@ -266,9 +267,9 @@ def _dense_levels(n: int, table: np.ndarray):
         frontier = expand(frontier, mark)
 
 
-# The one walk out of the identity per n, kept for the life of the
-# process and grown only as far as a call needs: n -> (depth table or
-# list of kept key levels, suspended generator, level sizes so far).
+# The one walk out of the identity per n, kept for the life of the process
+# and grown only as far as a call needs: n -> (depth table or kept key
+# levels, the suspended generator writing it, level sizes, key, has).
 # Growth holds the lock; a grown level never changes, so readers need none.
 _BALLS: dict = {}
 _BALLS_LOCK = threading.Lock()
@@ -279,49 +280,42 @@ def _ball(n: int, target_code: int, depth_limit: "int | None" = None):
     depth_limit levels lie beyond the identity or the whole group is
     swept.  Returns (the target's depth or None, holds, level sizes):
     holds(d, codes) says, as a bool array, which of the uint64 states
-    codes level d holds.  The dense engine reads its depth table; the
-    sorted engine looks their _keys up in its levels, and the process
-    keeps the levels of one n > DENSE_LIMIT at a time.
+    codes level d holds.  The engine, picked when the ball is made,
+    supplies key(codes), the states' codes for the depth table or their
+    _keys for the sorted levels, and has(d, keys), a bool array read from
+    the table or searched in kept level d.  The process keeps the levels
+    of one n > DENSE_LIMIT at a time.
     """
-    code = np.array([target_code], dtype=np.uint64)
     with _BALLS_LOCK:
         if n not in _BALLS:
             if n > DENSE_LIMIT:
                 for other in [m for m in _BALLS if m > DENSE_LIMIT]:
                     del _BALLS[other]
-                _BALLS[n] = [], _sorted_levels(n), []
+                kept = []
+                _BALLS[n] = (kept, _sorted_levels(n, kept), [], lambda codes: _keys(codes, n),
+                             lambda d, keys: _members(keys, kept[d]))
             else:
                 table = np.zeros(1 << (n * n), dtype=np.uint8)
-                _BALLS[n] = table, _dense_levels(n, table), []
-        store, levels, sizes = _BALLS[n]
-        key = _keys(code, n) if n > DENSE_LIMIT else None  # the target's, once per call
-
-        def holds(d, codes):
-            if n > DENSE_LIMIT:
-                return _members(_keys(codes, n), store[d])
-            return store[codes] == d + 1
-
-        def found(d):
-            return (_members(key, store[d]) if n > DENSE_LIMIT else store[code] == d + 1)[0]
-
-        dist = next((d for d in range(len(sizes)) if found(d)), None)
+                _BALLS[n] = (table, _dense_levels(n, table), [], lambda codes: codes,
+                             lambda d, codes: table[codes] == d + 1)
+        store, levels, sizes, key, has = _BALLS[n]
+        target = key(np.array([target_code], dtype=np.uint64))  # once per call
+        dist = next((d for d in range(len(sizes)) if has(d, target)[0]), None)
         try:
             while dist is None and (depth_limit is None or len(sizes) <= depth_limit):
                 level = next(levels, None)
                 if level is None:
                     break
-                if n > DENSE_LIMIT:
-                    store.append(level[0])
                 sizes.append(level[1])
-                if found(len(sizes) - 1):
+                if has(len(sizes) - 1, target)[0]:
                     dist = len(sizes) - 1
         except BaseException:
             if n > DENSE_LIMIT:  # the kept levels stand: walk on from the last two
-                _BALLS[n] = store, _sorted_levels(n, store, sum(sizes)), sizes
+                _BALLS[n] = store, _sorted_levels(n, store, sum(sizes)), sizes, key, has
             else:  # a level cut short leaves the table part written: start afresh
                 del _BALLS[n]
             raise
-    return dist, holds, sizes
+    return dist, lambda d, codes: has(d, key(codes)), sizes
 
 
 def _witness_from_levels(n: int, holds, dist: int, target_code: int) -> Circuit:
@@ -360,7 +354,8 @@ def _sorted_unique(codes: np.ndarray) -> np.ndarray:
 
 def _sorted_levels(n: int, kept: "list[np.ndarray] | None" = None, total: int = 0):
     """Yield each BFS level as (sorted uint64 keys, state count), or only
-    those after the kept levels, which hold total states.
+    those after the kept levels, which hold total states, and append each
+    level yielded to kept (a list of its own when none is given).
 
     A level keeps one key per mirror pair, min(s, J s J) (see _keys); its
     state count is 2 keys less the fixed points s = J s J.  J-conjugation
@@ -385,12 +380,12 @@ def _sorted_levels(n: int, kept: "list[np.ndarray] | None" = None, total: int = 
     # uint64 because at n = 8 entry (8, 8) packs to bit 63
     terms, gens = _gate_terms(n, np.uint64)
     chunk = max(1, _CHUNK_CODES // len(gens))
-    start = kept or [np.array([encode_state(BitMatrix.identity(n))], dtype=np.uint64)]
-    prev, cur = ([np.empty(0, dtype=np.uint64)] + start)[-2:]
-    depth = len(start) - 1
+    kept = [] if kept is None else kept
     if not kept:
+        kept.append(np.array([encode_state(BitMatrix.identity(n))], dtype=np.uint64))
         total = 1
-        yield cur, total
+        yield kept[0], total
+    prev, cur = ([np.empty(0, dtype=np.uint64)] + kept)[-2:]
     while True:
         nxt = np.empty(0, dtype=np.uint64)
         nxt_states = 0
@@ -414,7 +409,7 @@ def _sorted_levels(n: int, kept: "list[np.ndarray] | None" = None, total: int = 
             fresh_states = 2 * fresh.size - int(np.count_nonzero(_mirror(fresh, n) == fresh))
             if total + nxt_states + fresh_states > SORTED_LIMIT:
                 raise ResourceLimitError(
-                    f"level {depth + 1} of the n={n} search would hold more "
+                    f"level {len(kept)} of the n={n} search would hold more "
                     f"than {SORTED_LIMIT} states at once; lower the depth limit"
                 )
             nxt = np.concatenate([nxt, fresh])
@@ -424,8 +419,9 @@ def _sorted_levels(n: int, kept: "list[np.ndarray] | None" = None, total: int = 
         if not nxt.size:
             return
         del fresh, known  # chunk leftovers: a suspended walk keeps only its levels
+        kept.append(nxt)
         prev, cur = cur, nxt
-        depth, total = depth + 1, total + nxt_states
+        total += nxt_states
         yield cur, nxt_states
 
 

@@ -544,6 +544,60 @@ def test_sorted_levels_keep_little_more_than_their_keys():
     assert keys <= kept < keys + (64 << 10)
 
 
+@pytest.mark.parametrize("n,limit", [(3, None), (4, None), (6, 3)], ids=["n3", "n4", "n6-d3"])
+def test_ball_holds_is_membership_in_the_oracle_levels(n, limit):
+    # code 0, the zero matrix, is never reached, so the ball sweeps the
+    # group (the depth table) or grows to the limit (sorted keys)
+    dist, holds, sizes = search._ball(n, 0, limit)
+    _, levels, want = oracle_set_bfs(n, 0, None if limit is None else limit + 1)
+    ball = len(want) if limit is None else limit + 1
+    assert dist is None and tuple(sizes[:ball]) == want[:ball]
+    # codes from every level, one past the ball's edge included, and random
+    # ones (singular or, at n = 6, nearly all beyond the ball), each with
+    # its mirror J s J: s and J s J share a level and the sorted engine's key
+    rng = random.Random(n)
+    picked = [rng.choice(level.tolist()) for level in levels for _ in range(8)]
+    picked += [rng.getrandbits(n * n) for _ in range(32)]
+    codes = picked + [oracle_mirror(n, code) for code in picked]
+    assert any(oracle_mirror(n, code) != code for code in picked)
+    for d, level in enumerate(levels[:ball]):
+        members = set(level.tolist())
+        got = holds(d, np.array(codes, dtype=np.uint64))
+        assert got.tolist() == [code in members for code in codes]
+
+
+def test_sorted_levels_record_the_levels_they_yield():
+    kept = []
+    walk = _sorted_levels(6, kept)
+    yielded = [next(walk)[0] for _ in range(4)]
+    assert len(kept) == 4 and all(a is b for a, b in zip(kept, yielded, strict=True))
+    # a walk resumed from two kept levels appends the levels after them
+    resumed = kept[:2]
+    walk = _sorted_levels(6, resumed, sum(BALL_6_5[:2]))
+    more = [next(walk) for _ in range(2)]
+    assert [size for _, size in more] == list(BALL_6_5[2:4])
+    assert len(resumed) == 4 and all(a is b for a, b in zip(resumed[:2], kept[:2], strict=True))
+    assert all(a is b for a, (b, _) in zip(resumed[2:], more, strict=True))
+    _same_levels(resumed, kept)
+
+
+def test_the_sorted_ball_keeps_the_levels_its_walk_yielded(monkeypatch):
+    yielded = []
+    walk = search._sorted_levels
+
+    def recording(*args):
+        for level, size in walk(*args):
+            yielded.append(level)
+            yield level, size
+
+    monkeypatch.setattr(search, "_sorted_levels", recording)
+    search._BALLS.pop(6, None)
+    assert distance(6, BitMatrix.anti_identity(6), 3).level_sizes == BALL_6_5[:4]
+    assert len(yielded) == 4
+    assert all(a is b for a, b in zip(search._BALLS[6][0], yielded, strict=True))
+    search._BALLS.pop(6, None)
+
+
 @pytest.mark.parametrize("n,want", [(2, 3), (3, 8), (4, 10)])
 def test_max_depth_table(n, want):
     result = max_depth(n)
