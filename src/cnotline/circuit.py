@@ -38,11 +38,8 @@ _CHUNK_BYTES = 1 << 16
 # line is read whole.
 _TEXT_CHUNK = 1 << 18
 
-# What str.splitlines breaks text at; "\r\n" is one break.
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-# str.split's whitespace past ASCII, one for one to ASCII for the vector pass:
-# a line break to "\x1e", which never pairs with "\r", the rest to a space.
+# str.split's whitespace past ASCII, one for one to ASCII: a line break to
+# "\x1e", which _one_break then maps to "\n", the rest to a space.
 _WIDE_SPACES = {**dict.fromkeys("\x85\u2028\u2029", "\x1e"), **dict.fromkeys(
     "\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
     "\u202f\u205f\u3000", " ")}
@@ -263,8 +260,10 @@ def parse_circuit_text(text: str) -> Circuit:
     """
     if not text:
         raise ValueError("empty circuit text")
-    first = text[:_chunk_end(text, 0, 64)].splitlines(True)[0]  # from a few whole lines
-    head_line = first.splitlines()[0]
+    lines = _one_break(text)
+    start = lines.find("\n") + 1
+    # characters map one for one before the first break: quote the header as written
+    head_line = text[:start - 1]
     head = head_line.split()
     try:
         if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
@@ -276,56 +275,44 @@ def parse_circuit_text(text: str) -> Circuit:
     if n < 2:
         raise ValueError(f"need at least 2 wires, got {n}")
     ups, downs = [], []
-    start, depth = len(first), _line_count(text) - 1
-    while start < len(text):  # slice line k is text line k + 2
-        end, kept = _chunk_end(text, start, _TEXT_CHUNK), len(ups)
+    depth = lines.count("\n") - 1
+    while start < len(lines):  # slice line k is text line k + 2
+        end, kept = _chunk_end(lines, start), len(ups)
         # digits of the highest position any line may hold: past CELL_LIMIT,
         # no depth leaves room for it
         found, pos, down, at, refused = _text_gates(
-            _ascii_bytes(text, start, end), len(str(min(n, CELL_LIMIT) - 1)),
-            min(n, CELL_LIMIT // depth))
+            np.frombuffer(lines[start - 1:end].encode("ascii", "replace"), np.uint8),
+            len(str(min(n, CELL_LIMIT) - 1)), min(n, CELL_LIMIT // depth))
         for i in np.flatnonzero(_gate_masks(found, pos, down, refused, ups, downs)).tolist():
-            line = text[start + at[i]:start - 1 + at[i + 1]]  # at counts from start - 1
+            line = lines[start + at[i]:start - 1 + at[i + 1]]  # at counts from start - 1
             ups[kept + i], downs[kept + i] = _line_code(line.split(), n, kept + i + 2, depth)
         start = end
     return Circuit(n, tuple(ups), tuple(downs))
 
 
-def _line_count(text: str) -> int:
-    """len(text.splitlines()) for nonempty text, without the lines."""
-    breaks = sum(text.count(c) for c in _BREAKS if c in text)  # "in" is the faster scan
-    if "\r" in text:
-        breaks -= text.count("\r\n")
-    return breaks + (text[-1] not in _BREAKS)
-
-
-def _chunk_end(text: str, start: int, size: int) -> int:
-    """The index after the last line break ("\r\n" kept whole) in the size
-    characters from start, size doubled until they hold one, or len(text)
-    once they reach it."""
-    cut, stop = start - 1, start + size
-    while cut < start:
-        if stop >= len(text):
-            return len(text)
-        for c in _BREAKS:  # each search stops at the last break found
-            cut = max(cut, text.rfind(c, cut + 1, stop))
-        stop += stop - start
-    return cut + 1 + text.startswith("\r\n", cut)
-
-
-def _ascii_bytes(text: str, start: int, end: int) -> np.ndarray:
-    """text[start:end] with a line break on each side, in ASCII bytes: "\r\n"
-    as " \n", whitespace past ASCII as _WIDE_SPACES maps it, other text as "?"."""
-    chunk = text[start - 1:end]
-    if "\r" in chunk:  # a two-character search is far slower than this one
-        chunk = chunk.replace("\r\n", " \n")
-    if not chunk.isascii():
+def _one_break(text: str) -> str:
+    """text with every break of str.splitlines as "\n" ("\r\n" as one), whitespace
+    past ASCII as _WIDE_SPACES maps it, and a final "\n": the same lines, each
+    splitting into the same tokens.  Text that needs none of this is not copied."""
+    if "\r" in text:  # before a lone "\r" becomes a break of its own
+        text = text.replace("\r\n", "\n")
+    if not text.isascii():
         for c, ascii in _WIDE_SPACES.items():  # "in" and replace beat one translate
-            if c in chunk:
-                chunk = chunk.replace(c, ascii)
-    if chunk[-1] not in _BREAKS:
-        chunk += "\n"
-    return np.frombuffer(chunk.encode("ascii", "replace"), np.uint8)
+            if c in text:
+                text = text.replace(c, ascii)
+    for c in "\r\v\f\x1c\x1d\x1e":
+        if c in text:
+            text = text.replace(c, "\n")
+    return text if text.endswith("\n") else text + "\n"
+
+
+def _chunk_end(lines: str, start: int) -> int:
+    """The index after the last "\n" in the _TEXT_CHUNK characters of lines
+    from start, doubled until they hold one."""
+    size = _TEXT_CHUNK
+    while (cut := lines.rfind("\n", start, start + size)) < 0:
+        size *= 2
+    return cut + 1
 
 
 def _text_gates(raw: np.ndarray, width: int, limit: int) -> tuple[np.ndarray, ...]:
@@ -338,9 +325,9 @@ def _text_gates(raw: np.ndarray, width: int, limit: int) -> tuple[np.ndarray, ..
     seps = np.flatnonzero(raw <= 32)  # raw[0] and raw[-1] are among them
     blanks = len(seps)
     kinds = raw[seps]
-    # str.split's ASCII whitespace: line breaks \n \v \f \r and \x1c..\x1e,
-    # then spaces, \t and \x1f; another byte below "!" spoils its line
-    white = ((kinds - 10) < 4) | ((kinds - 28) < 3)
+    # str.split's ASCII whitespace: the line break \n, then spaces, \t and
+    # \x1f; another byte below "!" spoils its line
+    white = kinds == 10
     at = seps[white]
     white |= (kinds == 32) | (kinds == 9) | (kinds == 31)
     faults = [] if white.all() else [seps[~white]]

@@ -40,7 +40,7 @@ from .search import check_wire_count, distance, max_depth
 # which parsing shares, rotate, the costliest per cell, peaks near 130 MB.
 SYNTH_GATE_LIMIT = 1 << 20
 # render refuses a drawing of more wires times (depth + 1) cells; at the
-# limit, 8 characters a cell held twice, it peaks near 340 MB.
+# limit it peaks near 470 MB, for 2^24 wires at depth 0 (300 MB at 2048 wires).
 RENDER_CELL_LIMIT = 1 << 24
 
 

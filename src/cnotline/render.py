@@ -23,7 +23,7 @@ def render_circuit(circuit: Circuit) -> str:
     margin = max(2, len(str(n)))
     planes = np.concatenate(list(_mask_planes(circuit)), axis=1)  # bytes through bit n
     step = max(1, _CHUNK_BYTES // (64 * (depth + 1)))  # mask bytes of wires per chunk
-    rows: list[str] = []
+    chunks: list[str] = []
     for c in range(0, (n + 7) // 8, step):
         # wire w = 8c + i + 1 is the source of up(w - 1) and down(w), bits i
         # and i + 1 of this chunk's planes, and the target of the other two
@@ -40,5 +40,7 @@ def render_circuit(circuit: Circuit) -> str:
         lines[:, 0, margin + 2:-1:4] = _GLYPHS[(source << 1 | target).T]
         lines[:, 1, margin + 2:-1:4] = np.where(crossed.T, ord("|"), ord(" "))
         del ups, downs, source, target, crossed  # a chunk of a deep circuit is large
-        rows += [str(row, "ascii").rstrip() for row in lines.reshape(-1, lines.shape[2])]
-    return "\n".join(rows)  # wire n's connector row is blank: the text ends in a newline
+        # one string per chunk: a string per row of a tall drawing outweighs its text
+        chunks.append("\n".join([str(row, "ascii").rstrip()
+                                 for row in lines.reshape(-1, lines.shape[2])]))
+    return "\n".join(chunks)  # wire n's connector row is blank: the text ends in a newline

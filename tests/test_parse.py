@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from cnotline import (
+    Circuit,
     ResourceLimitError,
     add_circuit,
     circuit_to_text,
@@ -318,6 +319,40 @@ def test_wide_spaces_are_the_interpreters():
     for c in wide:
         breaks = len(("a" + c + "b").splitlines()) == 2
         assert circuit_module._WIDE_SPACES[c] == ("\x1e" if breaks else " ")
+
+
+def test_one_break_keeps_the_lines_of_str_splitlines():
+    # seeded texts of tokens, spaces and every break str.splitlines knows,
+    # "\r\n" and runs such as "\r\r\n" among them, with and without a final
+    # break: the mapped text ends in "\n", and its lines are the same, each
+    # wide space as a space, so each splits into the same tokens
+    rng = random.Random(33)
+    breaks = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\u2029", "\r\r\n", "\n\r", "\r\x85"]
+    spaces = [" ", "\t", "\x1f", "\xa0", "\u3000", "\u2009"]
+    for _ in range(500):
+        parts = [rng.choice(["u1", "d23", "x", "\u0661"]) if rng.random() < 0.5
+                 else rng.choice(breaks if rng.random() < 0.5 else spaces)
+                 for _ in range(rng.randint(1, 12))]
+        text = "".join(parts)
+        lines = circuit_module._one_break(text)
+        assert lines.endswith("\n")
+        want = ["".join(" " if c.isspace() and not c.isascii() else c for c in line)
+                for line in text.splitlines()]
+        assert lines[:-1].split("\n") == want
+        assert [line.split() for line in want] == [line.split() for line in text.splitlines()]
+    # ASCII text with "\n" breaks only, ending in one, as the CLI reads it: not copied
+    text = circuit_to_text(reverse_circuit(9))
+    assert circuit_module._one_break(text) is text
+
+
+def test_a_bad_header_is_quoted_as_written():
+    # the header is cut from the text as written, not from its mapped lines,
+    # so the message quotes the ideographic space, not the space it maps to
+    with pytest.raises(ValueError) as exc:
+        parse_circuit_text("n\u3000x\r\nu1\r\n")
+    assert str(exc.value) == "bad header 'n\\u3000x', expected 'n <wires>'"
+    assert parse_circuit_text("n\xa05\r\nu1\r\n") == Circuit(5, (2,), (0,))
 
 
 @pytest.mark.parametrize("token", ["u-1", "d1.0", "u/5", "d1,2", "u1!", "u+7", "d#", "u1\x00"])
